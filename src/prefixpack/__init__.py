@@ -21,11 +21,10 @@ from .codes import (
     solution_to_codebook,
     verify_codebook,
 )
-from .geometry import corner_cut, cut_sigma, overlap, quotient_bound, remainder_regions
+from .geometry import cut_sigma, overlap, quotient_bound, remainder_regions
 from .model import (
     Arities,
     Block,
-    Container,
     ProblemSpec,
     Region,
     RegularExp,
@@ -47,7 +46,6 @@ __all__ = [
     "Block",
     "Codebook",
     "Codeword",
-    "Container",
     "ContainerBank",
     "EntropyReport",
     "OracleLimits",
@@ -63,7 +61,6 @@ __all__ = [
     "cmp_partial",
     "cmp_total",
     "construct",
-    "corner_cut",
     "cut_sigma",
     "decide",
     "decide_fast",

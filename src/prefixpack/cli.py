@@ -28,6 +28,10 @@ DEFAULT_SELFTEST_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
 # than letting a valid-looking file take the process down.
 CONSTRUCT_CELL_LIMIT = 1 << 18
 DECIDE_TABLE_LIMIT = 1 << 24
+# Code-space bits, the sum of lmax_i * log2(q_i), bounded before any q**l is
+# built.  Kraft numerators stay below m * 2**bits, so every admitted Kraft
+# string prints under Python's default 4300-digit (about 14,284-bit) limit.
+CODE_SPACE_BITS_LIMIT = 14_000
 
 
 class InputError(Exception):
@@ -64,8 +68,9 @@ def parse_instance_json(text: str) -> InstanceFile:
     _require("q" in raw, 'missing "q" field')
     _require("lengths" in raw, 'missing "lengths" field')
     qs = raw["q"]
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
     _require(
-        isinstance(qs, list) and qs and all(isinstance(v, int) for v in qs),
+        isinstance(qs, list) and qs and all(type(v) is int for v in qs),
         '"q" must be a non-empty array of integers',
     )
     lengths = raw["lengths"]
@@ -73,7 +78,7 @@ def parse_instance_json(text: str) -> InstanceFile:
     tuples = []
     for entry in lengths:
         _require(
-            isinstance(entry, list) and all(isinstance(v, int) for v in entry),
+            isinstance(entry, list) and all(type(v) is int for v in entry),
             f"length entry {entry!r} must be an array of integers",
         )
         _require(
@@ -85,7 +90,7 @@ def parse_instance_json(text: str) -> InstanceFile:
     if "probs" in raw and raw["probs"] is not None:
         _require(
             isinstance(raw["probs"], list)
-            and all(isinstance(v, (int, float)) for v in raw["probs"]),
+            and all(type(v) in (int, float) for v in raw["probs"]),
             '"probs" must be an array of numbers',
         )
         _require(
@@ -95,7 +100,7 @@ def parse_instance_json(text: str) -> InstanceFile:
         probs = tuple(float(v) for v in raw["probs"])
     base = None
     if "D" in raw and raw["D"] is not None:
-        _require(isinstance(raw["D"], (int, float)), '"D" must be a number')
+        _require(type(raw["D"]) in (int, float), '"D" must be a number')
         base = float(raw["D"])
     return InstanceFile(tuple(qs), tuple(tuples), probs, base)
 
@@ -147,6 +152,21 @@ def to_problem_spec(inst: InstanceFile) -> ProblemSpec:
         raise InputError(str(exc)) from exc
 
 
+def _guard_code_space(inst: InstanceFile) -> None:
+    """Refuse code spaces past CODE_SPACE_BITS_LIMIT bits, before any q**l exists."""
+    bits = 0.0
+    for k, qk in enumerate(inst.qs):
+        lmax = max((t[k] for t in inst.lengths), default=0)
+        if qk >= 2 and lmax > 0:
+            # clamping keeps the float product finite; past the limit any lmax fails
+            bits += min(lmax, CODE_SPACE_BITS_LIMIT + 1) * math.log2(qk)
+    _require(
+        bits <= CODE_SPACE_BITS_LIMIT,
+        f"maximum lengths span a code space of more than {CODE_SPACE_BITS_LIMIT} "
+        "bits (sum of lmax * log2(q) over channels), above the supported limit",
+    )
+
+
 def _guard_decide_size(spec: ProblemSpec) -> None:
     cells = (spec.l1max + 1) * (spec.l2max + 1)
     _require(
@@ -158,12 +178,11 @@ def _guard_decide_size(spec: ProblemSpec) -> None:
 
 def _guard_construct_size(spec: ProblemSpec) -> None:
     q = spec.arities
-    area = q.q1**spec.l1max * q.q2**spec.l2max
     _require(
-        area <= CONSTRUCT_CELL_LIMIT,
-        f"container grid has {area} cells, above the supported "
-        f"{CONSTRUCT_CELL_LIMIT} for explicit construction (decide scales; "
-        "construct/render materialize placements)",
+        q.q1**spec.l1max * q.q2**spec.l2max <= CONSTRUCT_CELL_LIMIT,
+        f"container grid of {q.q1}^{spec.l1max} x {q.q2}^{spec.l2max} cells is above "
+        f"the supported {CONSTRUCT_CELL_LIMIT} for explicit construction (decide "
+        "scales; construct/render materialize placements)",
     )
 
 
@@ -207,6 +226,7 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
+    _guard_code_space(inst)
     spec = to_problem_spec(inst)
     _guard_decide_size(spec)
     if packer.decide(spec):
@@ -218,6 +238,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
+    _guard_code_space(inst)
     spec = to_problem_spec(inst)
     _guard_construct_size(spec)
     solution = packer.construct(spec)
@@ -243,6 +264,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_kraft(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
+    _guard_code_space(inst)
     try:
         frac = codes.kraft_sum(inst.qs, inst.lengths)
     except ValueError as exc:
@@ -347,6 +369,7 @@ def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
 
 def cmd_render(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
+    _guard_code_space(inst)
     spec = to_problem_spec(inst)
     _guard_construct_size(spec)
     solution = packer.construct(spec)

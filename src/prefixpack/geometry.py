@@ -1,16 +1,12 @@
 """Region algebra: overlap, quotient containers, remainder frames, container cutting.
 
-The cutting function maps a container and a regular size bound to the unique
-smallest partition into regular aligned containers, each no larger than the
-bound in either dimension.  Two forms exist side by side:
-
-* ``cut_sigma`` materializes every piece as an explicit region.  The number of
-  pieces can be exponential in the exponents involved, so this form is meant
-  for the naive packer and for desk-scale verification only.
-* ``corner_cut`` handles the one cut shape the packers actually produce at
-  scale (a block removed from the lower-left corner of a regular aligned
-  container) and returns piece *counts* keyed by exponent pairs, never
-  enumerating the pieces.
+The cutting function ``cut_sigma`` maps a container and a regular size bound
+to the unique smallest partition into regular aligned containers, each no
+larger than the bound in either dimension.  It materializes every piece as an
+explicit region; the number of pieces can be exponential in the exponents
+involved, so it serves the naive packer and desk-scale verification only.
+``corner_cut_regions`` lists the pieces left when a block is removed from the
+lower-left corner of a regular aligned container.
 
 All functions are pure and operate on immutable values.
 """
@@ -29,10 +25,6 @@ from .model import (
     reg,
     total_key,
 )
-
-# Piece counts keyed by exponent pairs (a, b) meaning size [q1**a, q2**b].
-CountTable = dict[RegularExp, int]
-
 
 def overlap(r1: Region, r2: Region) -> bool:
     """True when the half-open rectangles share at least one point."""
@@ -135,7 +127,7 @@ def cut_sigma(c: Region, s: Size, q: Arities) -> tuple[Region, ...]:
     outputs are pairwise disjoint and tile c exactly.
 
     Piece counts grow with the container area, so this explicit form is for
-    small instances; the count-based corner_cut serves the optimized path.
+    small instances; decide_fast's count array serves the scalable path.
     """
     out: list[Region] = []
     stack = [c]
@@ -152,26 +144,6 @@ def cut_sigma(c: Region, s: Size, q: Arities) -> tuple[Region, ...]:
                 out.append(reg(qb.x + i * best.w, qb.y + j * best.h, best.w, best.h))
         stack.extend(remainder_regions(r, best))
     return tuple(out)
-
-
-def corner_cut(c: RegularExp, b: RegularExp, q: Arities) -> CountTable:
-    """Piece counts for a container minus a block at its lower-left corner.
-
-    Container [q1**i, q2**j] minus block [q1**a, q2**b] leaves an L shape that
-    splits into full-height strips right of the block, one scale per width
-    exponent in [a, i), and block-width slabs above it, one scale per height
-    exponent in [b, j); q1-1 (resp. q2-1) pieces at each scale.
-    """
-    i, j = c.a, c.b
-    a, bb = b.a, b.b
-    if a > i or bb > j:
-        raise ValueError(f"block ({a}, {bb}) exceeds container ({i}, {j})")
-    counts: CountTable = {}
-    for k in range(a, i):
-        counts[RegularExp(k, j)] = counts.get(RegularExp(k, j), 0) + (q.q1 - 1)
-    for t in range(bb, j):
-        counts[RegularExp(a, t)] = counts.get(RegularExp(a, t), 0) + (q.q2 - 1)
-    return counts
 
 
 def corner_cut_regions(c: Region, block_size: Size, q: Arities) -> list[Region]:

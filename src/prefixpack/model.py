@@ -106,10 +106,6 @@ class Region:
         return self.size.area
 
 
-# A container is just a region whose job is to hold blocks.
-Container = Region
-
-
 def reg(x: int, y: int, w: int, h: int) -> Region:
     """Shorthand constructor for a region."""
     return Region(x, y, Size(w, h))

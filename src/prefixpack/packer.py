@@ -7,12 +7,18 @@ smallest adequate container.  Its absence/presence answer is the existence
 decision, and its locations feed codebook extraction.
 
 ``decide_fast`` answers the same question for the canonical single-container
-instance without materializing a single location.  It keeps only a 2D count
-array A[i][j] = number of free containers of size [q1**i, q2**j], processes
-blocks grouped by size in descending order, splits counts one exponent step
-at a time when the layer descends, and packs whole groups with integer
-division.  Counts are plain Python ints on purpose: they reach
-q1**l1max * q2**l2max, far beyond 64 bits for inputs this path must handle.
+instance without materializing a single location.  Its ``ContainerBank``
+keeps only a 2D count array A[i][j] = number of free containers of size
+[q1**i, q2**j].  Blocks are processed grouped by size in descending order;
+counts split one exponent step at a time when the layer descends, and each
+group is packed by one walk along a column or row of the array that empties
+whole cells by integer division.  The one container a group uses in part
+returns its unused room in closed form: room for per - left more blocks,
+whose base-q digits are q - 1 minus those of left - 1, one small add per
+level.  Under audit the counted area is checked against a ledger of the
+initial area minus the area placed.  Counts are plain Python ints on purpose:
+they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs this path
+must handle.
 """
 
 from __future__ import annotations
@@ -46,12 +52,6 @@ class Solution:
     """Per-block packed locations: aligned, non-overlapping, each in one container."""
 
     assignments: tuple[Placement, ...]
-
-    def location_of(self, index: int) -> tuple[int, int]:
-        for p in self.assignments:
-            if p.index == index:
-                return (p.x, p.y)
-        raise KeyError(index)
 
 
 def _validate_containers(containers: Sequence[Region]) -> None:
@@ -110,13 +110,37 @@ def solve_naive(
     return Solution(tuple(assignments))
 
 
+class _RowView:
+    """Cells counts[k][j] of one row j, indexed by k, for consume_row's walk."""
+
+    __slots__ = ("counts", "j")
+
+    def __init__(self, counts: list[list[int]], j: int):
+        self.counts = counts
+        self.j = j
+
+    def __getitem__(self, k: int) -> int:
+        return self.counts[k][self.j]
+
+    def __setitem__(self, k: int, value: int) -> None:
+        self.counts[k][self.j] = value
+
+
 class ContainerBank:
     """Count array over free-container sizes, with the successive-assignment run.
 
+    counts[i][j] is the number of free containers of size [q1**i, q2**j].
     Cells above the current caps are always zero; caps only descend, one
     exponent step at a time, multiplying counts by q1 (resp. q2) as containers
-    split.  With audit=True the bank re-checks its area invariant after every
-    mutation: the counted free area must equal the tracked one.
+    split.  A group of equal blocks is packed by one walk along a line of
+    cells: column i for blocks as wide as its containers (consume_column), row
+    j for blocks as high as its containers (consume_row).
+
+    The free-area ledger is the initial area minus the area of the blocks
+    placed, updated once per consume call.  With audit=True the bank checks
+    after every descend_caps and consume call that the area the counts hold
+    equals the ledger.  The ledger shares no arithmetic with the walk, so a
+    wrong split or leftover deposit shows up as an imbalance.
     """
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False):
@@ -158,7 +182,6 @@ class ContainerBank:
                     dst[j] += src[j] * self.q.q1
                     src[j] = 0
             self.cap_i -= 1
-            self._check()
         while self.cap_j > cj:
             for i in range(self.cap_i + 1):
                 row = self.counts[i]
@@ -166,92 +189,55 @@ class ContainerBank:
                     row[self.cap_j - 1] += row[self.cap_j] * self.q.q2
                     row[self.cap_j] = 0
             self.cap_j -= 1
-            self._check()
-
-    def _deposit_column(self, i: int, rem_h: int) -> None:
-        # Base-q2 digits of the unused height become free slabs of width q1**i.
-        t = 0
-        while rem_h:
-            rem_h, d = divmod(rem_h, self.q.q2)
-            if d:
-                self.counts[i][t] += d
-                self._free += d * self.pow1[i] * self.pow2[t]
-            t += 1
-        self._check()
-
-    def _deposit_row(self, j: int, rem_w: int) -> None:
-        t = 0
-        while rem_w:
-            rem_w, d = divmod(rem_w, self.q.q1)
-            if d:
-                self.counts[t][j] += d
-                self._free += d * self.pow1[t] * self.pow2[j]
-            t += 1
         self._check()
 
     def consume_column(self, i: int, b: int, need: int) -> bool:
-        """Pack `need` blocks of size [q1**i, q2**b] into width-fitted containers.
-
-        Scans column i upward from the exact-fit row, emptying whole cells by
-        integer division; at most one container is consumed partially, and its
-        unused height returns to the bank as digit slabs at group end.
-        """
-        col = self.counts[i]
-        area_w = self.pow1[i]
-        j = b
-        while need > 0:
-            while j <= self.cap_j and col[j] == 0:
-                j += 1
-            if j > self.cap_j:
-                return False
-            per = self.pow2[j - b]  # blocks one container at this row holds
-            if per == 1:
-                take = col[j] if col[j] < need else need
-                col[j] -= take
-                self._free -= take * area_w * self.pow2[j]
-                need -= take
-            else:
-                full = min(col[j], need // per)
-                if full:
-                    col[j] -= full
-                    self._free -= full * area_w * self.pow2[j]
-                    need -= full * per
-                if need and need < per and col[j] > 0:
-                    col[j] -= 1
-                    self._free -= area_w * self.pow2[j]
-                    self._deposit_column(i, self.pow2[j] - need * self.pow2[b])
-                    need = 0
-            self._check()
-        return True
+        """Pack `need` blocks of size [q1**i, q2**b] into column i, from row b up."""
+        left = self._walk(self.counts[i], self.pow2, self.q.q2, b, self.cap_j, need)
+        self._settle(need - left, self.pow1[i] * self.pow2[b])
+        return left == 0
 
     def consume_row(self, j: int, a: int, need: int) -> bool:
-        """Height-fitted mirror of consume_column."""
-        area_h = self.pow2[j]
-        i = a
-        while need > 0:
-            while i <= self.cap_i and self.counts[i][j] == 0:
-                i += 1
-            if i > self.cap_i:
-                return False
-            per = self.pow1[i - a]
-            if per == 1:
-                take = self.counts[i][j] if self.counts[i][j] < need else need
-                self.counts[i][j] -= take
-                self._free -= take * self.pow1[i] * area_h
-                need -= take
-            else:
-                full = min(self.counts[i][j], need // per)
-                if full:
-                    self.counts[i][j] -= full
-                    self._free -= full * self.pow1[i] * area_h
-                    need -= full * per
-                if need and need < per and self.counts[i][j] > 0:
-                    self.counts[i][j] -= 1
-                    self._free -= self.pow1[i] * area_h
-                    self._deposit_row(j, self.pow1[i] - need * self.pow1[a])
-                    need = 0
-            self._check()
-        return True
+        """Pack `need` blocks of size [q1**a, q2**j] into row j, from column a up."""
+        left = self._walk(_RowView(self.counts, j), self.pow1, self.q.q1, a, self.cap_i, need)
+        self._settle(need - left, self.pow1[a] * self.pow2[j])
+        return left == 0
+
+    def _settle(self, placed: int, block_area: int) -> None:
+        self._free -= placed * block_area
+        self._check()
+
+    @staticmethod
+    def _walk(line, powers: list[int], q: int, start: int, cap: int, need: int) -> int:
+        """Greedy walk up one line of cells; returns how many blocks did not fit.
+
+        A container at level k of the line holds per = powers[k - start]
+        blocks stacked along the line's axis (q is that axis's arity).  Cells
+        from `start` up to `cap` are emptied whole by integer division.  At
+        most one container is used in part, by the need < per blocks still
+        unplaced; its room for per - need more returns as slabs at levels
+        start..k-1.
+        """
+        k = start
+        while need:
+            while k <= cap and not line[k]:
+                k += 1
+            if k > cap:
+                return need
+            per = powers[k - start]
+            full = min(line[k], need // per)
+            line[k] -= full
+            need -= full * per
+            if need and line[k]:  # need < per here
+                line[k] -= 1
+                # per - 1 has every base-q digit q - 1, so the digits of
+                # per - need are q - 1 minus those of need - 1, with no borrow.
+                rest = need - 1
+                for t in range(start, k):
+                    rest, d = divmod(rest, q)
+                    line[t] += q - 1 - d
+                need = 0
+        return 0
 
 
 def _floor_exp(value: int, powers: list[int], cap: int) -> int:
@@ -271,22 +257,19 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
     """
     if spec.m == 0:
         return True
-    q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
     groups: dict[tuple[int, int], int] = {}
     for l1, l2 in spec.lengths:
         key = (l1max - l1, l2max - l2)
         groups[key] = groups.get(key, 0) + 1
 
-    pow1 = [q.q1**i for i in range(l1max + 1)]
-    pow2 = [q.q2**j for j in range(l2max + 1)]
+    bank = ContainerBank(spec.arities, l1max, l2max, audit=audit)
+    pow1, pow2 = bank.pow1, bank.pow2
     order = sorted(
         groups,
         key=lambda ab: (max(pow1[ab[0]], pow2[ab[1]]), pow1[ab[0]], pow2[ab[1]]),
         reverse=True,
     )
-
-    bank = ContainerBank(q, l1max, l2max, audit=audit)
     for a, b in order:
         w, h = pow1[a], pow2[b]
         layer = max(w, h)
@@ -299,8 +282,6 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
             ok = bank.consume_row(b, a, groups[(a, b)])
         if not ok:
             return False
-        if audit and bank.free_area() < 0:
-            raise AssertionError("free area went negative")
     return True
 
 

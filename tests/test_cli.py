@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -275,11 +276,16 @@ class TestSchemaValidation:
             {"q": [2, 2], "lengths": [[1, 2, 3]]},
             {"q": [2, 2], "lengths": [[1, 0]], "probs": [0.5, 0.5]},
             {"q": [], "lengths": []},
+            {"q": [2, 2], "lengths": [[True, False], [False, True]]},
+            {"q": [True, 2], "lengths": [[1, 0]]},
+            {"q": [2, 2], "lengths": [[0, 0]], "probs": [True], "D": 2},
+            {"q": [2, 2], "lengths": [[0, 0]], "probs": [1.0], "D": True},
         ],
     )
     def test_rejected_payloads(self, tmp_path, payload):
         path = write_json(tmp_path, payload)
-        assert cli.main(["kraft", "--input", path]) == 2
+        for cmd in ("decide", "kraft"):
+            assert cli.main([cmd, "--input", path]) == 2
 
     def test_exit_codes_total(self, tmp_path):
         # every command ends in {0,1,2,3} even on garbage
@@ -291,6 +297,21 @@ class TestSchemaValidation:
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[20, 20]]})
         assert cli.main(["construct", "--input", path]) == 2
         assert "construct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengths", [[[15_000, 0]], [[1_000_000, 0]]])
+    @pytest.mark.parametrize("cmd", ["decide", "kraft", "construct", "render"])
+    def test_code_space_guard(self, tmp_path, capsys, cmd, lengths):
+        # refused before any power of q is built: no allocation beyond parsing
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
+        argv = [cmd, "--input", path] + (["--svg", str(tmp_path / "out.svg")] if cmd == "render" else [])
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(cli.CODE_SPACE_BITS_LIMIT) in capsys.readouterr().err
 
     def test_decide_refuses_huge_count_table(self, tmp_path):
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[5000, 5000]]})

@@ -1,19 +1,17 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
 from prefixpack.geometry import (
     contains,
-    corner_cut,
     corner_cut_regions,
     cut_sigma,
     overlap,
     quotient_bound,
     remainder_regions,
 )
-from prefixpack.model import Arities, Region, RegularExp, Size, reg
+from prefixpack.model import Arities, Region, Size, reg
 from prefixpack.oracle import OracleLimits, brute_sigma_min
 
 from conftest import assert_partition
@@ -260,36 +258,30 @@ def _all_partitions(c: Region, s: Size, q: Arities, budget: int):
 
 class TestCornerCut:
     def test_halving(self):
-        got = corner_cut(RegularExp(1, 0), RegularExp(0, 0), Q22)
-        assert got == {RegularExp(0, 0): 1}
+        assert corner_cut_regions(reg(0, 0, 2, 1), Size(1, 1), Q22) == [reg(1, 0, 1, 1)]
 
     def test_l_shape_counts(self):
-        got = corner_cut(RegularExp(2, 1), RegularExp(0, 0), Q22)
-        assert got == {
-            RegularExp(0, 1): 1,  # [1,2]
-            RegularExp(1, 1): 1,  # [2,2]
-            RegularExp(0, 0): 1,  # [1,1]
-        }
-        area = sum(2**e.a * 2**e.b * n for e, n in got.items())
-        assert area == 8 - 1
+        pieces = corner_cut_regions(reg(0, 0, 4, 2), Size(1, 1), Q22)
+        assert pieces == [reg(1, 0, 1, 2), reg(2, 0, 2, 2), reg(0, 1, 1, 1)]
+        assert sum(p.area for p in pieces) == 8 - 1
 
     def test_counterexample_first_leftover(self):
-        got = corner_cut(RegularExp(1, 1), RegularExp(1, 0), Q22)
-        assert got == {RegularExp(1, 0): 1}
+        assert corner_cut_regions(reg(0, 0, 2, 2), Size(2, 1), Q22) == [reg(0, 1, 2, 1)]
 
     def test_rejects_oversized_block(self):
         with pytest.raises(ValueError):
-            corner_cut(RegularExp(1, 1), RegularExp(2, 0), Q22)
+            corner_cut_regions(reg(0, 0, 2, 2), Size(4, 1), Q22)
 
     @pytest.mark.parametrize("q", ARITY_PAIRS, ids=lambda q: f"q{q.q1}{q.q2}")
     def test_area_conservation(self, q):
         exps = [0, 1, 2, 3, 7, 8, 19, 20]
         for i, j in itertools.product(exps, exps):
+            cont = reg(0, 0, q.q1**i, q.q2**j)
             for a in [e for e in exps if e <= i]:
                 for b in [e for e in exps if e <= j]:
-                    got = corner_cut(RegularExp(i, j), RegularExp(a, b), q)
-                    area = sum(q.q1**e.a * q.q2**e.b * n for e, n in got.items())
-                    assert area == q.q1**i * q.q2**j - q.q1**a * q.q2**b
+                    block = Size(q.q1**a, q.q2**b)
+                    pieces = corner_cut_regions(cont, block, q)
+                    assert sum(p.area for p in pieces) == cont.area - block.area
 
     @pytest.mark.parametrize("q", ARITY_PAIRS, ids=lambda q: f"q{q.q1}{q.q2}")
     def test_regions_match_counts_and_tile(self, q):
@@ -303,15 +295,6 @@ class TestCornerCut:
             )
             block = Size(q.q1**a, q.q2**b)
             pieces = corner_cut_regions(cont, block, q)
-            counts = corner_cut(RegularExp(i, j), RegularExp(a, b), q)
-            got = Counter(RegularExp(*_exps(p.size, q)) for p in pieces)
-            assert got == Counter(counts)
             # pieces plus the block tile the container
             block_region = reg(cont.x, cont.y, block.w, block.h)
             assert_partition(cont, cont.size, q, pieces + [block_region])
-
-
-def _exps(s: Size, q: Arities) -> tuple[int, int]:
-    e = RegularExp.from_size(s, q)
-    assert e is not None
-    return (e.a, e.b)

@@ -135,12 +135,15 @@ class TestDecideConstructAgreement:
 
     def test_randomized_agreement(self, rng):
         for _ in range(500):
-            q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
+            q = Arities(rng.choice([2, 3, 4, 5]), rng.choice([2, 3, 4, 5]))
             m = rng.randint(0, 10)
             lengths = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m))
             spec = ProblemSpec(q, lengths)
             present = construct(spec) is not None
             assert decide_fast(spec, audit=True) == present
+            # swapped channels turn column walks into row walks
+            swapped = ProblemSpec(Arities(q.q2, q.q1), tuple((l2, l1) for l1, l2 in lengths))
+            assert decide_fast(swapped, audit=True) == present
 
 
 class TestTheoremEquivalenceSweep:
@@ -228,6 +231,14 @@ class TestContainerBank:
     def test_consume_reports_shortage(self):
         bank = ContainerBank(Q22, 1, 1, audit=True)
         assert bank.consume_column(1, 0, 3) is False
+
+    def test_ledger_balances_after_failed_consume(self):
+        bank = ContainerBank(Arities(3, 2), 1, 2, audit=True)
+        bank.descend_caps(1, 1)  # two 3x2 containers
+        # five 1x2 blocks: three fill one container, two half-fill the other
+        assert bank.consume_row(1, 0, 5) is True
+        assert bank.consume_row(1, 0, 2) is False  # one 1x2 slab left for two
+        assert bank.free_area() == bank.counted_area() == 0
 
     def test_area_accounting_after_every_mutation(self, rng):
         # audit=True re-checks the invariant inside every bank mutation
