@@ -27,7 +27,6 @@ from .model import (
     Block,
     ProblemSpec,
     Region,
-    RegularExp,
     Size,
     cmp_partial,
     cmp_total,
@@ -52,7 +51,6 @@ __all__ = [
     "Placement",
     "ProblemSpec",
     "Region",
-    "RegularExp",
     "Size",
     "Solution",
     "SourceDistribution",

@@ -23,9 +23,9 @@ EXIT_SELFTEST_FAILED = 3
 
 DEFAULT_SELFTEST_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
 
-# construct/render materialize container grids explicitly; decide keeps a
-# (l1max+1) x (l2max+1) count table.  Refuse inputs past these sizes rather
-# than letting a valid-looking file take the process down.
+# construct/render keep an origin per free container, up to one per grid cell;
+# decide keeps a (l1max+1) x (l2max+1) count table.  Refuse inputs past these
+# sizes rather than letting a valid-looking file take the process down.
 CONSTRUCT_CELL_LIMIT = 1 << 18
 DECIDE_TABLE_LIMIT = 1 << 24
 # Code-space bits, the sum of lmax_i * log2(q_i), bounded before any q**l is
@@ -133,6 +133,14 @@ def load_instance(path: str, fmt: str) -> InstanceFile:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_instance_json(text) if fmt == "json" else parse_instance_text(text)
+
+
+def write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def to_problem_spec(inst: InstanceFile) -> ProblemSpec:
@@ -255,8 +263,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     )
     text = result_to_json(result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_output(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_EXISTS if result.decision else EXIT_NOT_EXISTS
@@ -376,8 +383,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if solution is None:
         print("NOT-EXISTS")
         return EXIT_NOT_EXISTS
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(spec, solution))
+    write_output(args.svg, render_svg(spec, solution))
     return EXIT_EXISTS
 
 
@@ -402,23 +408,21 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     )
     checked = 0
     for spec in oracle.enumerate_instances(arity_pairs, args.max_m, args.max_len):
+        where = f"q=({spec.arities.q1},{spec.arities.q2}) lengths={list(spec.lengths)}"
         fast = packer.decide_fast(spec)
-        naive = packer.construct(spec) is not None
+        solution = packer.construct(spec)
+        built = solution is not None
         inst = codes.lengths_to_instance(spec)
         brute = oracle.brute_decide(inst.blocks, [inst.container], limits)
         if brute == "budget_exceeded":
-            print(
-                f"selftest: oracle budget exceeded on q=({spec.arities.q1},{spec.arities.q2}) "
-                f"lengths={list(spec.lengths)}"
-            )
+            print(f"selftest: oracle budget exceeded on {where}")
             return EXIT_SELFTEST_FAILED
         expect = brute == "yes"
-        if fast != expect or naive != expect:
-            print(
-                f"selftest: DISAGREEMENT on q=({spec.arities.q1},{spec.arities.q2}) "
-                f"lengths={list(spec.lengths)}: "
-                f"fast={fast} naive={naive} brute={expect}"
-            )
+        if fast != expect or built != expect:
+            print(f"selftest: DISAGREEMENT on {where}: fast={fast} construct={built} brute={expect}")
+            return EXIT_SELFTEST_FAILED
+        if built and not codes.verify_codebook(codes.solution_to_codebook(spec, solution)):
+            print(f"selftest: INVALID CODEBOOK on {where}")
             return EXIT_SELFTEST_FAILED
         checked += 1
     print(f"selftest: {checked} instances, all procedures agree")

@@ -4,7 +4,7 @@ The cutting function ``cut_sigma`` maps a container and a regular size bound
 to the unique smallest partition into regular aligned containers, each no
 larger than the bound in either dimension.  It materializes every piece as an
 explicit region; the number of pieces can be exponential in the exponents
-involved, so it serves the naive packer and desk-scale verification only.
+involved, so it serves the reference packer ``solve_naive`` and tests only.
 ``corner_cut_regions`` lists the pieces left when a block is removed from the
 lower-left corner of a regular aligned container.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 from .model import (
     Arities,
     Region,
-    RegularExp,
     Size,
     covers,
     ilog_exact,
@@ -147,25 +146,25 @@ def cut_sigma(c: Region, s: Size, q: Arities) -> tuple[Region, ...]:
 
 
 def corner_cut_regions(c: Region, block_size: Size, q: Arities) -> list[Region]:
-    """Explicit regions of the corner cut, for the location-tracking packer.
+    """Explicit regions of the corner cut, for the reference packer ``solve_naive``.
 
     Requires c regular and aligned with the block at least as small in both
     dimensions; the block is removed from the container's lower-left corner.
     """
-    ce = RegularExp.from_size(c.size, q)
-    be = RegularExp.from_size(block_size, q)
-    if ce is None or be is None:
+    ca, cb = ilog_exact(c.w, q.q1), ilog_exact(c.h, q.q2)
+    ba, bb = ilog_exact(block_size.w, q.q1), ilog_exact(block_size.h, q.q2)
+    if None in (ca, cb, ba, bb):
         raise ValueError("corner cut needs regular container and block sizes")
     if not covers(c.size, block_size):
         raise ValueError(f"block {block_size} exceeds container {c.size}")
     out: list[Region] = []
-    pw = q.q1**be.a
-    for k in range(be.a, ce.a):
+    pw = block_size.w
+    for k in range(ba, ca):
         for t in range(1, q.q1):
             out.append(reg(c.x + t * pw, c.y, pw, c.h))
         pw *= q.q1
-    ph = q.q2**be.b
-    for t in range(be.b, ce.b):
+    ph = block_size.h
+    for t in range(bb, cb):
         for u in range(1, q.q2):
             out.append(reg(c.x, c.y + u * ph, block_size.w, ph))
         ph *= q.q2

@@ -56,32 +56,6 @@ class Size:
 
 
 @dataclass(frozen=True)
-class RegularExp:
-    """Exponent form of a regular size: width q1**a, height q2**b.
-
-    Used wherever raw coordinates would be astronomically large.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"exponents must be >= 0, got ({self.a}, {self.b})")
-
-    def to_size(self, q: Arities) -> Size:
-        return Size(q.q1**self.a, q.q2**self.b)
-
-    @classmethod
-    def from_size(cls, s: Size, q: Arities) -> "RegularExp | None":
-        a = ilog_exact(s.w, q.q1)
-        b = ilog_exact(s.h, q.q2)
-        if a is None or b is None:
-            return None
-        return cls(a, b)
-
-
-@dataclass(frozen=True)
 class Region:
     """Half-open rectangle [x, x+w) x [y, y+h); left/bottom borders closed."""
 
@@ -116,9 +90,6 @@ class Block:
     """A rectangle of regular size that still awaits a location."""
 
     size: Size
-
-    def placed(self, u: int, v: int) -> Region:
-        return Region(u, v, self.size)
 
 
 @dataclass(frozen=True)
@@ -185,11 +156,6 @@ def cmp_partial(s1: Size, s2: Size) -> str:
     if covers(s2, s1):
         return "precedes"
     return "incomparable"
-
-
-def layer_of(s: Size) -> int:
-    """Layer a size belongs to: the longer of its two sides."""
-    return max(s.w, s.h)
 
 
 def is_regular(s: Size, q: Arities) -> bool:

@@ -1,24 +1,19 @@
-"""The two packing algorithms behind the prefix-code decision.
+"""The greedy container bank behind decide and construct, and its naive reference.
 
-``solve_naive`` runs the greedy packer with explicit locations: per block it
-re-cuts every container at hand to the componentwise maximum of the remaining
-block sizes, then packs the largest block into the lower-left corner of a
-smallest adequate container.  Its absence/presence answer is the existence
-decision, and its locations feed codebook extraction.
+``ContainerBank`` keeps a 2D count array A[i][j] = number of free containers
+of size [q1**i, q2**j].  Blocks are processed grouped by size in descending
+order; counts split one exponent step at a time when the layer descends, and
+each group is packed by one walk along a column or row of the array.  Counts
+are plain Python ints on purpose: they reach q1**l1max * q2**l2max, far
+beyond 64 bits for inputs this path must handle.  ``decide_fast`` and
+``construct`` share one group loop over the bank; for ``construct`` the bank
+also keeps the (x, y) origin of every free container, which yields the block
+locations, while the verdict stays the count ledger's.
 
-``decide_fast`` answers the same question for the canonical single-container
-instance without materializing a single location.  Its ``ContainerBank``
-keeps only a 2D count array A[i][j] = number of free containers of size
-[q1**i, q2**j].  Blocks are processed grouped by size in descending order;
-counts split one exponent step at a time when the layer descends, and each
-group is packed by one walk along a column or row of the array that empties
-whole cells by integer division.  The one container a group uses in part
-returns its unused room in closed form: room for per - left more blocks,
-whose base-q digits are q - 1 minus those of left - 1, one small add per
-level.  Under audit the counted area is checked against a ledger of the
-initial area minus the area placed.  Counts are plain Python ints on purpose:
-they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs this path
-must handle.
+``solve_naive`` is the reference the bank is tested against: per block it
+re-cuts every container at hand with ``cut_sigma`` to the componentwise
+maximum of the remaining block sizes, then packs the largest block into the
+lower-left corner of a smallest adequate container.  No command runs it.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from . import codes
 from .geometry import corner_cut_regions, cut_sigma, overlap
 from .model import (
     Arities,
@@ -111,19 +105,31 @@ def solve_naive(
 
 
 class _RowView:
-    """Cells counts[k][j] of one row j, indexed by k, for consume_row's walk."""
+    """Cells grid[k][j] of one row j, indexed by k, for the row walks."""
 
-    __slots__ = ("counts", "j")
+    __slots__ = ("grid", "j")
 
-    def __init__(self, counts: list[list[int]], j: int):
-        self.counts = counts
+    def __init__(self, grid: list[list], j: int):
+        self.grid = grid
         self.j = j
 
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k][self.j]
+    def __getitem__(self, k: int):
+        return self.grid[k][self.j]
 
-    def __setitem__(self, k: int, value: int) -> None:
-        self.counts[k][self.j] = value
+    def __setitem__(self, k: int, value) -> None:
+        self.grid[k][self.j] = value
+
+
+def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) -> list:
+    """Origins at offsets lo, lo + step, ... below hi from o along the axis u."""
+    return [(o[0] + s * u[0], o[1] + s * u[1]) for s in range(lo, hi, step)]
+
+
+def _split(src, dst, cells: int, q: int, step: int, u: tuple[int, int]) -> None:
+    """Move the origins in src[:cells] to dst, each cut into q parts step apart along u."""
+    for t in range(cells):
+        dst[t] += [p for o in src[t] for p in _strip(o, u, 0, q * step, step)]
+        src[t] = []
 
 
 class ContainerBank:
@@ -136,17 +142,20 @@ class ContainerBank:
     cells: column i for blocks as wide as its containers (consume_column), row
     j for blocks as high as its containers (consume_row).
 
+    With located=True the bank also keeps origins[i][j], the (x, y) origins
+    of the containers counts[i][j] counts, moved by every split, take and
+    deposit of the counts, and appends each placed block's origin to
+    `placed` in walk order.
+
     The free-area ledger is the initial area minus the area of the blocks
     placed, updated once per consume call.  With audit=True the bank checks
     after every descend_caps and consume call that the area the counts hold
-    equals the ledger.  The ledger shares no arithmetic with the walk, so a
-    wrong split or leftover deposit shows up as an imbalance.
+    equals the ledger (which shares no arithmetic with the walk), and that
+    each cell holds as many origins as its count.
     """
 
-    def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False):
+    def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
         self.q = q
-        self.l1max = l1max
-        self.l2max = l2max
         self.pow1 = [q.q1**i for i in range(l1max + 1)]
         self.pow2 = [q.q2**j for j in range(l2max + 1)]
         self.counts = [[0] * (l2max + 1) for _ in range(l1max + 1)]
@@ -155,6 +164,8 @@ class ContainerBank:
         self.cap_j = l2max
         self.audit = audit
         self._free = self.pow1[l1max] * self.pow2[l2max]
+        self.placed: list[tuple[int, int]] = []
+        self.origins = [[[(0, 0)] * cnt for cnt in row] for row in self.counts] if located else None
 
     def free_area(self) -> int:
         return self._free
@@ -169,6 +180,8 @@ class ContainerBank:
     def _check(self) -> None:
         if self.audit and self.counted_area() != self._free:
             raise AssertionError("bank area accounting out of balance")
+        if self.audit and self.origins is not None and [list(map(len, r)) for r in self.origins] != self.counts:
+            raise AssertionError("origin ledger out of step with the counts")
 
     def descend_caps(self, ci: int, cj: int) -> None:
         """Split every free container so no dimension exceeds the new caps."""
@@ -181,6 +194,9 @@ class ContainerBank:
                 if src[j]:
                     dst[j] += src[j] * self.q.q1
                     src[j] = 0
+            if self.origins is not None:
+                _split(self.origins[self.cap_i], self.origins[self.cap_i - 1], self.cap_j + 1,
+                       self.q.q1, self.pow1[self.cap_i - 1], (1, 0))
             self.cap_i -= 1
         while self.cap_j > cj:
             for i in range(self.cap_i + 1):
@@ -188,18 +204,23 @@ class ContainerBank:
                 if row[self.cap_j]:
                     row[self.cap_j - 1] += row[self.cap_j] * self.q.q2
                     row[self.cap_j] = 0
+            if self.origins is not None:
+                _split(_RowView(self.origins, self.cap_j), _RowView(self.origins, self.cap_j - 1),
+                       self.cap_i + 1, self.q.q2, self.pow2[self.cap_j - 1], (0, 1))
             self.cap_j -= 1
         self._check()
 
     def consume_column(self, i: int, b: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**i, q2**b] into column i, from row b up."""
-        left = self._walk(self.counts[i], self.pow2, self.q.q2, b, self.cap_j, need)
+        spots = self.origins[i] if self.origins is not None else None
+        left = self._walk(self.counts[i], spots, self.pow2, self.q.q2, b, self.cap_j, need, (0, 1))
         self._settle(need - left, self.pow1[i] * self.pow2[b])
         return left == 0
 
     def consume_row(self, j: int, a: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**a, q2**j] into row j, from column a up."""
-        left = self._walk(_RowView(self.counts, j), self.pow1, self.q.q1, a, self.cap_i, need)
+        spots = _RowView(self.origins, j) if self.origins is not None else None
+        left = self._walk(_RowView(self.counts, j), spots, self.pow1, self.q.q1, a, self.cap_i, need, (1, 0))
         self._settle(need - left, self.pow1[a] * self.pow2[j])
         return left == 0
 
@@ -207,17 +228,18 @@ class ContainerBank:
         self._free -= placed * block_area
         self._check()
 
-    @staticmethod
-    def _walk(line, powers: list[int], q: int, start: int, cap: int, need: int) -> int:
+    def _walk(self, line, spots, powers: list[int], q: int, start: int, cap: int, need: int,
+              u: tuple[int, int]) -> int:
         """Greedy walk up one line of cells; returns how many blocks did not fit.
 
         A container at level k of the line holds per = powers[k - start]
-        blocks stacked along the line's axis (q is that axis's arity).  Cells
+        blocks stacked along the line's axis (arity q, direction u).  Cells
         from `start` up to `cap` are emptied whole by integer division.  At
-        most one container is used in part, by the need < per blocks still
-        unplaced; its room for per - need more returns as slabs at levels
-        start..k-1.
+        most one container is used in part, by the part < per blocks left;
+        its room for per - part more returns as slabs at levels start..k-1.
+        On a located bank, spots holds the line's origin lists.
         """
+        step = powers[start]
         k = start
         while need:
             while k <= cap and not line[k]:
@@ -225,18 +247,25 @@ class ContainerBank:
             if k > cap:
                 return need
             per = powers[k - start]
-            full = min(line[k], need // per)
-            line[k] -= full
-            need -= full * per
-            if need and line[k]:  # need < per here
-                line[k] -= 1
+            used = min(line[k], -(-need // per))  # containers this level gives
+            line[k] -= used
+            filled = min(need, used * per)
+            need -= filled
+            if spots is not None:
+                taken = spots[k][-used:]
+                del spots[k][-used:]
+                self.placed += [p for o in taken for p in _strip(o, u, 0, powers[k], step)][:filled]
+            part = filled - (used - 1) * per  # blocks in the last container taken
+            if part < per:
                 # per - 1 has every base-q digit q - 1, so the digits of
-                # per - need are q - 1 minus those of need - 1, with no borrow.
-                rest = need - 1
+                # per - part are q - 1 minus those of part - 1, with no borrow.
+                rest, off = part - 1, part * step
                 for t in range(start, k):
                     rest, d = divmod(rest, q)
                     line[t] += q - 1 - d
-                need = 0
+                    if spots is not None:
+                        spots[t] += _strip(taken[-1], u, off, off + (q - 1 - d) * powers[t], powers[t])
+                        off += (q - 1 - d) * powers[t]
         return 0
 
 
@@ -248,22 +277,9 @@ def _floor_exp(value: int, powers: list[int], cap: int) -> int:
     return e
 
 
-def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
-    """Existence decision on the canonical instance via the count array.
-
-    Matches solve_naive's verdict on the single initial container
-    [q1**l1max, q2**l2max] while never materializing locations; runtime is
-    O(m + l1max * l2max * max(l1max, l2max)) after grouping.
-    """
-    if spec.m == 0:
-        return True
-    l1max, l2max = spec.l1max, spec.l2max
-    groups: dict[tuple[int, int], int] = {}
-    for l1, l2 in spec.lengths:
-        key = (l1max - l1, l2max - l2)
-        groups[key] = groups.get(key, 0) + 1
-
-    bank = ContainerBank(spec.arities, l1max, l2max, audit=audit)
+def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple[int, int]] | None:
+    """Successive assignment of groups {(a, b): count} of [q1**a, q2**b] blocks, largest
+    first; returns the order used, or None at the first group that does not fit."""
     pow1, pow2 = bank.pow1, bank.pow2
     order = sorted(
         groups,
@@ -281,8 +297,23 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
         else:
             ok = bank.consume_row(b, a, groups[(a, b)])
         if not ok:
-            return False
-    return True
+            return None
+    return order
+
+
+def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
+    """Existence decision on the canonical instance via the count array.
+
+    Matches solve_naive's verdict on the single initial container
+    [q1**l1max, q2**l2max] while never materializing locations; runtime is
+    O(m + l1max * l2max * max(l1max, l2max)) after grouping.
+    """
+    l1max, l2max = spec.l1max, spec.l2max
+    groups: dict[tuple[int, int], int] = {}
+    for l1, l2 in spec.lengths:
+        key = (l1max - l1, l2max - l2)
+        groups[key] = groups.get(key, 0) + 1
+    return _pack(ContainerBank(spec.arities, l1max, l2max, audit=audit), groups) is not None
 
 
 def decide(spec: ProblemSpec) -> bool:
@@ -290,20 +321,21 @@ def decide(spec: ProblemSpec) -> bool:
     return decide_fast(spec)
 
 
-def construct(spec: ProblemSpec) -> Solution | None:
+def construct(spec: ProblemSpec, *, audit: bool = False) -> Solution | None:
     """Explicit packing of the canonical instance, or None when none exists.
 
-    Assignment indices refer to positions in spec.lengths, so the result maps
-    straight onto codewords.  Uses the location-tracking packer; meant for
-    instances whose container dimensions are enumerable, unlike decide().
+    Runs decide_fast's group loop on a located bank, so the verdict is
+    decide's; each group's placements go to its codewords in input order.
+    The bank holds an origin per free container, so the grid must be
+    enumerable, unlike for decide().
     """
-    inst = codes.lengths_to_instance(spec)
-    order = sorted(
-        range(spec.m), key=lambda k: total_key(inst.blocks[k].size), reverse=True
-    )
-    sorted_blocks = [inst.blocks[k] for k in order]
-    sol = solve_naive(sorted_blocks, [inst.container], spec.arities)
-    if sol is None:
+    l1max, l2max = spec.l1max, spec.l2max
+    members: dict[tuple[int, int], list[int]] = {}
+    for k, (l1, l2) in enumerate(spec.lengths):
+        members.setdefault((l1max - l1, l2max - l2), []).append(k)
+    bank = ContainerBank(spec.arities, l1max, l2max, audit=audit, located=True)
+    order = _pack(bank, {ab: len(ks) for ab, ks in members.items()})
+    if order is None:
         return None
-    remapped = sorted(Placement(order[p.index], p.x, p.y) for p in sol.assignments)
-    return Solution(tuple(remapped))
+    spots = iter(bank.placed)
+    return Solution(tuple(sorted(Placement(k, *next(spots)) for ab in order for k in members[ab])))

@@ -20,7 +20,7 @@ from prefixpack.codes import (
     verify_codebook,
 )
 from prefixpack.geometry import cut_sigma, overlap
-from prefixpack.model import Arities, Block, ProblemSpec, Region, Size, reg
+from prefixpack.model import Arities, Block, ProblemSpec, Region, Size, reg, sort_blocks_desc
 from prefixpack.oracle import (
     OracleLimits,
     brute_decide,
@@ -110,18 +110,19 @@ def test_criterion_2_two_container_instance():
 
 
 def test_criterion_3_decision_equivalence_sweep():
-    with criterion(3, "decide_fast = solve_naive = brute force, exhaustively"):
+    with criterion(3, "decide_fast = construct = solve_naive = brute force, exhaustively"):
         t0 = time.perf_counter()
         checked = 0
         for spec in sweep_instances():
             fast = decide_fast(spec)
-            naive = construct(spec) is not None
+            built = construct(spec) is not None
             inst = lengths_to_instance(spec)
+            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
             brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no"), f"oracle budget on {spec.lengths}"
-            assert fast == naive == (brute == "yes"), (
+            assert fast == built == (naive is not None) == (brute == "yes"), (
                 f"q=({spec.arities.q1},{spec.arities.q2}) lengths={spec.lengths}: "
-                f"fast={fast} naive={naive} brute={brute}"
+                f"fast={fast} construct={built} naive={naive is not None} brute={brute}"
             )
             checked += 1
         elapsed = time.perf_counter() - t0

@@ -1,12 +1,19 @@
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from prefixpack import cli
 from prefixpack.codes import Codeword, verify_codebook
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_json(tmp_path, payload, name="inst.json"):
@@ -121,6 +128,25 @@ class TestConstruct:
         result = cli.result_from_json(out.read_text(encoding="utf-8"))
         assert result.entropy is not None
         assert result.entropy[2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_codebooks_at_scale(self, tmp_path):
+        rng = random.Random(14)
+        slack = [[rng.randint(4, 7), rng.randint(4, 7)] for _ in range(118)] + [[7, 3], [2, 7]]
+        # [[9, 9]] fills the 2^18-cell guard; the 120 codewords use Kraft ~0.1 of 2^14 cells
+        for lengths in ([[9, 9]], slack):
+            inst = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
+            out = tmp_path / "result.json"
+            assert cli.main(["construct", "--input", inst, "--output", str(out)]) == 0
+            result = cli.result_from_json(out.read_text(encoding="utf-8"))
+            assert [[len(c1), len(c2)] for c1, c2 in result.codebook] == lengths
+            assert verify_codebook(tuple(Codeword(c1, c2) for c1, c2 in result.codebook))
+
+    @pytest.mark.parametrize("target", ["missing/out", "."])
+    @pytest.mark.parametrize("cmd,flag", [("construct", "--output"), ("render", "--svg")])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, cmd, flag, target):
+        inst = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 1]]})
+        assert cli.main([cmd, "--input", inst, flag, str(tmp_path / target)]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_result_roundtrip(self):
         for result in (
@@ -263,6 +289,46 @@ class TestSelftest:
         )
         assert code == 3
         assert "DISAGREEMENT" in capsys.readouterr().out
+
+    def test_overlapping_codebook_detected(self, capsys, monkeypatch):
+        from prefixpack import packer
+
+        def stacked(spec, **kw):  # the right verdict, with every block at the origin
+            if packer.decide_fast(spec):
+                return packer.Solution(tuple(packer.Placement(k, 0, 0) for k in range(spec.m)))
+            return None
+
+        monkeypatch.setattr(packer, "construct", stacked)
+        code = cli.main(["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"])
+        assert code == 3
+        assert "INVALID CODEBOOK" in capsys.readouterr().out
+
+
+class TestTracedRun:
+    """benchmarks/tracer.py wraps packer, geometry and oracle names by lookup;
+    a renamed one only shows when the traced CLI runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide"],
+            ["construct"],
+            ["kraft"],
+            ["selftest", "--max-m", "1", "--max-len", "1", "--arities", "2,2"],
+        ],
+    )
+    def test_same_answer_as_cli(self, tmp_path, argv):
+        if argv[0] != "selftest":
+            argv = argv + ["--input", write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 1], [1, 0]]})]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        spans = tmp_path / "spans.json"
+        plain = subprocess.run([sys.executable, "-m", "prefixpack.cli", *argv],
+                               capture_output=True, text=True, env=env, cwd=REPO, timeout=60)
+        traced = subprocess.run([sys.executable, "benchmarks/tracer.py", str(spans), *argv],
+                                capture_output=True, text=True, env=env, cwd=REPO, timeout=60)
+        assert traced.stderr == plain.stderr == ""
+        assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+        assert json.loads(spans.read_text(encoding="utf-8"))["spans"]
 
 
 class TestSchemaValidation:

@@ -127,13 +127,6 @@ class TestPredicates:
         # plain integers: [9, x] beats [8, y] on the longer side.
         assert cmp_total(Size(9, 1), Size(8, 8)) == 1
 
-    def test_layer_is_the_longer_side(self):
-        from prefixpack.model import layer_of
-
-        assert layer_of(Size(4, 2)) == 4
-        assert layer_of(Size(2, 9)) == 9
-        assert layer_of(Size(3, 3)) == 3
-
 
 class TestSorting:
     def test_example_sort(self):
@@ -176,9 +169,6 @@ class TestValueTypes:
     def test_region_validation(self):
         with pytest.raises(ValueError):
             Region(-1, 0, Size(1, 1))
-
-    def test_block_placed(self):
-        assert Block(Size(2, 4)).placed(6, 8) == reg(6, 8, 2, 4)
 
     def test_problem_spec_maxima(self):
         spec = ProblemSpec(Arities(2, 3), ((1, 0), (0, 2), (1, 1)))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from prefixpack.codes import kraft_sum, lengths_to_instance
+from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
 from prefixpack.geometry import contains, overlap
 from prefixpack.model import (
     Arities,
@@ -139,8 +139,14 @@ class TestDecideConstructAgreement:
             m = rng.randint(0, 10)
             lengths = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m))
             spec = ProblemSpec(q, lengths)
-            present = construct(spec) is not None
+            sol = construct(spec, audit=True)  # audit: origin ledger in step with counts
+            present = sol is not None
+            inst = lengths_to_instance(spec)
+            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], q)
+            assert (naive is not None) == present
             assert decide_fast(spec, audit=True) == present
+            if present:
+                assert verify_codebook(solution_to_codebook(spec, sol))
             # swapped channels turn column walks into row walks
             swapped = ProblemSpec(Arities(q.q2, q.q1), tuple((l2, l1) for l1, l2 in lengths))
             assert decide_fast(swapped, audit=True) == present
@@ -152,11 +158,12 @@ class TestTheoremEquivalenceSweep:
     def test_q22_m3(self):
         for spec in enumerate_instances([(2, 2)], 3, 2):
             fast = decide_fast(spec)
-            naive = construct(spec) is not None
+            built = construct(spec) is not None
             inst = lengths_to_instance(spec)
+            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
             brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no")
-            assert fast == naive == (brute == "yes"), f"{spec.lengths}"
+            assert fast == built == (naive is not None) == (brute == "yes"), f"{spec.lengths}"
 
 
 class TestDecisionProperties:
