@@ -77,14 +77,11 @@ def parse_instance_json(text: str) -> InstanceFile:
     _require(isinstance(lengths, list), '"lengths" must be an array')
     tuples = []
     for entry in lengths:
-        _require(
-            isinstance(entry, list) and all(type(v) is int for v in entry),
-            f"length entry {entry!r} must be an array of integers",
-        )
-        _require(
-            len(entry) == len(qs),
-            f"length entry {entry!r} does not match {len(qs)} channel(s)",
-        )
+        # if/raise, not _require: a valid entry must not pay for the message
+        if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
+            raise InputError(f"length entry {entry!r} must be an array of integers")
+        if len(entry) != len(qs):
+            raise InputError(f"length entry {entry!r} does not match {len(qs)} channel(s)")
         tuples.append(tuple(entry))
     probs = None
     if "probs" in raw and raw["probs"] is not None:
@@ -119,10 +116,8 @@ def parse_instance_text(text: str) -> InstanceFile:
     except ValueError as exc:
         raise InputError(f"non-integer token in text instance: {exc}") from exc
     for tup in tuples:
-        _require(
-            len(tup) == len(qs),
-            f"length line {tup} does not match {len(qs)} channel(s)",
-        )
+        if len(tup) != len(qs):
+            raise InputError(f"length line {tup} does not match {len(qs)} channel(s)")
     return InstanceFile(qs, tuples, None, None)
 
 
@@ -160,11 +155,10 @@ def to_problem_spec(inst: InstanceFile) -> ProblemSpec:
         raise InputError(str(exc)) from exc
 
 
-def _guard_code_space(inst: InstanceFile) -> None:
+def _guard_code_space(qs: tuple[int, ...], lmaxes: list[int]) -> None:
     """Refuse code spaces past CODE_SPACE_BITS_LIMIT bits, before any q**l exists."""
     bits = 0.0
-    for k, qk in enumerate(inst.qs):
-        lmax = max((t[k] for t in inst.lengths), default=0)
+    for qk, lmax in zip(qs, lmaxes):
         if qk >= 2 and lmax > 0:
             # clamping keeps the float product finite; past the limit any lmax fails
             bits += min(lmax, CODE_SPACE_BITS_LIMIT + 1) * math.log2(qk)
@@ -176,22 +170,25 @@ def _guard_code_space(inst: InstanceFile) -> None:
 
 
 def _guard_decide_size(spec: ProblemSpec) -> None:
-    cells = (spec.l1max + 1) * (spec.l2max + 1)
-    _require(
-        cells <= DECIDE_TABLE_LIMIT,
-        f"maximum lengths ({spec.l1max}, {spec.l2max}) need a {cells}-cell count "
-        f"table, above the supported {DECIDE_TABLE_LIMIT}",
-    )
+    q, l1max, l2max = spec.arities, spec.l1max, spec.l2max
+    _guard_code_space((q.q1, q.q2), [l1max, l2max])
+    cells = (l1max + 1) * (l2max + 1)
+    if cells > DECIDE_TABLE_LIMIT:
+        raise InputError(
+            f"maximum lengths ({l1max}, {l2max}) need a {cells}-cell count "
+            f"table, above the supported {DECIDE_TABLE_LIMIT}"
+        )
 
 
 def _guard_construct_size(spec: ProblemSpec) -> None:
-    q = spec.arities
-    _require(
-        q.q1**spec.l1max * q.q2**spec.l2max <= CONSTRUCT_CELL_LIMIT,
-        f"container grid of {q.q1}^{spec.l1max} x {q.q2}^{spec.l2max} cells is above "
-        f"the supported {CONSTRUCT_CELL_LIMIT} for explicit construction (decide "
-        "scales; construct/render materialize placements)",
-    )
+    q, l1max, l2max = spec.arities, spec.l1max, spec.l2max
+    _guard_code_space((q.q1, q.q2), [l1max, l2max])
+    if q.q1**l1max * q.q2**l2max > CONSTRUCT_CELL_LIMIT:
+        raise InputError(
+            f"container grid of {q.q1}^{l1max} x {q.q2}^{l2max} cells is above "
+            f"the supported {CONSTRUCT_CELL_LIMIT} for explicit construction (decide "
+            "scales; construct/render materialize placements)"
+        )
 
 
 def _kraft_string(inst: InstanceFile) -> str:
@@ -233,9 +230,7 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.format)
-    _guard_code_space(inst)
-    spec = to_problem_spec(inst)
+    spec = to_problem_spec(load_instance(args.input, args.format))
     _guard_decide_size(spec)
     if packer.decide(spec):
         print("EXISTS")
@@ -246,7 +241,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
-    _guard_code_space(inst)
     spec = to_problem_spec(inst)
     _guard_construct_size(spec)
     solution = packer.construct(spec)
@@ -271,11 +265,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_kraft(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
-    _guard_code_space(inst)
-    try:
-        frac = codes.kraft_sum(inst.qs, inst.lengths)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    _guard_code_space(inst.qs, [max(column) for column in zip(*inst.lengths)])
+    frac = codes.kraft_sum(inst.qs, inst.lengths)  # its ValueError exits 2 through main
     verdict = "SATISFIED" if frac <= 1 else "VIOLATED"
     print(f"{frac.numerator}/{frac.denominator} {verdict}")
     return EXIT_EXISTS
@@ -375,9 +366,7 @@ def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.format)
-    _guard_code_space(inst)
-    spec = to_problem_spec(inst)
+    spec = to_problem_spec(load_instance(args.input, args.format))
     _guard_construct_size(spec)
     solution = packer.construct(spec)
     if solution is None:

@@ -10,6 +10,7 @@ strictly two-channel, like the packers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -61,8 +62,6 @@ class EntropyReport(NamedTuple):
 class CanonicalInstance(NamedTuple):
     blocks: tuple[Block, ...]
     container: Region
-    l1max: int
-    l2max: int
 
 
 def _validate_channels(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> None:
@@ -78,15 +77,16 @@ def _validate_channels(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> N
 
 
 def kraft_sum(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> Fraction:
-    """Exact sum over codewords of the product of q_i**(-l_i), any channel count."""
-    _validate_channels(qs, lengths)
-    total = Fraction(0)
-    for tup in lengths:
-        denom = 1
-        for qi, li in zip(qs, tup):
-            denom *= qi**li
-        total += Fraction(1, denom)
-    return total
+    """Exact sum over codewords of the product of q_i**(-l_i), any channel count, as
+    one numerator over the product of q_i**lmax_i with equal tuples counted once."""
+    groups = Counter(map(tuple, lengths))
+    _validate_channels(qs, groups)
+    lmax = [max(column) for column in zip(*groups)]
+    numerator = sum(
+        n * math.prod(qi ** (top - li) for qi, top, li in zip(qs, lmax, tup))
+        for tup, n in groups.items()
+    )
+    return Fraction(numerator, math.prod(qi**top for qi, top in zip(qs, lmax)))
 
 
 def kraft_ok(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> bool:
@@ -138,7 +138,7 @@ def lengths_to_instance(spec: ProblemSpec) -> CanonicalInstance:
         for l1, l2 in spec.lengths
     )
     container = reg(0, 0, q.q1**l1max, q.q2**l2max)
-    return CanonicalInstance(blocks, container, l1max, l2max)
+    return CanonicalInstance(blocks, container)
 
 
 def _encode(value: int, base: int, width: int) -> str:

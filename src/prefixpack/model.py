@@ -9,7 +9,9 @@ q1**l1max, which overflows fixed-width integers for quite modest inputs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 # A codeword length is a bare pair (l1, l2); validation happens in ProblemSpec.
@@ -97,18 +99,28 @@ class ProblemSpec:
     """Decision-procedure input: arities plus a multiset of codeword lengths.
 
     The multiset keeps its given order (duplicates allowed); constructed
-    codebooks are reported in this order.
+    codebooks are reported in this order.  groups counts each distinct pair.
     """
 
     arities: Arities
     lengths: tuple[LengthTuple, ...]
+    groups: dict[LengthTuple, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        normalized = tuple((int(l1), int(l2)) for l1, l2 in self.lengths)
-        for l1, l2 in normalized:
-            if l1 < 0 or l2 < 0:
+        lengths = tuple(map(tuple, self.lengths))
+        groups = Counter(lengths)
+        for l1, l2 in groups:
+            try:
+                low = min(operator.index(l1), operator.index(l2))
+            except TypeError:
+                raise ValueError(f"codeword lengths must be integers, got ({l1!r}, {l2!r})") from None
+            if low < 0:
                 raise ValueError(f"codeword lengths must be >= 0, got ({l1}, {l2})")
-        object.__setattr__(self, "lengths", normalized)
+        if any(type(l) is not int for pair in groups for l in pair):  # bools and the like become ints
+            lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
+            groups = Counter(lengths)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def m(self) -> int:
@@ -116,11 +128,11 @@ class ProblemSpec:
 
     @property
     def l1max(self) -> int:
-        return max((l1 for l1, _ in self.lengths), default=0)
+        return max((l1 for l1, _ in self.groups), default=0)
 
     @property
     def l2max(self) -> int:
-        return max((l2 for _, l2 in self.lengths), default=0)
+        return max((l2 for _, l2 in self.groups), default=0)
 
 
 def total_key(s: Size) -> tuple[int, int, int]:

@@ -147,11 +147,15 @@ class ContainerBank:
     deposit of the counts, and appends each placed block's origin to
     `placed` in walk order.
 
+    Column walks run on column cap_i and row walks on row cap_j, so every
+    free container (and origin) lies in counts[cap_i][*] or counts[*][cap_j].
+
     The free-area ledger is the initial area minus the area of the blocks
     placed, updated once per consume call.  With audit=True the bank checks
     after every descend_caps and consume call that the area the counts hold
-    equals the ledger (which shares no arithmetic with the walk), and that
-    each cell holds as many origins as its count.
+    equals the ledger (which shares no arithmetic with the walk), that no
+    count lies off the cap lines, and that each cell holds as many origins
+    as its count.
     """
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
@@ -180,6 +184,9 @@ class ContainerBank:
     def _check(self) -> None:
         if self.audit and self.counted_area() != self._free:
             raise AssertionError("bank area accounting out of balance")
+        if self.audit and any(cnt for i, row in enumerate(self.counts) if i != self.cap_i
+                              for j, cnt in enumerate(row) if j != self.cap_j):
+            raise AssertionError("free container off the cap column and row")
         if self.audit and self.origins is not None and [list(map(len, r)) for r in self.origins] != self.counts:
             raise AssertionError("origin ledger out of step with the counts")
 
@@ -278,24 +285,21 @@ def _floor_exp(value: int, powers: list[int], cap: int) -> int:
 
 
 def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple[int, int]] | None:
-    """Successive assignment of groups {(a, b): count} of [q1**a, q2**b] blocks, largest
-    first; returns the order used, or None at the first group that does not fit."""
+    """Successive assignment of groups {(l1, l2): count} of [q1**(l1max-l1), q2**(l2max-l2)]
+    blocks, largest first; returns the order used, or None at the first that does not fit."""
     pow1, pow2 = bank.pow1, bank.pow2
-    order = sorted(
-        groups,
-        key=lambda ab: (max(pow1[ab[0]], pow2[ab[1]]), pow1[ab[0]], pow2[ab[1]]),
-        reverse=True,
-    )
-    for a, b in order:
-        w, h = pow1[a], pow2[b]
-        layer = max(w, h)
-        ci = min(bank.cap_i, _floor_exp(layer, pow1, bank.cap_i))
-        cj = min(bank.cap_j, _floor_exp(layer, pow2, bank.cap_j))
-        bank.descend_caps(ci, cj)
-        if w >= h:
-            ok = bank.consume_column(a, b, groups[(a, b)])
+    top1, top2 = len(pow1) - 1, len(pow2) - 1
+    size = {(l1, l2): (pow1[top1 - l1], pow2[top2 - l2]) for l1, l2 in groups}
+    order = sorted(groups, key=lambda ll: (max(size[ll]), *size[ll]), reverse=True)
+    for l1, l2 in order:
+        a, b = top1 - l1, top2 - l2
+        w, h = size[(l1, l2)]
+        if w >= h:  # the caps descend to the layer max(w, h), so this walk is on a cap line
+            bank.descend_caps(a, _floor_exp(w, pow2, bank.cap_j))
+            ok = bank.consume_column(a, b, groups[(l1, l2)])
         else:
-            ok = bank.consume_row(b, a, groups[(a, b)])
+            bank.descend_caps(_floor_exp(h, pow1, bank.cap_i), b)
+            ok = bank.consume_row(b, a, groups[(l1, l2)])
         if not ok:
             return None
     return order
@@ -305,15 +309,12 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
     """Existence decision on the canonical instance via the count array.
 
     Matches solve_naive's verdict on the single initial container
-    [q1**l1max, q2**l2max] while never materializing locations; runtime is
-    O(m + l1max * l2max * max(l1max, l2max)) after grouping.
+    [q1**l1max, q2**l2max] while never materializing locations.  Past the
+    spec's O(m) histogram of g distinct pairs it runs O(g log g + g *
+    max(l1max, l2max) + (l1max + 1) * (l2max + 1)) big-integer operations.
     """
-    l1max, l2max = spec.l1max, spec.l2max
-    groups: dict[tuple[int, int], int] = {}
-    for l1, l2 in spec.lengths:
-        key = (l1max - l1, l2max - l2)
-        groups[key] = groups.get(key, 0) + 1
-    return _pack(ContainerBank(spec.arities, l1max, l2max, audit=audit), groups) is not None
+    bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, audit=audit)
+    return _pack(bank, spec.groups) is not None
 
 
 def decide(spec: ProblemSpec) -> bool:
@@ -329,13 +330,11 @@ def construct(spec: ProblemSpec, *, audit: bool = False) -> Solution | None:
     The bank holds an origin per free container, so the grid must be
     enumerable, unlike for decide().
     """
-    l1max, l2max = spec.l1max, spec.l2max
-    members: dict[tuple[int, int], list[int]] = {}
-    for k, (l1, l2) in enumerate(spec.lengths):
-        members.setdefault((l1max - l1, l2max - l2), []).append(k)
-    bank = ContainerBank(spec.arities, l1max, l2max, audit=audit, located=True)
-    order = _pack(bank, {ab: len(ks) for ab, ks in members.items()})
+    bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, audit=audit, located=True)
+    order = _pack(bank, spec.groups)
     if order is None:
         return None
-    spots = iter(bank.placed)
-    return Solution(tuple(sorted(Placement(k, *next(spots)) for ab in order for k in members[ab])))
+    # bank.placed runs group by group in pack order; a stable sort matches it to the codewords
+    rank = {ll: r for r, ll in enumerate(order)}
+    owners = sorted(range(spec.m), key=lambda k: rank[spec.lengths[k]])
+    return Solution(tuple(sorted(Placement(k, *xy) for k, xy in zip(owners, bank.placed))))

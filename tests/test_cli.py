@@ -346,6 +346,11 @@ class TestSchemaValidation:
             {"q": [True, 2], "lengths": [[1, 0]]},
             {"q": [2, 2], "lengths": [[0, 0]], "probs": [True], "D": 2},
             {"q": [2, 2], "lengths": [[0, 0]], "probs": [1.0], "D": True},
+            {"q": [2, 2], "lengths": [5]},
+            {"q": [2, 2], "lengths": [[[1], [2]]]},
+            {"q": [2, 2], "lengths": ["12"]},
+            {"q": [2, 2], "lengths": [{}]},
+            {"q": [2, 2], "lengths": [None]},
         ],
     )
     def test_rejected_payloads(self, tmp_path, payload):

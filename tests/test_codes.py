@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,26 @@ from prefixpack.oracle import brute_decide
 from prefixpack.packer import Placement, Solution, construct, decide
 
 Q22 = Arities(2, 2)
+
+
+def kraft_reference(qs, lengths):
+    """The Kraft sum one codeword at a time, one Fraction per codeword."""
+    total = Fraction(0)
+    for tup in lengths:
+        denom = 1
+        for qi, li in zip(qs, tup):
+            denom *= qi**li
+        total += Fraction(1, denom)
+    return total
+
+
+@st.composite
+def multisets(draw, channels, max_len):
+    """Arities and a length list drawn from a few distinct tuples, so tuples repeat."""
+    n = draw(channels)
+    qs = tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n)))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, max_len)] * n), min_size=1, max_size=5))
+    return qs, draw(st.lists(st.sampled_from(pool), max_size=24))
 
 
 class TestKraftSum:
@@ -65,6 +86,22 @@ class TestKraftSum:
     )
     def test_additive_over_concatenation(self, xs, ys):
         assert kraft_sum((3, 2), xs + ys) == kraft_sum((3, 2), xs) + kraft_sum((3, 2), ys)
+
+
+class TestHistogram:
+    @given(multisets(st.integers(1, 3), 12))
+    def test_kraft_matches_per_codeword_reference(self, case):
+        qs, lengths = case
+        assert kraft_sum(qs, lengths) == kraft_reference(qs, lengths)
+
+    @given(multisets(st.just(2), 4), st.randoms(use_true_random=False))
+    def test_groups_and_permutation_invariance(self, case, rnd):
+        qs, lengths = case
+        spec = ProblemSpec(Arities(*qs), tuple(lengths))
+        assert spec.groups == Counter(spec.lengths)
+        shuffled = list(lengths)
+        rnd.shuffle(shuffled)
+        assert decide(ProblemSpec(spec.arities, tuple(shuffled))) == decide(spec)
 
 
 class TestEntropyBound:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,6 +183,18 @@ class TestValueTypes:
     def test_problem_spec_rejects_negative(self):
         with pytest.raises(ValueError):
             ProblemSpec(Arities(2, 2), ((0, -1),))
+
+    @pytest.mark.parametrize("pair", [(1.5, 0), (0.9, 1), (1.0, 0), (0, 1.0)])
+    def test_problem_spec_rejects_non_integer(self, pair):
+        # int() would truncate (1.5, 0), (0.9, 1) to the paper's counterexample
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            ProblemSpec(Arities(2, 2), ((1, 1), pair, (1, 1)))
+
+    def test_problem_spec_groups_and_exact_ints(self):
+        spec = ProblemSpec(Arities(2, 2), [[True, 0], (1, 0), (0, 2)])
+        assert spec.lengths == ((1, 0), (1, 0), (0, 2))
+        assert all(type(v) is int for pair in spec.lengths for v in pair)
+        assert spec.groups == {(1, 0): 2, (0, 2): 1}
 
     def test_immutability(self):
         s = Size(2, 2)

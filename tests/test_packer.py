@@ -247,6 +247,12 @@ class TestContainerBank:
         assert bank.consume_row(1, 0, 2) is False  # one 1x2 slab left for two
         assert bank.free_area() == bank.counted_area() == 0
 
+    def test_audit_catches_container_off_the_cap_lines(self):
+        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank.counts[2][2], bank.counts[1][1] = 0, 4  # same area, off both cap lines
+        with pytest.raises(AssertionError, match="cap"):
+            bank.descend_caps(2, 2)
+
     def test_area_accounting_after_every_mutation(self, rng):
         # audit=True re-checks the invariant inside every bank mutation
         for _ in range(300):
