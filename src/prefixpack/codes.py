@@ -43,8 +43,8 @@ class SourceDistribution:
     base: float
 
     def __post_init__(self) -> None:
-        if self.base <= 1:
-            raise ValueError(f"entropy base must be > 1, got {self.base}")
+        if not (math.isfinite(self.base) and self.base > 1):
+            raise ValueError(f"entropy base must be a finite number > 1, got {self.base}")
         for p in self.probs:
             if not 0 < p <= 1:
                 raise ValueError(f"probabilities must lie in (0, 1], got {p}")

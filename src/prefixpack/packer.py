@@ -2,13 +2,13 @@
 
 ``ContainerBank`` keeps a 2D count array A[i][j] = number of free containers
 of size [q1**i, q2**j].  Blocks are processed grouped by size in descending
-order; counts split one exponent step at a time when the layer descends, and
-each group is packed by one walk along a column or row of the array.  Counts
-are plain Python ints on purpose: they reach q1**l1max * q2**l2max, far
-beyond 64 bits for inputs this path must handle.  ``decide_fast`` and
-``construct`` share one group loop over the bank; for ``construct`` the bank
-also keeps the (x, y) origin of every free container, which yields the block
-locations, while the verdict stays the count ledger's.
+order; the occupied cells of a cap line split one exponent step at a time
+when the layer descends, and each group is packed by one walk along a column
+or row of the array.  Counts are plain Python ints on purpose: they reach
+q1**l1max * q2**l2max, far beyond 64 bits for inputs this path must handle.
+``decide_fast`` and ``construct`` share one group loop over the bank; for
+``construct`` the bank also keeps the (x, y) origin of every free container,
+which yields the block locations, while the verdict stays the count ledger's.
 
 ``solve_naive`` is the reference the bank is tested against: per block it
 re-cuts every container at hand with ``cut_sigma`` to the componentwise
@@ -125,9 +125,9 @@ def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) 
     return [(o[0] + s * u[0], o[1] + s * u[1]) for s in range(lo, hi, step)]
 
 
-def _split(src, dst, cells: int, q: int, step: int, u: tuple[int, int]) -> None:
-    """Move the origins in src[:cells] to dst, each cut into q parts step apart along u."""
-    for t in range(cells):
+def _split(src, dst, cells: list[int], q: int, step: int, u: tuple[int, int]) -> None:
+    """Move the origins in src[t] for t in cells to dst, each cut into q parts step apart along u."""
+    for t in cells:
         dst[t] += [p for o in src[t] for p in _strip(o, u, 0, q * step, step)]
         src[t] = []
 
@@ -149,6 +149,10 @@ class ContainerBank:
 
     Column walks run on column cap_i and row walks on row cap_j, so every
     free container (and origin) lies in counts[cap_i][*] or counts[*][cap_j].
+    Below the corner (cap_i, cap_j), each nonzero cell of the cap column (row)
+    is at a level in live_col (live_row): a walk adds each level it deposits
+    at, and a cap step drops the emptied levels and moves the rest and the
+    corner, so it costs the occupied cells of the line, not its length.
 
     The free-area ledger is the initial area minus the area of the blocks
     placed, updated once per consume call.  With audit=True the bank checks
@@ -166,6 +170,8 @@ class ContainerBank:
         self.counts[l1max][l2max] = 1
         self.cap_i = l1max
         self.cap_j = l2max
+        self.live_col: set[int] = set()  # levels j < cap_j where counts[cap_i][j] may be nonzero
+        self.live_row: set[int] = set()  # levels i < cap_i where counts[i][cap_j] may be nonzero
         self.audit = audit
         self._free = self.pow1[l1max] * self.pow2[l2max]
         self.placed: list[tuple[int, int]] = []
@@ -197,37 +203,43 @@ class ContainerBank:
         while self.cap_i > ci:
             src = self.counts[self.cap_i]
             dst = self.counts[self.cap_i - 1]
-            for j in range(self.cap_j + 1):
-                if src[j]:
-                    dst[j] += src[j] * self.q.q1
-                    src[j] = 0
+            self.live_col = {j for j in self.live_col if src[j]}  # drop levels the walks emptied
+            cells = [*self.live_col, self.cap_j]
+            for j in cells:
+                dst[j] += src[j] * self.q.q1
+                src[j] = 0
             if self.origins is not None:
-                _split(self.origins[self.cap_i], self.origins[self.cap_i - 1], self.cap_j + 1,
+                _split(self.origins[self.cap_i], self.origins[self.cap_i - 1], cells,
                        self.q.q1, self.pow1[self.cap_i - 1], (1, 0))
             self.cap_i -= 1
+            self.live_row.discard(self.cap_i)  # now the corner
         while self.cap_j > cj:
-            for i in range(self.cap_i + 1):
+            self.live_row = {i for i in self.live_row if self.counts[i][self.cap_j]}
+            cells = [*self.live_row, self.cap_i]
+            for i in cells:
                 row = self.counts[i]
-                if row[self.cap_j]:
-                    row[self.cap_j - 1] += row[self.cap_j] * self.q.q2
-                    row[self.cap_j] = 0
+                row[self.cap_j - 1] += row[self.cap_j] * self.q.q2
+                row[self.cap_j] = 0
             if self.origins is not None:
                 _split(_RowView(self.origins, self.cap_j), _RowView(self.origins, self.cap_j - 1),
-                       self.cap_i + 1, self.q.q2, self.pow2[self.cap_j - 1], (0, 1))
+                       cells, self.q.q2, self.pow2[self.cap_j - 1], (0, 1))
             self.cap_j -= 1
+            self.live_col.discard(self.cap_j)  # now the corner
         self._check()
 
     def consume_column(self, i: int, b: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**i, q2**b] into column i, from row b up."""
         spots = self.origins[i] if self.origins is not None else None
-        left = self._walk(self.counts[i], spots, self.pow2, self.q.q2, b, self.cap_j, need, (0, 1))
+        left = self._walk(self.counts[i], spots, self.live_col, self.pow2, self.q.q2, b, self.cap_j,
+                          need, (0, 1))
         self._settle(need - left, self.pow1[i] * self.pow2[b])
         return left == 0
 
     def consume_row(self, j: int, a: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**a, q2**j] into row j, from column a up."""
         spots = _RowView(self.origins, j) if self.origins is not None else None
-        left = self._walk(_RowView(self.counts, j), spots, self.pow1, self.q.q1, a, self.cap_i, need, (1, 0))
+        left = self._walk(_RowView(self.counts, j), spots, self.live_row, self.pow1, self.q.q1, a, self.cap_i,
+                          need, (1, 0))
         self._settle(need - left, self.pow1[a] * self.pow2[j])
         return left == 0
 
@@ -235,8 +247,8 @@ class ContainerBank:
         self._free -= placed * block_area
         self._check()
 
-    def _walk(self, line, spots, powers: list[int], q: int, start: int, cap: int, need: int,
-              u: tuple[int, int]) -> int:
+    def _walk(self, line, spots, live: set[int], powers: list[int], q: int, start: int, cap: int,
+              need: int, u: tuple[int, int]) -> int:
         """Greedy walk up one line of cells; returns how many blocks did not fit.
 
         A container at level k of the line holds per = powers[k - start]
@@ -244,7 +256,7 @@ class ContainerBank:
         from `start` up to `cap` are emptied whole by integer division.  At
         most one container is used in part, by the part < per blocks left;
         its room for per - part more returns as slabs at levels start..k-1.
-        On a located bank, spots holds the line's origin lists.
+        On a located bank, spots holds the line's origin lists; levels it deposits at join live.
         """
         step = powers[start]
         k = start
@@ -267,6 +279,7 @@ class ContainerBank:
                 # per - 1 has every base-q digit q - 1, so the digits of
                 # per - part are q - 1 minus those of part - 1, with no borrow.
                 rest, off = part - 1, part * step
+                live.update(range(start, k))
                 for t in range(start, k):
                     rest, d = divmod(rest, q)
                     line[t] += q - 1 - d
@@ -311,7 +324,9 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
     Matches solve_naive's verdict on the single initial container
     [q1**l1max, q2**l2max] while never materializing locations.  Past the
     spec's O(m) histogram of g distinct pairs it runs O(g log g + g *
-    max(l1max, l2max) + (l1max + 1) * (l2max + 1)) big-integer operations.
+    max(l1max, l2max) + s) big-integer operations, where s is the number of
+    occupied cap-line cells moved by the at most l1max + l2max cap steps;
+    the (l1max + 1) x (l2max + 1) table is a zero-filled allocation.
     """
     bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, audit=audit)
     return _pack(bank, spec.groups) is not None

@@ -25,6 +25,18 @@ def write_json(tmp_path, payload, name="inst.json"):
 COUNTEREXAMPLE = {"q": [2, 2], "lengths": [[1, 0], [0, 1]]}
 
 
+def caterpillar(rng, m, window=16):
+    """A complete binary code of m codewords grown by splitting one of the `window`
+    newest leaves, so its lengths grow deep on both channels."""
+    leaves = [(0, 0)]
+    while len(leaves) < m:
+        k = len(leaves) - 1 - rng.randrange(min(window, len(leaves)))
+        l1, l2 = leaves[k]
+        leaves[k] = (l1 + 1, l2) if rng.randrange(2) else (l1, l2 + 1)
+        leaves.append(leaves[k])
+    return leaves
+
+
 class TestDecide:
     def test_counterexample(self, tmp_path, capsys):
         path = write_json(tmp_path, COUNTEREXAMPLE)
@@ -200,6 +212,15 @@ class TestEntropy:
         )
         assert cli.main(["entropy", "--input", path]) == 2
 
+    @pytest.mark.parametrize("base", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cmd", ["entropy", "construct"])
+    def test_non_finite_base_rejected(self, tmp_path, capsys, cmd, base):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 1]], "probs": [1], "D": base})
+        assert cli.main([cmd, "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite" in err
+
     def test_twelve_significant_digits(self, tmp_path, capsys):
         path = write_json(
             tmp_path,
@@ -320,6 +341,23 @@ class TestTracedRun:
     def test_same_answer_as_cli(self, tmp_path, argv):
         if argv[0] != "selftest":
             argv = argv + ["--input", write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 1], [1, 0]]})]
+        self.assert_same_answer(tmp_path, argv)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["caterpillar", "kraft-excess"])
+    def test_same_answer_after_deep_descents(self, tmp_path, extra):
+        # The tracer reads bank.counts after every descent that moves a cap;
+        # a caterpillar makes hundreds of them, and one more copy of its
+        # smallest block pushes Kraft above 1 so the last group fails.
+        lengths = caterpillar(random.Random(7), 600)
+        l1max, l2max = (max(col) for col in zip(*lengths))
+        assert min(l1max, l2max) >= 40
+        smallest = min(lengths, key=lambda p: (max(l1max - p[0], l2max - p[1]), l1max - p[0], l2max - p[1]))
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": lengths + [smallest] * extra})
+        code = self.assert_same_answer(tmp_path, ["decide", "--input", path])
+        assert code == (cli.EXIT_NOT_EXISTS if extra else cli.EXIT_EXISTS)
+
+    @staticmethod
+    def assert_same_answer(tmp_path, argv):
         env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         spans = tmp_path / "spans.json"
         plain = subprocess.run([sys.executable, "-m", "prefixpack.cli", *argv],
@@ -329,6 +367,7 @@ class TestTracedRun:
         assert traced.stderr == plain.stderr == ""
         assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
         assert json.loads(spans.read_text(encoding="utf-8"))["spans"]
+        return plain.returncode
 
 
 class TestSchemaValidation:

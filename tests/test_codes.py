@@ -148,6 +148,11 @@ class TestEntropyBound:
         with pytest.raises(ValueError):
             SourceDistribution((1.0,), 1.0)
 
+    @pytest.mark.parametrize("base", [float("nan"), float("inf")])
+    def test_dist_rejects_non_finite_base(self, base):
+        with pytest.raises(ValueError, match="finite"):
+            SourceDistribution((1.0,), base)
+
     def test_slack_nonnegative_when_kraft_holds(self, rng):
         for _ in range(300):
             n = rng.randint(1, 2)

@@ -235,6 +235,18 @@ class TestContainerBank:
         assert bank.counts[2][0] == 1
         assert bank.free_area() == 4
 
+    def test_descent_moves_a_slab_left_by_a_column_walk(self):
+        bank = ContainerBank(Q22, 2, 2, audit=True)
+        assert bank.consume_column(2, 0, 3) is True  # one 4x1 slab left at counts[2][0]
+        bank.descend_caps(1, 2)
+        assert bank.counts[1][0] == 2
+
+    def test_descent_moves_a_slab_left_by_a_row_walk(self):
+        bank = ContainerBank(Q22, 2, 2, audit=True)
+        assert bank.consume_row(2, 0, 3) is True  # one 1x4 slab left at counts[0][2]
+        bank.descend_caps(2, 1)
+        assert bank.counts[0][1] == 2
+
     def test_consume_reports_shortage(self):
         bank = ContainerBank(Q22, 1, 1, audit=True)
         assert bank.consume_column(1, 0, 3) is False
