@@ -24,10 +24,9 @@ EXIT_SELFTEST_FAILED = 3
 DEFAULT_SELFTEST_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
 
 # construct/render keep an origin per free container, up to one per grid cell;
-# decide keeps a (l1max+1) x (l2max+1) count table.  Refuse inputs past these
-# sizes rather than letting a valid-looking file take the process down.
+# refuse grids past this size rather than letting a valid-looking file take the
+# process down.  decide keeps counts on two cap lines, l1max + l2max + 2 cells.
 CONSTRUCT_CELL_LIMIT = 1 << 18
-DECIDE_TABLE_LIMIT = 1 << 24
 # Code-space bits, the sum of lmax_i * log2(q_i), bounded before any q**l is
 # built.  Kraft numerators stay below m * 2**bits, so every admitted Kraft
 # string prints under Python's default 4300-digit (about 14,284-bit) limit.
@@ -64,6 +63,8 @@ def parse_instance_json(text: str) -> InstanceFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: arrays or objects nested too deep") from exc
     _require(isinstance(raw, dict), "instance file must be a JSON object")
     _require("q" in raw, 'missing "q" field')
     _require("lengths" in raw, 'missing "lengths" field')
@@ -169,17 +170,6 @@ def _guard_code_space(qs: tuple[int, ...], lmaxes: list[int]) -> None:
     )
 
 
-def _guard_decide_size(spec: ProblemSpec) -> None:
-    q, l1max, l2max = spec.arities, spec.l1max, spec.l2max
-    _guard_code_space((q.q1, q.q2), [l1max, l2max])
-    cells = (l1max + 1) * (l2max + 1)
-    if cells > DECIDE_TABLE_LIMIT:
-        raise InputError(
-            f"maximum lengths ({l1max}, {l2max}) need a {cells}-cell count "
-            f"table, above the supported {DECIDE_TABLE_LIMIT}"
-        )
-
-
 def _guard_construct_size(spec: ProblemSpec) -> None:
     q, l1max, l2max = spec.arities, spec.l1max, spec.l2max
     _guard_code_space((q.q1, q.q2), [l1max, l2max])
@@ -231,7 +221,7 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     spec = to_problem_spec(load_instance(args.input, args.format))
-    _guard_decide_size(spec)
+    _guard_code_space((spec.arities.q1, spec.arities.q2), [spec.l1max, spec.l2max])
     if packer.decide(spec):
         print("EXISTS")
         return EXIT_EXISTS

@@ -1,11 +1,12 @@
 """The greedy container bank behind decide and construct, and its naive reference.
 
-``ContainerBank`` keeps a 2D count array A[i][j] = number of free containers
-of size [q1**i, q2**j].  Blocks are processed grouped by size in descending
-order; the occupied cells of a cap line split one exponent step at a time
-when the layer descends, and each group is packed by one walk along a column
-or row of the array.  Counts are plain Python ints on purpose: they reach
-q1**l1max * q2**l2max, far beyond 64 bits for inputs this path must handle.
+``ContainerBank`` counts the free containers of each size [q1**i, q2**j]
+on the only two lines that hold any, one cap column and one cap row.  Blocks
+are processed grouped by size in descending order; the occupied cells of a
+cap line split one exponent step at a time when the layer descends, and each
+group is packed by one walk up a cap line.  Counts are plain Python ints on
+purpose: they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs
+this path must handle.
 ``decide_fast`` and ``construct`` share one group loop over the bank; for
 ``construct`` the bank also keeps the (x, y) origin of every free container,
 which yields the block locations, while the verdict stays the count ledger's.
@@ -104,160 +105,168 @@ def solve_naive(
     return Solution(tuple(assignments))
 
 
-class _RowView:
-    """Cells grid[k][j] of one row j, indexed by k, for the row walks."""
-
-    __slots__ = ("grid", "j")
-
-    def __init__(self, grid: list[list], j: int):
-        self.grid = grid
-        self.j = j
-
-    def __getitem__(self, k: int):
-        return self.grid[k][self.j]
-
-    def __setitem__(self, k: int, value) -> None:
-        self.grid[k][self.j] = value
-
-
 def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) -> list:
     """Origins at offsets lo, lo + step, ... below hi from o along the axis u."""
     return [(o[0] + s * u[0], o[1] + s * u[1]) for s in range(lo, hi, step)]
 
 
-def _split(src, dst, cells: list[int], q: int, step: int, u: tuple[int, int]) -> None:
-    """Move the origins in src[t] for t in cells to dst, each cut into q parts step apart along u."""
-    for t in cells:
-        dst[t] += [p for o in src[t] for p in _strip(o, u, 0, q * step, step)]
-        src[t] = []
+def _split(origins: list, q: int, step: int, u: tuple[int, int]) -> list:
+    """The origins of the given containers, each cut into q parts step apart along u."""
+    return [p for o in origins for p in _strip(o, u, 0, q * step, step)]
+
+
+class _CountsView:
+    """Read-only counts[i][j] of a bank, as if it were the full table: zero off the cap lines."""
+
+    def __init__(self, bank: ContainerBank, i: int | None = None):
+        self.bank, self.i = bank, i
+
+    def __getitem__(self, k):
+        (ci, cj), (row, col) = self.bank.caps, self.bank.lines
+        if self.i == ci:
+            return col[k]  # the cap column, indexed and sliced as a list
+        if isinstance(k, slice):
+            return [self[t] for t in range(*k.indices(len(row if self.i is None else col)))]
+        if self.i is None:
+            return _CountsView(self.bank, k)
+        return row[self.i] if k == cj else 0
 
 
 class ContainerBank:
-    """Count array over free-container sizes, with the successive-assignment run.
+    """Counts of free containers on the two cap lines, with the successive-assignment run.
 
-    counts[i][j] is the number of free containers of size [q1**i, q2**j].
-    Cells above the current caps are always zero; caps only descend, one
-    exponent step at a time, multiplying counts by q1 (resp. q2) as containers
-    split.  A group of equal blocks is packed by one walk along a line of
-    cells: column i for blocks as wide as its containers (consume_column), row
-    j for blocks as high as its containers (consume_row).
+    Caps only descend, one exponent step at a time, and every free container
+    of size [q1**i, q2**j] lies on the cap row (j = cap_j) or the cap column
+    (i = cap_i).  lines[0][i] counts the cap row and lines[1][j] the cap
+    column; both hold the corner (cap_i, cap_j), kept equal, and cells past
+    a cap are zero.  Line a runs along axis a, so a cap step on axis a
+    splits every container q ways along it: the other line's cells multiply
+    by q in place, and the corner folds into the next cell of line a.
 
-    With located=True the bank also keeps origins[i][j], the (x, y) origins
-    of the containers counts[i][j] counts, moved by every split, take and
-    deposit of the counts, and appends each placed block's origin to
-    `placed` in walk order.
+    A group of equal blocks is packed by one walk up a cap line: the column
+    for blocks as wide as its containers (consume_column), the row for
+    blocks as high as its containers (consume_row).  Below the corner, each
+    nonzero cell of line a is at a level in live[a]: a walk adds each level
+    it deposits at, and a cap step drops the emptied levels, so it costs the
+    occupied cells of the line that moves, not the line's length.
 
-    Column walks run on column cap_i and row walks on row cap_j, so every
-    free container (and origin) lies in counts[cap_i][*] or counts[*][cap_j].
-    Below the corner (cap_i, cap_j), each nonzero cell of the cap column (row)
-    is at a level in live_col (live_row): a walk adds each level it deposits
-    at, and a cap step drops the emptied levels and moves the rest and the
-    corner, so it costs the occupied cells of the line, not its length.
+    With located=True the bank also keeps origins[a][k], the (x, y) origins
+    of the containers lines[a][k] counts (the corner's list is shared),
+    moved by every split, take and deposit of the counts, and appends each
+    placed block's origin to `placed` in walk order.
 
     The free-area ledger is the initial area minus the area of the blocks
     placed, updated once per consume call.  With audit=True the bank checks
-    after every descend_caps and consume call that the area the counts hold
+    after every descend_caps and consume call that the area the lines hold
     equals the ledger (which shares no arithmetic with the walk), that no
-    count lies off the cap lines, and that each cell holds as many origins
-    as its count.
+    count lies past a cap and the corner's copies agree, and that each cell
+    holds as many origins as its count.
     """
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
         self.q = q
         self.pow1 = [q.q1**i for i in range(l1max + 1)]
         self.pow2 = [q.q2**j for j in range(l2max + 1)]
-        self.counts = [[0] * (l2max + 1) for _ in range(l1max + 1)]
-        self.counts[l1max][l2max] = 1
-        self.cap_i = l1max
-        self.cap_j = l2max
-        self.live_col: set[int] = set()  # levels j < cap_j where counts[cap_i][j] may be nonzero
-        self.live_row: set[int] = set()  # levels i < cap_i where counts[i][cap_j] may be nonzero
+        self.caps = [l1max, l2max]
+        self.lines = ([0] * l1max + [1], [0] * l2max + [1])
+        self.live: list[set[int]] = [set(), set()]  # levels below the corner where lines[a] may be nonzero
         self.audit = audit
         self._free = self.pow1[l1max] * self.pow2[l2max]
         self.placed: list[tuple[int, int]] = []
-        self.origins = [[[(0, 0)] * cnt for cnt in row] for row in self.counts] if located else None
+        corner = [(0, 0)]
+        self.origins = tuple([[] for _ in line[1:]] + [corner] for line in self.lines) if located else None
+
+    @property
+    def cap_i(self) -> int:
+        return self.caps[0]
+
+    @property
+    def cap_j(self) -> int:
+        return self.caps[1]
+
+    @property
+    def counts(self) -> _CountsView:
+        return _CountsView(self)
 
     def free_area(self) -> int:
         return self._free
 
     def counted_area(self) -> int:
-        return sum(
-            cnt * self.pow1[i] * self.pow2[j]
-            for i, row in enumerate(self.counts)
-            for j, cnt in enumerate(row)
-        )
+        (ci, cj), (row, col) = self.caps, self.lines
+        return (sum(row[i] * self.pow1[i] for i in range(ci + 1)) * self.pow2[cj]
+                + sum(col[j] * self.pow2[j] for j in range(cj)) * self.pow1[ci])
 
     def _check(self) -> None:
-        if self.audit and self.counted_area() != self._free:
+        if not self.audit:
+            return
+        (ci, cj), (row, col) = self.caps, self.lines
+        if self.counted_area() != self._free:
             raise AssertionError("bank area accounting out of balance")
-        if self.audit and any(cnt for i, row in enumerate(self.counts) if i != self.cap_i
-                              for j, cnt in enumerate(row) if j != self.cap_j):
-            raise AssertionError("free container off the cap column and row")
-        if self.audit and self.origins is not None and [list(map(len, r)) for r in self.origins] != self.counts:
+        if any(row[ci + 1:]) or any(col[cj + 1:]) or row[ci] != col[cj]:
+            raise AssertionError("free container past a cap, or the cap lines disagree at the corner")
+        if self.origins is not None and [list(map(len, o)) for o in self.origins] != list(self.lines):
             raise AssertionError("origin ledger out of step with the counts")
 
     def descend_caps(self, ci: int, cj: int) -> None:
         """Split every free container so no dimension exceeds the new caps."""
-        if ci > self.cap_i or cj > self.cap_j:
-            raise ValueError("caps may only descend")
-        while self.cap_i > ci:
-            src = self.counts[self.cap_i]
-            dst = self.counts[self.cap_i - 1]
-            self.live_col = {j for j in self.live_col if src[j]}  # drop levels the walks emptied
-            cells = [*self.live_col, self.cap_j]
-            for j in cells:
-                dst[j] += src[j] * self.q.q1
-                src[j] = 0
-            if self.origins is not None:
-                _split(self.origins[self.cap_i], self.origins[self.cap_i - 1], cells,
-                       self.q.q1, self.pow1[self.cap_i - 1], (1, 0))
-            self.cap_i -= 1
-            self.live_row.discard(self.cap_i)  # now the corner
-        while self.cap_j > cj:
-            self.live_row = {i for i in self.live_row if self.counts[i][self.cap_j]}
-            cells = [*self.live_row, self.cap_i]
-            for i in cells:
-                row = self.counts[i]
-                row[self.cap_j - 1] += row[self.cap_j] * self.q.q2
-                row[self.cap_j] = 0
-            if self.origins is not None:
-                _split(_RowView(self.origins, self.cap_j), _RowView(self.origins, self.cap_j - 1),
-                       cells, self.q.q2, self.pow2[self.cap_j - 1], (0, 1))
-            self.cap_j -= 1
-            self.live_col.discard(self.cap_j)  # now the corner
+        if not (0 <= ci <= self.caps[0] and 0 <= cj <= self.caps[1]):
+            raise ValueError("caps may only descend, and not below 0")
+        for a, cap in enumerate((ci, cj)):
+            while self.caps[a] > cap:
+                self._step(a)
         self._check()
+
+    def _step(self, a: int) -> None:
+        """Lower cap a by one exponent: every free container splits q ways along axis a."""
+        d, c = self.caps[a], self.caps[1 - a]
+        q = (self.q.q1, self.q.q2)[a]
+        along, across = self.lines[a], self.lines[1 - a]
+        live = self.live[1 - a] = {t for t in self.live[1 - a] if across[t]}  # drop levels the walks emptied
+        for t in live:
+            across[t] *= q
+        across[c] = along[d - 1] = along[d - 1] + along[d] * q
+        along[d] = 0
+        if self.origins is not None:
+            step, u = (self.pow1, self.pow2)[a][d - 1], (1 - a, a)
+            along_o, across_o = self.origins[a], self.origins[1 - a]
+            for t in live:
+                across_o[t] = _split(across_o[t], q, step, u)
+            along_o[d - 1] += _split(along_o[d], q, step, u)
+            across_o[c], along_o[d] = along_o[d - 1], []
+        self.caps[a] = d - 1
+        self.live[a].discard(d - 1)  # now the corner
 
     def consume_column(self, i: int, b: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**i, q2**b] into column i, from row b up."""
-        spots = self.origins[i] if self.origins is not None else None
-        left = self._walk(self.counts[i], spots, self.live_col, self.pow2, self.q.q2, b, self.cap_j,
-                          need, (0, 1))
-        self._settle(need - left, self.pow1[i] * self.pow2[b])
-        return left == 0
+        return self._consume(1, i, b, need)
 
     def consume_row(self, j: int, a: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**a, q2**j] into row j, from column a up."""
-        spots = _RowView(self.origins, j) if self.origins is not None else None
-        left = self._walk(_RowView(self.counts, j), spots, self.live_row, self.pow1, self.q.q1, a, self.cap_i,
-                          need, (1, 0))
-        self._settle(need - left, self.pow1[a] * self.pow2[j])
+        return self._consume(0, j, a, need)
+
+    def _consume(self, a: int, at: int, start: int, need: int) -> bool:
+        """Pack `need` blocks up cap line a, which lies at level `at` of the other axis."""
+        if at != self.caps[1 - a]:
+            raise ValueError("blocks are packed on the cap lines only")
+        left = self._walk(a, start, need)
+        self.lines[1 - a][at] = self.lines[a][self.caps[a]]  # the corner's copy on the other line
+        self._free -= (need - left) * (self.pow1, self.pow2)[a][start] * (self.pow1, self.pow2)[1 - a][at]
+        self._check()
         return left == 0
 
-    def _settle(self, placed: int, block_area: int) -> None:
-        self._free -= placed * block_area
-        self._check()
-
-    def _walk(self, line, spots, live: set[int], powers: list[int], q: int, start: int, cap: int,
-              need: int, u: tuple[int, int]) -> int:
-        """Greedy walk up one line of cells; returns how many blocks did not fit.
+    def _walk(self, a: int, start: int, need: int) -> int:
+        """Greedy walk up cap line a; returns how many blocks did not fit.
 
         A container at level k of the line holds per = powers[k - start]
         blocks stacked along the line's axis (arity q, direction u).  Cells
-        from `start` up to `cap` are emptied whole by integer division.  At
+        from `start` up to the cap are emptied whole by integer division.  At
         most one container is used in part, by the part < per blocks left;
-        its room for per - part more returns as slabs at levels start..k-1.
-        On a located bank, spots holds the line's origin lists; levels it deposits at join live.
+        its room for per - part more returns as slabs at levels start..k-1,
+        which join live[a].  On a located bank, spots holds the line's origin lists.
         """
+        line, live, powers = self.lines[a], self.live[a], (self.pow1, self.pow2)[a]
+        q, cap, u = (self.q.q1, self.q.q2)[a], self.caps[a], (1 - a, a)
+        spots = self.origins[a] if self.origins is not None else None
         step = powers[start]
         k = start
         while need:
@@ -319,14 +328,14 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
 
 
 def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
-    """Existence decision on the canonical instance via the count array.
+    """Existence decision on the canonical instance via the bank's counts.
 
     Matches solve_naive's verdict on the single initial container
     [q1**l1max, q2**l2max] while never materializing locations.  Past the
     spec's O(m) histogram of g distinct pairs it runs O(g log g + g *
     max(l1max, l2max) + s) big-integer operations, where s is the number of
-    occupied cap-line cells moved by the at most l1max + l2max cap steps;
-    the (l1max + 1) x (l2max + 1) table is a zero-filled allocation.
+    occupied cap-line cells moved by the at most l1max + l2max cap steps,
+    and keeps l1max + l2max + 2 counts.
     """
     bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, audit=audit)
     return _pack(bank, spec.groups) is not None

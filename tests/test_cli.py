@@ -23,6 +23,8 @@ def write_json(tmp_path, payload, name="inst.json"):
 
 
 COUNTEREXAMPLE = {"q": [2, 2], "lengths": [[1, 0], [0, 1]]}
+# Past the JSON decoder's recursion limit; json.dumps cannot write it either.
+NESTED_JSON = '{"q": [2, 2], "lengths": ' + "[" * 5000 + "]" * 5000 + "}"
 
 
 def caterpillar(rng, m, window=16):
@@ -390,12 +392,24 @@ class TestSchemaValidation:
             {"q": [2, 2], "lengths": ["12"]},
             {"q": [2, 2], "lengths": [{}]},
             {"q": [2, 2], "lengths": [None]},
+            pytest.param(NESTED_JSON, id="nested-5000"),
         ],
     )
     def test_rejected_payloads(self, tmp_path, payload):
-        path = write_json(tmp_path, payload)
-        for cmd in ("decide", "kraft"):
-            assert cli.main([cmd, "--input", path]) == 2
+        path = tmp_path / "inst.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+        svg = ["--svg", str(tmp_path / "out.svg")]
+        for argv in (["decide"], ["kraft"], ["construct"], ["entropy"], ["render", *svg]):
+            assert cli.main(argv + ["--input", str(path)]) == 2
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text(NESTED_JSON, encoding="utf-8")
+        for cmd in ("decide", "kraft", "construct", "entropy"):
+            assert cli.main([cmd, "--input", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:")
 
     def test_exit_codes_total(self, tmp_path):
         # every command ends in {0,1,2,3} even on garbage
@@ -423,9 +437,21 @@ class TestSchemaValidation:
         assert peak < 1 << 20
         assert str(cli.CODE_SPACE_BITS_LIMIT) in capsys.readouterr().err
 
-    def test_decide_refuses_huge_count_table(self, tmp_path):
-        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[5000, 5000]]})
+    def test_decide_scales_to_the_code_space_limit(self, tmp_path, capsys):
+        # the bank keeps two cap lines, not an (l1max+1) x (l2max+1) table
+        for lengths, code in (([[5000, 5000]], 0), ([[7000, 7000]], 0), ([[7000, 7000], [1, 0], [0, 1]], 1)):
+            path = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
+            tracemalloc.start()
+            try:
+                assert cli.main(["decide", "--input", path]) == code
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 << 20
+            assert capsys.readouterr().out == ("NOT-EXISTS\n" if code else "EXISTS\n")
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[7000, 7001]]})
         assert cli.main(["decide", "--input", path]) == 2
+        assert str(cli.CODE_SPACE_BITS_LIMIT) in capsys.readouterr().err
 
     def test_decide_handles_deep_lengths_within_cap(self, tmp_path, capsys):
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[60, 60], [1, 0], [0, 1]]})

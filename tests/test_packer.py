@@ -219,6 +219,20 @@ class TestContainerBank:
         bank.descend_caps(1, 1)
         with pytest.raises(ValueError):
             bank.descend_caps(2, 1)
+        for ci, cj in ((-1, 1), (1, -1), (-1, -1)):  # a negative index would wrap to the far end
+            with pytest.raises(ValueError):
+                bank.descend_caps(ci, cj)
+        assert (bank.cap_i, bank.cap_j) == (1, 1)
+
+    def test_consume_rejects_lines_off_the_caps(self):
+        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank.descend_caps(1, 1)
+        for i in (0, 2, -1):
+            with pytest.raises(ValueError):
+                bank.consume_column(i, 0, 1)
+            with pytest.raises(ValueError):
+                bank.consume_row(i, 0, 1)
+        assert bank.free_area() == bank.counted_area() == 16
 
     def test_consume_exact_fit(self):
         bank = ContainerBank(Q22, 2, 2, audit=True)
@@ -260,10 +274,14 @@ class TestContainerBank:
         assert bank.free_area() == bank.counted_area() == 0
 
     def test_audit_catches_container_off_the_cap_lines(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
-        bank.counts[2][2], bank.counts[1][1] = 0, 4  # same area, off both cap lines
-        with pytest.raises(AssertionError, match="cap"):
-            bank.descend_caps(2, 2)
+        # The bank stores only the cap row lines[0] and the cap column lines[1];
+        # neither poke changes the area the lines hold below the caps.
+        for line, k, cnt in ((0, 2, 1), (1, 2, 3)):  # a count past cap_i; the column's corner copy off
+            bank = ContainerBank(Q22, 2, 2, audit=True)
+            bank.descend_caps(1, 2)  # two 2x4 containers at the corner (1, 2)
+            bank.lines[line][k] = cnt
+            with pytest.raises(AssertionError, match="cap"):
+                bank.descend_caps(1, 2)
 
     def test_area_accounting_after_every_mutation(self, rng):
         # audit=True re-checks the invariant inside every bank mutation
