@@ -36,7 +36,7 @@ from .model import (
     sort_blocks_desc,
 )
 from .oracle import OracleLimits, brute_decide, brute_sigma_min, enumerate_instances
-from .packer import ContainerBank, Placement, Solution, construct, decide, decide_fast, solve_naive
+from .packer import ContainerBank, construct, decide, decide_fast, solve_naive
 
 __version__ = "0.1.0"
 
@@ -48,11 +48,9 @@ __all__ = [
     "ContainerBank",
     "EntropyReport",
     "OracleLimits",
-    "Placement",
     "ProblemSpec",
     "Region",
     "Size",
-    "Solution",
     "SourceDistribution",
     "brute_decide",
     "brute_sigma_min",

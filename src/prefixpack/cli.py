@@ -45,14 +45,6 @@ class InstanceFile:
     base: float | None
 
 
-@dataclass(frozen=True)
-class ResultFile:
-    decision: bool
-    kraft: str  # exact rational as "num/den"
-    codebook: tuple[tuple[str, str], ...] | None
-    entropy: tuple[float, float, float] | None  # (avg_length, entropy, slack)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InputError(message)
@@ -181,31 +173,9 @@ def _guard_construct_size(spec: ProblemSpec) -> None:
         )
 
 
-def _kraft_string(inst: InstanceFile) -> str:
-    frac = codes.kraft_sum(inst.qs, inst.lengths)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
-def result_to_json(result: ResultFile) -> str:
-    payload: dict = {"decision": result.decision, "kraft": result.kraft}
-    if result.codebook is not None:
-        payload["codebook"] = [{"c1": c1, "c2": c2} for c1, c2 in result.codebook]
-    if result.entropy is not None:
-        avg, ent, slack = result.entropy
-        payload["entropy"] = {"avg_length": avg, "entropy": ent, "slack": slack}
+def result_to_json(payload: dict) -> str:
+    """The result file construct writes: the payload as sorted, indented JSON."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def result_from_json(text: str) -> ResultFile:
-    raw = json.loads(text)
-    codebook = None
-    if "codebook" in raw:
-        codebook = tuple((e["c1"], e["c2"]) for e in raw["codebook"])
-    entropy = None
-    if "entropy" in raw:
-        e = raw["entropy"]
-        entropy = (e["avg_length"], e["entropy"], e["slack"])
-    return ResultFile(raw["decision"], raw["kraft"], codebook, entropy)
 
 
 def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
@@ -233,29 +203,30 @@ def cmd_construct(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
     spec = to_problem_spec(inst)
     _guard_construct_size(spec)
-    solution = packer.construct(spec)
-    codebook = None
-    if solution is not None:
+    locations = packer.construct(spec)
+    payload: dict = {"decision": locations is not None}
+    if locations is not None:
         # for a single-channel file the padded channel-2 words are all empty
-        book = codes.solution_to_codebook(spec, solution)
-        codebook = tuple((word.c1, word.c2) for word in book)
-    result = ResultFile(
-        decision=solution is not None,
-        kraft=_kraft_string(inst),
-        codebook=codebook,
-        entropy=_entropy_triple(inst),
-    )
-    text = result_to_json(result)
+        book = codes.solution_to_codebook(spec, locations)
+        payload["codebook"] = [{"c1": word.c1, "c2": word.c2} for word in book]
+    frac = codes.kraft_sum(inst.qs, inst.lengths)
+    payload["kraft"] = f"{frac.numerator}/{frac.denominator}"
+    triple = _entropy_triple(inst)
+    if triple is not None:
+        avg, ent, slack = triple
+        payload["entropy"] = {"avg_length": avg, "entropy": ent, "slack": slack}
+    text = result_to_json(payload)
     if args.output:
         write_output(args.output, text)
     else:
         sys.stdout.write(text)
-    return EXIT_EXISTS if result.decision else EXIT_NOT_EXISTS
+    return EXIT_EXISTS if locations is not None else EXIT_NOT_EXISTS
 
 
 def cmd_kraft(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
-    _guard_code_space(inst.qs, [max(column) for column in zip(*inst.lengths)])
+    # maxima over the distinct tuples: cheaper than transposing every codeword
+    _guard_code_space(inst.qs, [max(column) for column in zip(*set(inst.lengths))])
     frac = codes.kraft_sum(inst.qs, inst.lengths)  # its ValueError exits 2 through main
     verdict = "SATISFIED" if frac <= 1 else "VIOLATED"
     print(f"{frac.numerator}/{frac.denominator} {verdict}")
@@ -282,19 +253,21 @@ def _svg_axis_map(total: int, canvas: float, log_mode: bool):
     return lambda v: canvas * v / total
 
 
-def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
-    """SVG diagram: one labeled rectangle per placed block over a q-power grid.
+def render_svg(spec: ProblemSpec, locations: packer.Locations) -> str:
+    """SVG diagram over a q-power grid: one labeled rectangle per codeword's
+    block, at its (x, y) from locations, which follow the spec's order.
 
     Axes switch to logarithmic scaling once a channel exceeds 10 symbols of
     maximum length (true scale would be astronomically wide); labels stay
     exact either way.
     """
     q = spec.arities
-    book = codes.solution_to_codebook(spec, solution)
-    width = q.q1**spec.l1max
-    height = q.q2**spec.l2max
+    l1max, l2max = spec.l1max, spec.l2max
+    book = codes.solution_to_codebook(spec, locations)
+    width = q.q1**l1max
+    height = q.q2**l2max
     cw, ch = 640.0, 480.0
-    log_mode = max(spec.l1max, spec.l2max) > 10
+    log_mode = max(l1max, l2max) > 10
     fx = _svg_axis_map(width, cw, log_mode)
     fy = _svg_axis_map(height, ch, log_mode)
     parts = [
@@ -307,7 +280,7 @@ def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
     # Grid lines at q-power boundaries, finest level capped to keep files sane.
     max_lines = 64
     drawn: set[tuple[str, int]] = set()
-    for k in range(spec.l1max, -1, -1):
+    for k in range(l1max, -1, -1):
         step = q.q1**k
         if width // step > max_lines:
             break
@@ -319,7 +292,7 @@ def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
                     f'<line class="grid" x1="{fx(x):.2f}" y1="0" x2="{fx(x):.2f}" '
                     f'y2="{ch:.2f}" stroke="#cccccc" stroke-width="0.5"/>'
                 )
-    for k in range(spec.l2max, -1, -1):
+    for k in range(l2max, -1, -1):
         step = q.q2**k
         if height // step > max_lines:
             break
@@ -332,12 +305,9 @@ def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
                     f'y2="{ch - fy(y):.2f}" stroke="#cccccc" stroke-width="0.5"/>'
                 )
     palette = ("#e66a6a", "#6a8fe6", "#6ce08b", "#e0c76c", "#b96ce0", "#6cd8e0")
-    locations = {p.index: (p.x, p.y) for p in solution.assignments}
-    for idx, word in enumerate(book):
-        x, y = locations[idx]
-        l1, l2 = spec.lengths[idx]
-        w = q.q1 ** (spec.l1max - l1)
-        h = q.q2 ** (spec.l2max - l2)
+    for idx, ((x, y), (l1, l2), word) in enumerate(zip(locations, spec.lengths, book)):
+        w = q.q1 ** (l1max - l1)
+        h = q.q2 ** (l2max - l2)
         x0, x1 = fx(x), fx(x + w)
         # SVG y runs downward; flip so larger y sits higher.
         y0, y1 = ch - fy(y + h), ch - fy(y)
@@ -358,11 +328,11 @@ def render_svg(spec: ProblemSpec, solution: packer.Solution) -> str:
 def cmd_render(args: argparse.Namespace) -> int:
     spec = to_problem_spec(load_instance(args.input, args.format))
     _guard_construct_size(spec)
-    solution = packer.construct(spec)
-    if solution is None:
+    locations = packer.construct(spec)
+    if locations is None:
         print("NOT-EXISTS")
         return EXIT_NOT_EXISTS
-    write_output(args.svg, render_svg(spec, solution))
+    write_output(args.svg, render_svg(spec, locations))
     return EXIT_EXISTS
 
 
@@ -382,6 +352,8 @@ def _parse_arity_flag(values: list[str] | None) -> tuple[tuple[int, int], ...]:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     arity_pairs = _parse_arity_flag(args.arities)
+    for flag, value in (("--max-m", args.max_m), ("--max-len", args.max_len)):
+        _require(value >= 0, f"{flag} must be >= 0, got {value}")
     limits = oracle.OracleLimits(
         max_m=max(args.max_m, 1), max_dim=4096, max_nodes=5_000_000
     )
@@ -389,8 +361,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     for spec in oracle.enumerate_instances(arity_pairs, args.max_m, args.max_len):
         where = f"q=({spec.arities.q1},{spec.arities.q2}) lengths={list(spec.lengths)}"
         fast = packer.decide_fast(spec)
-        solution = packer.construct(spec)
-        built = solution is not None
+        locations = packer.construct(spec)
+        built = locations is not None
         inst = codes.lengths_to_instance(spec)
         brute = oracle.brute_decide(inst.blocks, [inst.container], limits)
         if brute == "budget_exceeded":
@@ -400,7 +372,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         if fast != expect or built != expect:
             print(f"selftest: DISAGREEMENT on {where}: fast={fast} construct={built} brute={expect}")
             return EXIT_SELFTEST_FAILED
-        if built and not codes.verify_codebook(codes.solution_to_codebook(spec, solution)):
+        if built and not codes.verify_codebook(codes.solution_to_codebook(spec, locations)):
             print(f"selftest: INVALID CODEBOOK on {where}")
             return EXIT_SELFTEST_FAILED
         checked += 1

@@ -13,12 +13,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Block, ProblemSpec, Region, Size, reg
-
-if TYPE_CHECKING:
-    from .packer import Solution
 
 # One character per digit keeps prefix relations plain string prefixes.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -153,25 +150,27 @@ def _encode(value: int, base: int, width: int) -> str:
     return "".join(reversed(digits))
 
 
-def solution_to_codebook(spec: ProblemSpec, sol: "Solution") -> Codebook:
-    """Codewords read off packed block locations of the canonical instance.
+def solution_to_codebook(spec: ProblemSpec, locations: Sequence[tuple[int, int]]) -> Codebook:
+    """Codewords read off the canonical instance's block locations, one
+    (x, y) per codeword in the spec's order.
 
     A block of width w at x covers leaves [x, x+w), i.e. the subtree of the
     prefix x // w; its base-q1 digits, most significant first, are the
-    channel-1 word (channel 2 likewise from y).  Misaligned or out-of-range
-    locations are rejected.
+    channel-1 word (channel 2 likewise from y).  A location count other than
+    the codeword count, and misaligned or out-of-range locations, are rejected.
     """
+    if len(locations) != spec.m:
+        raise ValueError(f"{len(locations)} locations for {spec.m} codewords")
     q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
-    locations = {p.index: (p.x, p.y) for p in sol.assignments}
+    width, height = q.q1**l1max, q.q2**l2max
     words = []
-    for idx, (l1, l2) in enumerate(spec.lengths):
-        x, y = locations[idx]
+    for idx, ((l1, l2), (x, y)) in enumerate(zip(spec.lengths, locations)):
         w = q.q1 ** (l1max - l1)
         h = q.q2 ** (l2max - l2)
         if x % w or y % h:
             raise ValueError(f"location ({x}, {y}) is misaligned for block {idx}")
-        if x + w > q.q1**l1max or y + h > q.q2**l2max:
+        if x + w > width or y + h > height:
             raise ValueError(f"location ({x}, {y}) leaves the container for block {idx}")
         words.append(Codeword(_encode(x // w, q.q1, l1), _encode(y // h, q.q2, l2)))
     return tuple(words)

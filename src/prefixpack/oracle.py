@@ -146,8 +146,9 @@ def brute_sigma_min(
     cw, ch = c.w, c.h
     full = (1 << (cw * ch)) - 1
 
-    # For each cell, the pieces that may cover it: (bitmask, region), biggest first.
-    options: list[list[tuple[int, Region]]] = []
+    # For each cell, the pieces that may cover it: (bitmask, (x, y, w, h)), biggest
+    # first; a Region is built only for the pieces of the answer.
+    options: list[list[tuple[int, tuple[int, int, int, int]]]] = []
     for idx in range(cw * ch):
         cy, cx = divmod(idx, cw)
         ax, ay = c.x + cx, c.y + cy
@@ -161,11 +162,11 @@ def brute_sigma_min(
             mask = 0
             for dy in range(py - c.y, py - c.y + h):
                 mask |= row << (dy * cw)
-            cell_opts.append((mask, reg(px, py, w, h)))
+            cell_opts.append((mask, (px, py, w, h)))
         options.append(cell_opts)
 
-    # dp[mask] = (optimal piece count for the uncovered set, piece at its anchor)
-    dp: dict[int, tuple[int, Region]] = {}
+    # dp[mask] = (optimal piece count for the uncovered set, option at its anchor)
+    dp: dict[int, tuple[int, tuple]] = {}
     max_piece = sizes[0][0] * sizes[0][1]
 
     def solve(uncovered: int) -> int:
@@ -179,30 +180,27 @@ def brute_sigma_min(
         idx = (uncovered & -uncovered).bit_length() - 1
         floor = -(-uncovered.bit_count() // max_piece)  # every piece covers <= max_piece cells
         best = cw * ch + 1
-        best_piece = None
-        for mask, piece in options[idx]:
+        best_option = None
+        for option in options[idx]:
+            mask = option[0]
             if mask & uncovered != mask:
                 continue
             sub = 1 + solve(uncovered & ~mask)
             if sub < best:
                 best = sub
-                best_piece = piece
+                best_option = option
                 if best <= floor:
                     break
-        assert best_piece is not None  # the unit piece always applies
-        dp[uncovered] = (best, best_piece)
+        assert best_option is not None  # the unit piece always applies
+        dp[uncovered] = (best, best_option)
         return best
 
     count = solve(full)
     parts = []
     uncovered = full
     while uncovered:
-        _, piece = dp[uncovered]
-        row = ((1 << piece.w) - 1) << (piece.x - c.x)
-        mask = 0
-        for dy in range(piece.y - c.y, piece.y - c.y + piece.h):
-            mask |= row << (dy * cw)
-        parts.append(piece)
+        _, (mask, piece) = dp[uncovered]
+        parts.append(reg(*piece))
         uncovered &= ~mask
     return count, tuple(parts)
 

@@ -19,8 +19,9 @@ lower-left corner of a smallest adequate container.  No command runs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Sequence
 
 from .geometry import corner_cut_regions, cut_sigma, overlap
 from .model import (
@@ -36,17 +37,8 @@ from .model import (
 )
 
 
-class Placement(NamedTuple):
-    index: int
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Per-block packed locations: aligned, non-overlapping, each in one container."""
-
-    assignments: tuple[Placement, ...]
+# A packing: one (x, y) origin per block, in block order.
+Locations = tuple[tuple[int, int], ...]
 
 
 def _validate_containers(containers: Sequence[Region]) -> None:
@@ -60,8 +52,9 @@ def _validate_containers(containers: Sequence[Region]) -> None:
 
 def solve_naive(
     blocks: Sequence[Block], containers: Sequence[Region], q: Arities
-) -> Solution | None:
-    """Greedy packer with explicit locations; None means no packing exists.
+) -> Locations | None:
+    """Greedy packer: the origin of each block, in the given order, or None
+    when no packing exists.
 
     Expects blocks pre-sorted descending under the total order (rejected
     otherwise, as are overlapping containers and non-regular block sizes).
@@ -77,7 +70,7 @@ def solve_naive(
 
     n = len(blocks)
     if n == 0:
-        return Solution(())
+        return ()
     # Suffix componentwise maxima: s*[i] bounds every block from i on.
     smax: list[Size] = [Size(1, 1)] * n
     w, h = blocks[n - 1].size.w, blocks[n - 1].size.h
@@ -88,7 +81,7 @@ def solve_naive(
         smax[i] = Size(w, h)
 
     pool: list[Region] = list(containers)
-    assignments: list[Placement] = []
+    locations: list[tuple[int, int]] = []
     for i, blk in enumerate(blocks):
         cut_pool: list[Region] = []
         for r in pool:
@@ -98,11 +91,11 @@ def solve_naive(
         if not adequate:
             return None
         target = min(adequate, key=lambda r: (total_key(r.size), r.x, r.y))
-        assignments.append(Placement(i, target.x, target.y))
+        locations.append((target.x, target.y))
         pool.remove(target)
         if target.size != blk.size:
             pool.extend(corner_cut_regions(target, blk.size, q))
-    return Solution(tuple(assignments))
+    return tuple(locations)
 
 
 def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) -> list:
@@ -165,8 +158,11 @@ class ContainerBank:
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
         self.q = q
-        self.pow1 = [q.q1**i for i in range(l1max + 1)]
-        self.pow2 = [q.q2**j for j in range(l2max + 1)]
+        top = {q.q1: l1max}
+        top[q.q2] = max(top.get(q.q2, 0), l2max)
+        # one table of q**k per distinct arity, by running product, as long as its longest axis
+        powers = {qa: list(accumulate(repeat(qa, n), mul, initial=1)) for qa, n in top.items()}
+        self.pow1, self.pow2 = powers[q.q1], powers[q.q2]
         self.caps = [l1max, l2max]
         self.lines = ([0] * l1max + [1], [0] * l2max + [1])
         self.live: list[set[int]] = [set(), set()]  # levels below the corner where lines[a] may be nonzero
@@ -310,7 +306,7 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
     """Successive assignment of groups {(l1, l2): count} of [q1**(l1max-l1), q2**(l2max-l2)]
     blocks, largest first; returns the order used, or None at the first that does not fit."""
     pow1, pow2 = bank.pow1, bank.pow2
-    top1, top2 = len(pow1) - 1, len(pow2) - 1
+    top1, top2 = bank.caps  # a fresh bank: l1max, l2max (a shared power table may be longer)
     size = {(l1, l2): (pow1[top1 - l1], pow2[top2 - l2]) for l1, l2 in groups}
     order = sorted(groups, key=lambda ll: (max(size[ll]), *size[ll]), reverse=True)
     for l1, l2 in order:
@@ -346,8 +342,9 @@ def decide(spec: ProblemSpec) -> bool:
     return decide_fast(spec)
 
 
-def construct(spec: ProblemSpec, *, audit: bool = False) -> Solution | None:
-    """Explicit packing of the canonical instance, or None when none exists.
+def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
+    """Explicit packing of the canonical instance: the origin of each
+    codeword's block, in input order, or None when none exists.
 
     Runs decide_fast's group loop on a located bank, so the verdict is
     decide's; each group's placements go to its codewords in input order.
@@ -361,4 +358,4 @@ def construct(spec: ProblemSpec, *, audit: bool = False) -> Solution | None:
     # bank.placed runs group by group in pack order; a stable sort matches it to the codewords
     rank = {ll: r for r, ll in enumerate(order)}
     owners = sorted(range(spec.m), key=lambda k: rank[spec.lengths[k]])
-    return Solution(tuple(sorted(Placement(k, *xy) for k, xy in zip(owners, bank.placed))))
+    return tuple(xy for _, xy in sorted(zip(owners, bank.placed)))

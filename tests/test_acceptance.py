@@ -27,7 +27,7 @@ from prefixpack.oracle import (
     brute_sigma_min,
     enumerate_instances,
 )
-from prefixpack.packer import Placement, Solution, construct, decide, decide_fast, solve_naive
+from prefixpack.packer import construct, decide, decide_fast, solve_naive
 
 from conftest import assert_partition
 
@@ -105,7 +105,7 @@ def test_criterion_2_two_container_instance():
         containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
         sol = solve_naive(blocks, containers, Arities(2, 2))
         assert sol is not None
-        placed = [Region(p.x, p.y, blocks[p.index].size) for p in sol.assignments]
+        placed = [Region(x, y, b.size) for (x, y), b in zip(sol, blocks)]
         assert not overlap(placed[0], placed[1])
 
 
@@ -192,8 +192,7 @@ def test_criterion_5_codebook_roundtrip():
                     for x in range(0, q.q1**lmax - w + 1, w):
                         for y in range(0, q.q2**lmax - h + 1, h):
                             spec = ProblemSpec(q, ((l1, l2), (lmax, lmax)))
-                            sol = Solution((Placement(0, x, y), Placement(1, 0, 0)))
-                            word = solution_to_codebook(spec, sol)[0]
+                            word = solution_to_codebook(spec, ((x, y), (0, 0)))[0]
                             placed.append((Region(x, y, Size(w, h)), word))
             for (r1, w1), (r2, w2) in itertools.combinations(placed, 2):
                 assert overlap(r1, r2) != pair_prefix_free(w1, w2), (

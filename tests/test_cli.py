@@ -88,20 +88,19 @@ class TestConstruct:
         inst = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 1], [1, 1], [1, 0]]})
         out = tmp_path / "result.json"
         assert cli.main(["construct", "--input", inst, "--output", str(out)]) == 0
-        result = cli.result_from_json(out.read_text(encoding="utf-8"))
-        assert result.decision is True
-        assert result.codebook is not None and len(result.codebook) == 3
-        book = tuple(Codeword(c1, c2) for c1, c2 in result.codebook)
+        result = json.loads(out.read_text(encoding="utf-8"))
+        assert result["decision"] is True
+        book = tuple(Codeword(e["c1"], e["c2"]) for e in result["codebook"])
         assert verify_codebook(book)
-        lengths = [(len(c1), len(c2)) for c1, c2 in result.codebook]
+        lengths = [(len(w.c1), len(w.c2)) for w in book]
         assert lengths == [(1, 1), (1, 1), (1, 0)]
 
     def test_root_codeword(self, tmp_path):
         inst = write_json(tmp_path, {"q": [2, 2], "lengths": [[0, 0]]})
         out = tmp_path / "result.json"
         assert cli.main(["construct", "--input", inst, "--output", str(out)]) == 0
-        result = cli.result_from_json(out.read_text(encoding="utf-8"))
-        assert result.codebook == (("", ""),)
+        result = json.loads(out.read_text(encoding="utf-8"))
+        assert result["codebook"] == [{"c1": "", "c2": ""}]
 
     def test_counterexample_no_codebook(self, tmp_path):
         inst = write_json(tmp_path, COUNTEREXAMPLE)
@@ -139,9 +138,9 @@ class TestConstruct:
         )
         out = tmp_path / "result.json"
         assert cli.main(["construct", "--input", inst, "--output", str(out)]) == 0
-        result = cli.result_from_json(out.read_text(encoding="utf-8"))
-        assert result.entropy is not None
-        assert result.entropy[2] == pytest.approx(0.0, abs=1e-12)
+        result = json.loads(out.read_text(encoding="utf-8"))
+        assert set(result["entropy"]) == {"avg_length", "entropy", "slack"}
+        assert result["entropy"]["slack"] == pytest.approx(0.0, abs=1e-12)
 
     def test_codebooks_at_scale(self, tmp_path):
         rng = random.Random(14)
@@ -151,9 +150,10 @@ class TestConstruct:
             inst = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
             out = tmp_path / "result.json"
             assert cli.main(["construct", "--input", inst, "--output", str(out)]) == 0
-            result = cli.result_from_json(out.read_text(encoding="utf-8"))
-            assert [[len(c1), len(c2)] for c1, c2 in result.codebook] == lengths
-            assert verify_codebook(tuple(Codeword(c1, c2) for c1, c2 in result.codebook))
+            result = json.loads(out.read_text(encoding="utf-8"))
+            book = tuple(Codeword(e["c1"], e["c2"]) for e in result["codebook"])
+            assert [[len(w.c1), len(w.c2)] for w in book] == lengths
+            assert verify_codebook(book)
 
     @pytest.mark.parametrize("target", ["missing/out", "."])
     @pytest.mark.parametrize("cmd,flag", [("construct", "--output"), ("render", "--svg")])
@@ -161,13 +161,6 @@ class TestConstruct:
         inst = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 1]]})
         assert cli.main([cmd, "--input", inst, flag, str(tmp_path / target)]) == 2
         assert "cannot write" in capsys.readouterr().err
-
-    def test_result_roundtrip(self):
-        for result in (
-            cli.ResultFile(True, "3/4", (("01", ""), ("1", "2")), (1.5, 1.0, 0.5)),
-            cli.ResultFile(False, "1/1", None, None),
-        ):
-            assert cli.result_from_json(cli.result_to_json(result)) == result
 
 
 class TestKraft:
@@ -185,6 +178,14 @@ class TestKraft:
         path = write_json(tmp_path, {"q": [2, 3, 2], "lengths": [[1, 1, 1]]})
         assert cli.main(["kraft", "--input", path]) == 0
         assert capsys.readouterr().out.strip() == "1/12 SATISFIED"
+
+    def test_empty_and_negative_lengths(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": []})
+        assert cli.main(["kraft", "--input", path]) == 0
+        assert capsys.readouterr().out == "0/1 SATISFIED\n"
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[3, 1], [-1, 0]]})
+        assert cli.main(["kraft", "--input", path]) == 2
+        assert capsys.readouterr().err == "error: codeword lengths must be >= 0, got -1\n"
 
 
 class TestEntropy:
@@ -303,6 +304,12 @@ class TestSelftest:
     def test_bad_arity_flag(self):
         assert cli.main(["selftest", "--arities", "2x2"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--max-m", "--max-len"])
+    def test_negative_bound_is_input_error(self, capsys, flag):
+        assert cli.main(["selftest", flag, "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flag} must be >= 0, got -1\n"
+
     def test_injected_fault_detected(self, capsys, monkeypatch):
         from prefixpack import packer
 
@@ -318,7 +325,7 @@ class TestSelftest:
 
         def stacked(spec, **kw):  # the right verdict, with every block at the origin
             if packer.decide_fast(spec):
-                return packer.Solution(tuple(packer.Placement(k, 0, 0) for k in range(spec.m)))
+                return ((0, 0),) * spec.m
             return None
 
         monkeypatch.setattr(packer, "construct", stacked)

@@ -19,7 +19,7 @@ from prefixpack.codes import (
 from prefixpack.geometry import overlap
 from prefixpack.model import Arities, ProblemSpec, Region, Size, reg
 from prefixpack.oracle import brute_decide
-from prefixpack.packer import Placement, Solution, construct, decide
+from prefixpack.packer import construct, decide
 
 Q22 = Arities(2, 2)
 
@@ -217,16 +217,14 @@ def leaf_span(word: str, base: int, lmax: int) -> tuple[int, int]:
 class TestSolutionToCodebook:
     def test_mid_tree_word(self):
         spec = ProblemSpec(Q22, ((2, 0), (3, 0)))
-        sol = Solution((Placement(0, 2, 0), Placement(1, 0, 0)))
-        book = solution_to_codebook(spec, sol)
+        book = solution_to_codebook(spec, ((2, 0), (0, 0)))
         assert book[0].c1 == "01"
         assert leaf_span("01", 2, 3) == (2, 4)  # leaves 010 and 011
         assert book[0].c2 == ""
 
     def test_root_codeword_and_unit_block(self):
         spec = ProblemSpec(Q22, ((0, 0), (1, 1)))
-        sol = Solution((Placement(0, 0, 0), Placement(1, 1, 1)))
-        book = solution_to_codebook(spec, sol)
+        book = solution_to_codebook(spec, ((0, 0), (1, 1)))
         assert book[0] == Codeword("", "")
         assert book[1] == Codeword("1", "1")
 
@@ -240,22 +238,25 @@ class TestSolutionToCodebook:
             h = q.q2 ** (l2max - l2)
             x = rng.randrange(0, q.q1**l1max, w) if l1 else 0
             y = rng.randrange(0, q.q2**l2max, h) if l2 else 0
-            sol = Solution((Placement(0, x, y), Placement(1, 0, 0)))
-            word = solution_to_codebook(ProblemSpec(q, lengths), sol)[0]
+            word = solution_to_codebook(ProblemSpec(q, lengths), ((x, y), (0, 0)))[0]
             assert leaf_span(word.c1, q.q1, l1max) == (x, x + w)
             assert leaf_span(word.c2, q.q2, l2max) == (y, y + h)
 
     def test_rejects_misaligned_location(self):
         spec = ProblemSpec(Q22, ((1, 0), (2, 2)))
-        sol = Solution((Placement(0, 1, 0), Placement(1, 0, 0)))
         with pytest.raises(ValueError):
-            solution_to_codebook(spec, sol)
+            solution_to_codebook(spec, ((1, 0), (0, 0)))
 
     def test_rejects_out_of_range_location(self):
         spec = ProblemSpec(Q22, ((1, 0), (1, 1)))
-        sol = Solution((Placement(0, 4, 0), Placement(1, 0, 0)))
         with pytest.raises(ValueError):
-            solution_to_codebook(spec, sol)
+            solution_to_codebook(spec, ((4, 0), (0, 0)))
+
+    def test_rejects_a_location_count_other_than_m(self):
+        spec = ProblemSpec(Q22, ((1, 0), (1, 1)))
+        for locations in ((), ((0, 0),), ((0, 0), (2, 0), (3, 1))):
+            with pytest.raises(ValueError, match="locations for 2 codewords"):
+                solution_to_codebook(spec, locations)
 
 
 class TestPairPrefixFree:
@@ -342,12 +343,6 @@ class TestOverlapPrefixDuality:
                 pair.append((l1, l2))
                 regions.append(Region(x, y, Size(w, h)))
             lengths = (pair[0], pair[1], (l1max, l2max))
-            sol = Solution(
-                (
-                    Placement(0, regions[0].x, regions[0].y),
-                    Placement(1, regions[1].x, regions[1].y),
-                    Placement(2, 0, 0),
-                )
-            )
-            book = solution_to_codebook(ProblemSpec(q, lengths), sol)
+            locations = ((regions[0].x, regions[0].y), (regions[1].x, regions[1].y), (0, 0))
+            book = solution_to_codebook(ProblemSpec(q, lengths), locations)
             assert overlap(regions[0], regions[1]) != pair_prefix_free(book[0], book[1])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -16,8 +17,6 @@ from prefixpack.model import (
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
 from prefixpack.packer import (
     ContainerBank,
-    Placement,
-    Solution,
     construct,
     decide,
     decide_fast,
@@ -28,18 +27,18 @@ Q22 = Arities(2, 2)
 ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=5_000_000)
 
 
-def assert_solution_valid(blocks, containers, sol: Solution) -> None:
-    """The three constraints a packing must satisfy."""
+def assert_solution_valid(blocks, containers, locations) -> None:
+    """The three constraints a packing, one (x, y) per block, must satisfy."""
+    assert len(locations) == len(blocks)
     placed = []
-    for p in sol.assignments:
-        size = blocks[p.index].size
-        assert p.x % size.w == 0 and p.y % size.h == 0, f"{p} misaligned"
-        placed.append(Region(p.x, p.y, size))
+    for (x, y), block in zip(locations, blocks):
+        size = block.size
+        assert x % size.w == 0 and y % size.h == 0, f"({x}, {y}) misaligned for {size}"
+        placed.append(Region(x, y, size))
     for a, b in itertools.combinations(placed, 2):
         assert not overlap(a, b), f"{a} overlaps {b}"
     for r in placed:
         assert sum(contains(c, r) for c in containers) == 1, f"{r} not in exactly one container"
-    assert sorted(p.index for p in sol.assignments) == list(range(len(blocks)))
 
 
 class TestSolveNaive:
@@ -51,13 +50,13 @@ class TestSolveNaive:
         blocks = [Block(Size(2, 1)), Block(Size(1, 2))]
         containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
         sol = solve_naive(blocks, containers, Q22)
-        assert sol == Solution((Placement(0, 0, 2), Placement(1, 0, 0)))
+        assert sol == ((0, 2), (0, 0))
         assert_solution_valid(blocks, containers, sol)
         # the independent oracle agrees a packing exists
         assert brute_decide(blocks, containers, ORACLE_LIMITS) == "yes"
 
     def test_empty_blocks(self):
-        assert solve_naive([], [reg(0, 0, 2, 2)], Q22) == Solution(())
+        assert solve_naive([], [reg(0, 0, 2, 2)], Q22) == ()
 
     def test_rejects_unsorted_blocks(self):
         with pytest.raises(ValueError):
@@ -128,8 +127,8 @@ class TestDecideConstructAgreement:
     def test_construct_indices_follow_input_order(self):
         spec = ProblemSpec(Q22, ((1, 1), (1, 0), (1, 1)))
         sol = construct(spec)
-        assert sol is not None
-        assert [p.index for p in sol.assignments] == [0, 1, 2]
+        # the 1x2 block packs first, then the two 1x1 blocks go up column 1 in input order
+        assert sol == ((1, 0), (0, 0), (1, 1))
         inst = lengths_to_instance(spec)
         assert_solution_valid(inst.blocks, [inst.container], sol)
 
@@ -282,6 +281,20 @@ class TestContainerBank:
             bank.lines[line][k] = cnt
             with pytest.raises(AssertionError, match="cap"):
                 bank.descend_caps(1, 2)
+
+    def test_one_power_table_per_distinct_arity(self):
+        bank = ContainerBank(Arities(2, 3), 3, 2)
+        assert (bank.pow1, bank.pow2) == ([1, 2, 4, 8], [1, 3, 9])
+        bank = ContainerBank(Q22, 7000, 7000)
+        assert bank.pow1 is bank.pow2
+        assert bank.pow1[:4] == [1, 2, 4, 8] and bank.pow1[-1] == 2**7000
+        tracemalloc.start()
+        try:
+            assert decide(ProblemSpec(Q22, ((7000, 7000),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
     def test_area_accounting_after_every_mutation(self, rng):
         # audit=True re-checks the invariant inside every bank mutation
