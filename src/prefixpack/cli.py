@@ -8,10 +8,14 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, NoReturn, Sequence
 
 from . import codes, oracle, packer
 from .model import Arities, ProblemSpec
@@ -39,8 +43,18 @@ class InputError(Exception):
 
 @dataclass(frozen=True)
 class InstanceFile:
+    """A parsed instance file.
+
+    lengths holds the codeword length rows in file order: the lists JSON
+    loaded, or tuples for the text format.  groups is their histogram,
+    Counter(tuple(row) for row in lengths), counted once at parse time:
+    decide and kraft read only groups, while construct, render and entropy
+    read lengths.
+    """
+
     qs: tuple[int, ...]
-    lengths: tuple[tuple[int, ...], ...]
+    lengths: Sequence[Sequence[int]]
+    groups: Counter[tuple[int, ...]]
     probs: tuple[float, ...] | None
     base: float | None
 
@@ -50,7 +64,42 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
+    """The rule for a "lengths" entry, applied entry by entry in file order.
+
+    Only runs once the whole-array checks found a bad entry, so that the
+    message names the first one."""
+    for entry in lengths:
+        if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
+            raise InputError(f"length entry {entry!r} must be an array of integers")
+        if len(entry) != channels:
+            raise InputError(f"length entry {entry!r} does not match {channels} channel(s)")
+    raise AssertionError("the whole-array checks rejected entries the per-entry rule accepts")
+
+
 def parse_instance_json(text: str) -> InstanceFile:
+    """Parse and validate a JSON instance file.
+
+    Every "lengths" entry must be an array of exactly len(q) integers.  The
+    loaded rows are checked by type() of every row and every value (JSON
+    true/false load as bool, an int subclass, and 1.0 == 1, so neither may
+    reach a Counter key that equals an int tuple) and are counted once into
+    InstanceFile.groups; no tuple is kept per codeword.  When a check fails,
+    the per-entry rule runs to name the first bad entry in file order.  The
+    cyclic collector is paused for the whole parse and then restored: the
+    loaded rows hold no cycles, and its passes over them would make
+    json.loads about half as slow again.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_instance_json(text)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _parse_instance_json(text: str) -> InstanceFile:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -68,31 +117,31 @@ def parse_instance_json(text: str) -> InstanceFile:
     )
     lengths = raw["lengths"]
     _require(isinstance(lengths, list), '"lengths" must be an array')
-    tuples = []
-    for entry in lengths:
-        # if/raise, not _require: a valid entry must not pay for the message
-        if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
-            raise InputError(f"length entry {entry!r} must be an array of integers")
-        if len(entry) != len(qs):
-            raise InputError(f"length entry {entry!r} does not match {len(qs)} channel(s)")
-        tuples.append(tuple(entry))
+    # the second check iterates every row, so it runs only once all are lists
+    if not (
+        set(map(type, lengths)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(lengths))) <= {int}
+    ):
+        _reject_first_bad_entry(lengths, len(qs))
+    groups = Counter(map(tuple, lengths))
+    if any(len(key) != len(qs) for key in groups):
+        _reject_first_bad_entry(lengths, len(qs))
     probs = None
     if "probs" in raw and raw["probs"] is not None:
         _require(
-            isinstance(raw["probs"], list)
-            and all(type(v) in (int, float) for v in raw["probs"]),
+            isinstance(raw["probs"], list) and set(map(type, raw["probs"])) <= {int, float},
             '"probs" must be an array of numbers',
         )
         _require(
-            len(raw["probs"]) == len(tuples),
+            len(raw["probs"]) == len(lengths),
             '"probs" must have one entry per codeword length',
         )
-        probs = tuple(float(v) for v in raw["probs"])
+        probs = tuple(map(float, raw["probs"]))
     base = None
     if "D" in raw and raw["D"] is not None:
         _require(type(raw["D"]) in (int, float), '"D" must be a number')
         base = float(raw["D"])
-    return InstanceFile(tuple(qs), tuple(tuples), probs, base)
+    return InstanceFile(tuple(qs), lengths, groups, probs, base)
 
 
 def parse_instance_text(text: str) -> InstanceFile:
@@ -104,14 +153,14 @@ def parse_instance_text(text: str) -> InstanceFile:
             rows.append(line.split())
     _require(bool(rows), "text instance needs at least an arity header line")
     try:
-        qs = tuple(int(v) for v in rows[0])
-        tuples = tuple(tuple(int(v) for v in row) for row in rows[1:])
+        qs = tuple(map(int, rows[0]))
+        tuples = tuple(tuple(map(int, row)) for row in rows[1:])
     except ValueError as exc:
         raise InputError(f"non-integer token in text instance: {exc}") from exc
     for tup in tuples:
         if len(tup) != len(qs):
             raise InputError(f"length line {tup} does not match {len(qs)} channel(s)")
-    return InstanceFile(qs, tuples, None, None)
+    return InstanceFile(qs, tuples, Counter(tuples), None, None)
 
 
 def load_instance(path: str, fmt: str) -> InstanceFile:
@@ -131,19 +180,17 @@ def write_output(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def to_problem_spec(inst: InstanceFile) -> ProblemSpec:
-    """Two-channel packing view of an instance; single-channel files get a
-    dummy unused second channel (the decision does not depend on it)."""
-    _require(
-        len(inst.qs) <= 2,
-        f"packing commands support at most 2 channels, file has {len(inst.qs)}",
-    )
+def to_problem_spec(qs: tuple[int, ...], lengths: Iterable[Sequence[int]]) -> ProblemSpec:
+    """Two-channel packing view of codeword lengths over the arities qs, in the
+    order given; single-channel lengths (l,) get a dummy unused second channel,
+    (l, 0) (the decision does not depend on it)."""
+    _require(len(qs) <= 2, f"packing commands support at most 2 channels, file has {len(qs)}")
     try:
-        if len(inst.qs) == 1:
-            return ProblemSpec(
-                Arities(inst.qs[0], 2), tuple((t[0], 0) for t in inst.lengths)
-            )
-        return ProblemSpec(Arities(*inst.qs), tuple(inst.lengths))  # type: ignore[arg-type]
+        if len(qs) == 1:
+            firsts = [row[0] for row in lengths]
+            padded = {length: (length, 0) for length in set(firsts)}  # one pair per distinct length
+            return ProblemSpec(Arities(qs[0], 2), tuple(map(padded.__getitem__, firsts)))
+        return ProblemSpec(Arities(*qs), tuple(lengths))  # type: ignore[arg-type]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -189,8 +236,21 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
     return (report.avg_length, report.entropy, report.slack)
 
 
+def _load_groups(args: argparse.Namespace) -> tuple[tuple[int, ...], Counter[tuple[int, ...]]]:
+    """Arities and length histogram of the input file, for the commands that
+    need only the multiset.  The rows are freed before anything else is
+    allocated, so no collector pass walks them."""
+    inst = load_instance(args.input, args.format)
+    qs, groups = inst.qs, inst.groups
+    del inst
+    return qs, groups
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
-    spec = to_problem_spec(load_instance(args.input, args.format))
+    qs, groups = _load_groups(args)
+    # The verdict does not depend on order: the spec repeats the histogram's
+    # key tuples rather than copying the rows.
+    spec = to_problem_spec(qs, tuple(groups.elements()))
     _guard_code_space((spec.arities.q1, spec.arities.q2), [spec.l1max, spec.l2max])
     if packer.decide(spec):
         print("EXISTS")
@@ -201,7 +261,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.format)
-    spec = to_problem_spec(inst)
+    spec = to_problem_spec(inst.qs, inst.lengths)
     _guard_construct_size(spec)
     locations = packer.construct(spec)
     payload: dict = {"decision": locations is not None}
@@ -209,7 +269,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         # for a single-channel file the padded channel-2 words are all empty
         book = codes.solution_to_codebook(spec, locations)
         payload["codebook"] = [{"c1": word.c1, "c2": word.c2} for word in book]
-    frac = codes.kraft_sum(inst.qs, inst.lengths)
+    frac = codes.kraft_sum(inst.qs, inst.groups)
     payload["kraft"] = f"{frac.numerator}/{frac.denominator}"
     triple = _entropy_triple(inst)
     if triple is not None:
@@ -224,10 +284,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_kraft(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.format)
-    # maxima over the distinct tuples: cheaper than transposing every codeword
-    _guard_code_space(inst.qs, [max(column) for column in zip(*set(inst.lengths))])
-    frac = codes.kraft_sum(inst.qs, inst.lengths)  # its ValueError exits 2 through main
+    qs, groups = _load_groups(args)
+    _guard_code_space(qs, [max(column) for column in zip(*groups)])
+    frac = codes.kraft_sum(qs, groups)  # its ValueError exits 2 through main
     verdict = "SATISFIED" if frac <= 1 else "VIOLATED"
     print(f"{frac.numerator}/{frac.denominator} {verdict}")
     return EXIT_EXISTS
@@ -326,7 +385,8 @@ def render_svg(spec: ProblemSpec, locations: packer.Locations) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    spec = to_problem_spec(load_instance(args.input, args.format))
+    inst = load_instance(args.input, args.format)
+    spec = to_problem_spec(inst.qs, inst.lengths)
     _guard_construct_size(spec)
     locations = packer.construct(spec)
     if locations is None:

@@ -73,10 +73,14 @@ def _validate_channels(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> N
                 raise ValueError(f"codeword lengths must be >= 0, got {li}")
 
 
-def kraft_sum(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> Fraction:
+def kraft_sum(
+    qs: Sequence[int], lengths: Sequence[Sequence[int]] | Counter[tuple[int, ...]]
+) -> Fraction:
     """Exact sum over codewords of the product of q_i**(-l_i), any channel count, as
-    one numerator over the product of q_i**lmax_i with equal tuples counted once."""
-    groups = Counter(map(tuple, lengths))
+    one numerator over the product of q_i**lmax_i with equal tuples counted once.
+
+    lengths is the codewords' length tuples, or their histogram as a Counter."""
+    groups = lengths if isinstance(lengths, Counter) else Counter(map(tuple, lengths))
     _validate_channels(qs, groups)
     lmax = [max(column) for column in zip(*groups)]
     numerator = sum(

@@ -1,3 +1,5 @@
+import gc
+import importlib
 import itertools
 import json
 import os
@@ -6,9 +8,11 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefixpack import cli
 from prefixpack.codes import Codeword, verify_codebook
@@ -399,6 +403,12 @@ class TestSchemaValidation:
             {"q": [2, 2], "lengths": ["12"]},
             {"q": [2, 2], "lengths": [{}]},
             {"q": [2, 2], "lengths": [None]},
+            # each of these could hide in a Counter key equal to an int pair
+            {"q": [2, 2], "lengths": [[1, 0], [True, 0]]},
+            {"q": [2, 2], "lengths": [[1, 2], [1.0, 2]]},
+            {"q": [2, 2], "lengths": [[0, 1], "ab"]},
+            {"q": [2, 2], "lengths": [[0, 1], {"a": 1, "b": 2}]},
+            {"q": [2, 2], "lengths": [[1, 0], [1, None]]},
             pytest.param(NESTED_JSON, id="nested-5000"),
         ],
     )
@@ -409,6 +419,14 @@ class TestSchemaValidation:
         for argv in (["decide"], ["kraft"], ["construct"], ["entropy"], ["render", *svg]):
             assert cli.main(argv + ["--input", str(path)]) == 2
         assert not (tmp_path / "out.svg").exists()
+
+    def test_first_bad_entry_in_file_order(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[0, 1], [1, 0, 0], [True, 0]]})
+        for cmd in ("decide", "kraft", "construct", "entropy"):
+            assert cli.main([cmd, "--input", path]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: length entry [1, 0, 0] does not match 2 channel(s)\n"
 
     def test_nested_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
@@ -464,3 +482,123 @@ class TestSchemaValidation:
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[60, 60], [1, 0], [0, 1]]})
         assert cli.main(["decide", "--input", path]) == 1
         assert capsys.readouterr().out.strip() == "NOT-EXISTS"
+
+
+def reference_rows(lengths, channels):
+    """The per-entry validation loop, kept as the parser's reference."""
+    tuples = []
+    for entry in lengths:
+        if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
+            raise cli.InputError(f"length entry {entry!r} must be an array of integers")
+        if len(entry) != channels:
+            raise cli.InputError(f"length entry {entry!r} does not match {channels} channel(s)")
+        tuples.append(tuple(entry))
+    return tuples
+
+
+_lengths = st.integers(-1, 3)
+# JSON values that are not integers, several equal to one as Counter keys
+_not_ints = st.one_of(
+    st.booleans(),
+    _lengths.map(float),
+    st.text(max_size=2),
+    st.none(),
+    st.dictionaries(st.text(max_size=1), _lengths, max_size=2),
+    st.lists(_lengths, max_size=2),
+)
+
+
+@st.composite
+def instance_payloads(draw):
+    channels = draw(st.integers(1, 3))
+    good = st.lists(_lengths, min_size=channels, max_size=channels)
+    row = st.one_of(
+        good,
+        good,
+        st.lists(st.one_of(_lengths, _not_ints), min_size=channels, max_size=channels),
+        st.lists(_lengths, max_size=channels + 1),
+        _not_ints,
+    )
+    return channels, draw(st.one_of(st.lists(good, max_size=8), st.lists(row, max_size=8)))
+
+
+class TestParseDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(instance_payloads())
+    def test_matches_per_entry_reference(self, payload):
+        channels, lengths = payload
+        text = json.dumps({"q": [2] * channels, "lengths": lengths})
+        rows = json.loads(text)["lengths"]  # floats and nesting as the parser sees them
+        try:
+            expected = reference_rows(rows, channels)
+        except cli.InputError as exc:
+            with pytest.raises(cli.InputError) as got:
+                cli.parse_instance_json(text)
+            assert str(got.value) == str(exc)
+            return
+        inst = cli.parse_instance_json(text)
+        assert inst.lengths == rows
+        assert inst.groups == Counter(expected)
+        assert all(type(v) is int for key in inst.groups for v in key)
+
+    def test_text_and_json_give_one_histogram(self, tmp_path, capsys):
+        lengths = caterpillar(random.Random(3), 300, window=300)
+        for extra in ([], [[1, 0]]):  # EXISTS, then a Kraft excess
+            rows = [list(p) for p in lengths] + extra
+            json_path = write_json(tmp_path, {"q": [2, 3], "lengths": rows})
+            text_path = tmp_path / "inst.txt"
+            text_path.write_text("2 3\n" + "".join(f"{a} {b}\n" for a, b in rows), encoding="utf-8")
+            assert cli.load_instance(json_path, "json").groups == cli.load_instance(str(text_path), "text").groups
+            for cmd in ("decide", "kraft"):
+                code_json = cli.main([cmd, "--input", json_path])
+                out_json = capsys.readouterr().out
+                assert cli.main([cmd, "--input", str(text_path), "--format", "text"]) == code_json
+                assert capsys.readouterr().out == out_json
+
+
+class TestParseFootprint:
+    @pytest.mark.parametrize("cmd", ["decide", "kraft"])
+    def test_histogram_commands_peak_small(self, tmp_path, capsys, cmd):
+        # 100k codewords: the loaded lists, their histogram and the spec's
+        # shared key tuples, but no tuple per codeword beside the lists
+        lengths = caterpillar(random.Random(9), 100_000, window=100_000)
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
+        tracemalloc.start()
+        try:
+            assert cli.main([cmd, "--input", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == ("EXISTS\n" if cmd == "decide" else "1/1 SATISFIED\n")
+        assert peak < 14 << 20
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "payload", [COUNTEREXAMPLE, {"q": [2, 2], "lengths": [[1, 0], [True, 0]]}], ids=["valid", "rejected"]
+    )
+    def test_collector_state_restored(self, tmp_path, capsys, enabled, payload):
+        path = write_json(tmp_path, payload)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            for cmd in ("decide", "kraft", "construct"):
+                cli.main([cmd, "--input", path])
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+
+class TestBenchmarkCorpus:
+    """CLI answers on every instance the benchmark generates, checked against
+    the verdict and Kraft string known when the instance was made."""
+
+    @pytest.mark.parametrize("workload", ["wide", "deep-slack"])
+    def test_decide_and_kraft_match_certificates(self, tmp_path, capsys, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
+        corpus, checks = importlib.import_module("corpus"), importlib.import_module("checks")
+        for inst in corpus.corpus(workload, 1):
+            path = str(inst.write(tmp_path))
+            expected = (0, "EXISTS\n") if inst.exists else (1, "NOT-EXISTS\n")
+            assert (cli.main(["decide", "--input", path]), capsys.readouterr().out) == expected, inst.name
+            kraft = checks.kraft_line(checks.kraft_string(inst.q, inst.lengths))
+            assert (cli.main(["kraft", "--input", path]), capsys.readouterr().out) == (0, kraft), inst.name
