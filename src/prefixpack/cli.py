@@ -259,11 +259,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_NOT_EXISTS
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def _load_and_construct(
+    args: argparse.Namespace,
+) -> tuple[InstanceFile, ProblemSpec, packer.Locations | None]:
+    """The input file, its spec and construct's packing of it, for construct and render."""
     inst = load_instance(args.input, args.format)
     spec = to_problem_spec(inst.qs, inst.lengths)
     _guard_construct_size(spec)
-    locations = packer.construct(spec)
+    return inst, spec, packer.construct(spec)
+
+
+def cmd_construct(args: argparse.Namespace) -> int:
+    inst, spec, locations = _load_and_construct(args)
     payload: dict = {"decision": locations is not None}
     if locations is not None:
         # for a single-channel file the padded channel-2 words are all empty
@@ -336,33 +343,23 @@ def render_svg(spec: ProblemSpec, locations: packer.Locations) -> str:
         f'<rect class="container" x="0" y="0" width="{cw:.2f}" height="{ch:.2f}" '
         'fill="white" stroke="black"/>',
     ]
-    # Grid lines at q-power boundaries, finest level capped to keep files sane.
+    # Grid lines at q-power boundaries, vertical then horizontal, coarse levels
+    # first, finest level capped to keep files sane.  Each level draws only the
+    # lines off the coarser level's (t % q != 0), so every line appears once.
     max_lines = 64
-    drawn: set[tuple[str, int]] = set()
-    for k in range(l1max, -1, -1):
-        step = q.q1**k
-        if width // step > max_lines:
-            break
-        for t in range(1, width // step):
-            x = t * step
-            if ("v", x) not in drawn:
-                drawn.add(("v", x))
-                parts.append(
-                    f'<line class="grid" x1="{fx(x):.2f}" y1="0" x2="{fx(x):.2f}" '
-                    f'y2="{ch:.2f}" stroke="#cccccc" stroke-width="0.5"/>'
-                )
-    for k in range(l2max, -1, -1):
-        step = q.q2**k
-        if height // step > max_lines:
-            break
-        for t in range(1, height // step):
-            y = t * step
-            if ("h", y) not in drawn:
-                drawn.add(("h", y))
-                parts.append(
-                    f'<line class="grid" x1="0" y1="{ch - fy(y):.2f}" x2="{cw:.2f}" '
-                    f'y2="{ch - fy(y):.2f}" stroke="#cccccc" stroke-width="0.5"/>'
-                )
+    for qa, lmax, extent, ends in (
+        (q.q1, l1max, width, lambda x: f'x1="{fx(x):.2f}" y1="0" x2="{fx(x):.2f}" y2="{ch:.2f}"'),
+        (q.q2, l2max, height, lambda y: f'x1="0" y1="{ch - fy(y):.2f}" x2="{cw:.2f}" y2="{ch - fy(y):.2f}"'),
+    ):
+        for k in range(lmax, -1, -1):
+            step = qa**k
+            if extent // step > max_lines:
+                break
+            parts += (
+                f'<line class="grid" {ends(t * step)} stroke="#cccccc" stroke-width="0.5"/>'
+                for t in range(1, extent // step)
+                if t % qa
+            )
     palette = ("#e66a6a", "#6a8fe6", "#6ce08b", "#e0c76c", "#b96ce0", "#6cd8e0")
     for idx, ((x, y), (l1, l2), word) in enumerate(zip(locations, spec.lengths, book)):
         w = q.q1 ** (l1max - l1)
@@ -385,10 +382,7 @@ def render_svg(spec: ProblemSpec, locations: packer.Locations) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    inst = load_instance(args.input, args.format)
-    spec = to_problem_spec(inst.qs, inst.lengths)
-    _guard_construct_size(spec)
-    locations = packer.construct(spec)
+    _, spec, locations = _load_and_construct(args)
     if locations is None:
         print("NOT-EXISTS")
         return EXIT_NOT_EXISTS
@@ -501,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OverflowError) as exc:  # OverflowError: a number too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .model import Block, ProblemSpec, Region, Size, reg
+from .model import ProblemSpec, Region, Size, reg
 
 # One character per digit keeps prefix relations plain string prefixes.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -57,7 +57,7 @@ class EntropyReport(NamedTuple):
 
 
 class CanonicalInstance(NamedTuple):
-    blocks: tuple[Block, ...]
+    blocks: tuple[Size, ...]
     container: Region
 
 
@@ -88,10 +88,6 @@ def kraft_sum(
         for tup, n in groups.items()
     )
     return Fraction(numerator, math.prod(qi**top for qi, top in zip(qs, lmax)))
-
-
-def kraft_ok(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> bool:
-    return kraft_sum(qs, lengths) <= 1
 
 
 def entropy_bound(
@@ -125,19 +121,17 @@ def entropy_bound(
 
 
 def lengths_to_instance(spec: ProblemSpec) -> CanonicalInstance:
-    """Blocks and the single enclosing container for a length multiset.
+    """Block sizes, one per codeword in the spec's order, and the single
+    enclosing container for a length multiset.
 
     A codeword of length (l1, l2) covers q1**(l1max-l1) * q2**(l2max-l2)
-    leaf pairs of the two prefix trees, hence a block of exactly that size;
+    leaf pairs of the two prefix trees, hence a block of exactly that Size;
     all blocks go into the container spanning every leaf pair.  A channel
     unused by all codewords degenerates to dimension 1.
     """
     q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
-    blocks = tuple(
-        Block(Size(q.q1 ** (l1max - l1), q.q2 ** (l2max - l2)))
-        for l1, l2 in spec.lengths
-    )
+    blocks = tuple(Size(q.q1 ** (l1max - l1), q.q2 ** (l2max - l2)) for l1, l2 in spec.lengths)
     container = reg(0, 0, q.q1**l1max, q.q2**l2max)
     return CanonicalInstance(blocks, container)
 

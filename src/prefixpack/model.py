@@ -1,10 +1,15 @@
-"""Core value types: arities, sizes, regions, blocks, problem instances, orderings.
+"""Core value types: arities, sizes, regions, problem instances, and the two orders on sizes.
 
 All values are immutable after construction and every operation here is a pure
 function, so everything in this module is safe to share across threads.
 Coordinates and dimensions are plain Python ints: container widths reach
 q1**l1max, which overflows fixed-width integers for quite modest inputs
 (q=10, l=30 already needs 100 bits).
+
+A block, a rectangle of regular size that still awaits a location, is its
+Size.  Blocks are packed largest first under the total order total_key; the
+partial order covers (componentwise domination) agrees with it, which makes
+that processing order sound.
 """
 
 from __future__ import annotations
@@ -88,13 +93,6 @@ def reg(x: int, y: int, w: int, h: int) -> Region:
 
 
 @dataclass(frozen=True)
-class Block:
-    """A rectangle of regular size that still awaits a location."""
-
-    size: Size
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """Decision-procedure input: arities plus a multiset of codeword lengths.
 
@@ -140,34 +138,9 @@ def total_key(s: Size) -> tuple[int, int, int]:
     return (max(s.w, s.h), s.w, s.h)
 
 
-def cmp_total(s1: Size, s2: Size) -> int:
-    """Total-order comparison of sizes: +1 greater, -1 less, 0 equal."""
-    k1, k2 = total_key(s1), total_key(s2)
-    if k1 > k2:
-        return 1
-    if k1 < k2:
-        return -1
-    return 0
-
-
 def covers(s1: Size, s2: Size) -> bool:
     """True when s1 dominates s2 componentwise (width and height both >=)."""
     return s1.w >= s2.w and s1.h >= s2.h
-
-
-def cmp_partial(s1: Size, s2: Size) -> str:
-    """Componentwise partial-order comparison.
-
-    Returns one of "succeeds", "precedes", "equal", "incomparable".
-    Whenever s1 succeeds s2, the total order agrees that s1 is greater.
-    """
-    if s1 == s2:
-        return "equal"
-    if covers(s1, s2):
-        return "succeeds"
-    if covers(s2, s1):
-        return "precedes"
-    return "incomparable"
 
 
 def is_regular(s: Size, q: Arities) -> bool:
@@ -180,12 +153,10 @@ def is_aligned(r: Region) -> bool:
     return r.x % r.w == 0 and r.y % r.h == 0
 
 
-def sort_blocks_desc(blocks: Iterable[Block]) -> list[Block]:
+def sort_blocks_desc(blocks: Iterable[Size]) -> list[Size]:
     """Stable descending sort under the total order; equal sizes keep input order."""
-    return sorted(blocks, key=lambda b: total_key(b.size), reverse=True)
+    return sorted(blocks, key=total_key, reverse=True)
 
 
-def is_sorted_desc(blocks: Sequence[Block]) -> bool:
-    return all(
-        cmp_total(blocks[i].size, blocks[i + 1].size) >= 0 for i in range(len(blocks) - 1)
-    )
+def is_sorted_desc(blocks: Sequence[Size]) -> bool:
+    return all(total_key(a) >= total_key(b) for a, b in zip(blocks, blocks[1:]))

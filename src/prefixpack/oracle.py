@@ -16,16 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .model import (
-    Arities,
-    Block,
-    ProblemSpec,
-    Region,
-    Size,
-    ilog_exact,
-    reg,
-    total_key,
-)
+from .model import Arities, ProblemSpec, Region, Size, ilog_exact, reg, total_key
 from .geometry import overlap
 
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
@@ -51,11 +42,12 @@ def _ceil_to(value: int, step: int) -> int:
 
 
 def brute_decide(
-    blocks: Sequence[Block],
+    blocks: Sequence[Size],
     containers: Sequence[Region],
     limits: OracleLimits = OracleLimits(),
 ) -> BruteOutcome:
-    """Exhaustive backtracking over all aligned placements; yes/no/budget.
+    """Exhaustive backtracking over all aligned placements of the blocks, given
+    as their sizes, into the containers; yes/no/budget.
 
     Blocks are normalized into descending size order internally, so the
     verdict cannot depend on input order.  Runs of identical sizes only try
@@ -65,14 +57,14 @@ def brute_decide(
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
     for b in blocks:
-        if b.size.w > limits.max_dim or b.size.h > limits.max_dim:
-            raise ValueError(f"block {b.size} exceeds the dimension limit {limits.max_dim}")
+        if b.w > limits.max_dim or b.h > limits.max_dim:
+            raise ValueError(f"block {b} exceeds the dimension limit {limits.max_dim}")
     for c in containers:
         if c.w > limits.max_dim or c.h > limits.max_dim:
             raise ValueError(f"container {c} exceeds the dimension limit {limits.max_dim}")
 
-    order = sorted(blocks, key=lambda b: total_key(b.size), reverse=True)
-    if sum(b.size.area for b in order) > sum(c.area for c in containers):
+    order = sorted(blocks, key=total_key, reverse=True)
+    if sum(b.area for b in order) > sum(c.area for c in containers):
         return "no"
 
     def candidates(s: Size) -> list[tuple[int, int]]:
@@ -87,7 +79,7 @@ def brute_decide(
                 x += s.w
         return out
 
-    spots = {s: candidates(s) for s in {b.size for b in order}}
+    spots = {s: candidates(s) for s in set(order)}
     placed: list[Region] = []
     nodes = 0
 
@@ -98,8 +90,8 @@ def brute_decide(
         nodes += 1
         if nodes > limits.max_nodes:
             raise BudgetExceeded
-        s = order[k].size
-        repeat = k > 0 and order[k - 1].size == s
+        s = order[k]
+        repeat = k > 0 and order[k - 1] == s
         for x, y in spots[s]:
             if repeat and (x, y) <= (placed[-1].x, placed[-1].y):
                 continue

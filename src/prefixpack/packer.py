@@ -24,17 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .geometry import corner_cut_regions, cut_sigma, overlap
-from .model import (
-    Arities,
-    Block,
-    ProblemSpec,
-    Region,
-    Size,
-    covers,
-    is_regular,
-    is_sorted_desc,
-    total_key,
-)
+from .model import Arities, ProblemSpec, Region, Size, covers, is_regular, is_sorted_desc, total_key
 
 
 # A packing: one (x, y) origin per block, in block order.
@@ -51,10 +41,10 @@ def _validate_containers(containers: Sequence[Region]) -> None:
 
 
 def solve_naive(
-    blocks: Sequence[Block], containers: Sequence[Region], q: Arities
+    blocks: Sequence[Size], containers: Sequence[Region], q: Arities
 ) -> Locations | None:
-    """Greedy packer: the origin of each block, in the given order, or None
-    when no packing exists.
+    """Greedy packer: the origin of each block, given as its size, in the
+    given order, or None when no packing exists.
 
     Expects blocks pre-sorted descending under the total order (rejected
     otherwise, as are overlapping containers and non-regular block sizes).
@@ -64,8 +54,8 @@ def solve_naive(
     if not is_sorted_desc(blocks):
         raise ValueError("blocks must be sorted descending under the total order")
     for b in blocks:
-        if not is_regular(b.size, q):
-            raise ValueError(f"block size [{b.size.w}, {b.size.h}] is not regular")
+        if not is_regular(b, q):
+            raise ValueError(f"block size [{b.w}, {b.h}] is not regular")
     _validate_containers(containers)
 
     n = len(blocks)
@@ -73,11 +63,11 @@ def solve_naive(
         return ()
     # Suffix componentwise maxima: s*[i] bounds every block from i on.
     smax: list[Size] = [Size(1, 1)] * n
-    w, h = blocks[n - 1].size.w, blocks[n - 1].size.h
+    w, h = blocks[n - 1].w, blocks[n - 1].h
     smax[n - 1] = Size(w, h)
     for i in range(n - 2, -1, -1):
-        w = max(w, blocks[i].size.w)
-        h = max(h, blocks[i].size.h)
+        w = max(w, blocks[i].w)
+        h = max(h, blocks[i].h)
         smax[i] = Size(w, h)
 
     pool: list[Region] = list(containers)
@@ -87,14 +77,14 @@ def solve_naive(
         for r in pool:
             cut_pool.extend(cut_sigma(r, smax[i], q))
         pool = cut_pool
-        adequate = [r for r in pool if covers(r.size, blk.size)]
+        adequate = [r for r in pool if covers(r.size, blk)]
         if not adequate:
             return None
         target = min(adequate, key=lambda r: (total_key(r.size), r.x, r.y))
         locations.append((target.x, target.y))
         pool.remove(target)
-        if target.size != blk.size:
-            pool.extend(corner_cut_regions(target, blk.size, q))
+        if target.size != blk:
+            pool.extend(corner_cut_regions(target, blk, q))
     return tuple(locations)
 
 

@@ -20,7 +20,7 @@ from prefixpack.codes import (
     verify_codebook,
 )
 from prefixpack.geometry import cut_sigma, overlap
-from prefixpack.model import Arities, Block, ProblemSpec, Region, Size, reg, sort_blocks_desc
+from prefixpack.model import Arities, ProblemSpec, Region, Size, reg, sort_blocks_desc
 from prefixpack.oracle import (
     OracleLimits,
     brute_decide,
@@ -101,11 +101,11 @@ def _timed(fn) -> float:
 
 def test_criterion_2_two_container_instance():
     with criterion(2, "2x1 and 1x2 blocks pack into containers {2x2, 2x1}"):
-        blocks = [Block(Size(2, 1)), Block(Size(1, 2))]
+        blocks = [Size(2, 1), Size(1, 2)]
         containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
         sol = solve_naive(blocks, containers, Arities(2, 2))
         assert sol is not None
-        placed = [Region(x, y, b.size) for (x, y), b in zip(sol, blocks)]
+        placed = [Region(x, y, b) for (x, y), b in zip(sol, blocks)]
         assert not overlap(placed[0], placed[1])
 
 

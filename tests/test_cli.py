@@ -410,6 +410,10 @@ class TestSchemaValidation:
             {"q": [2, 2], "lengths": [[0, 1], {"a": 1, "b": 2}]},
             {"q": [2, 2], "lengths": [[1, 0], [1, None]]},
             pytest.param(NESTED_JSON, id="nested-5000"),
+            # numbers too large for a float
+            {"q": [2, 2], "lengths": [[1, 0]], "probs": [1.0], "D": 10**400},
+            {"q": [2, 2], "lengths": [[1, 0]], "probs": [10**400], "D": 2},
+            {"q": [2], "lengths": [[10**400]], "probs": [1.0], "D": 2},
         ],
     )
     def test_rejected_payloads(self, tmp_path, payload):

@@ -9,7 +9,6 @@ from prefixpack.codes import (
     Codeword,
     SourceDistribution,
     entropy_bound,
-    kraft_ok,
     kraft_sum,
     lengths_to_instance,
     pair_prefix_free,
@@ -47,14 +46,14 @@ def multisets(draw, channels, max_len):
 class TestKraftSum:
     def test_counterexample_is_exactly_one(self):
         assert kraft_sum((2, 2), ((1, 0), (0, 1))) == Fraction(1)
-        assert kraft_ok((2, 2), ((1, 0), (0, 1)))
+        assert kraft_sum((2, 2), ((1, 0), (0, 1))) <= 1
 
     def test_three_channels(self):
         assert kraft_sum((2, 3, 2), ((1, 1, 1),)) == Fraction(1, 12)
 
     def test_single_channel_violation(self):
         assert kraft_sum((2,), ((1,), (1,), (1,))) == Fraction(3, 2)
-        assert not kraft_ok((2,), ((1,), (1,), (1,)))
+        assert not kraft_sum((2,), ((1,), (1,), (1,))) <= 1
 
     def test_empty(self):
         assert kraft_sum((2, 2), ()) == 0
@@ -161,7 +160,7 @@ class TestEntropyBound:
             lengths = tuple(
                 tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(m)
             )
-            if not kraft_ok(qs, lengths):
+            if not kraft_sum(qs, lengths) <= 1:
                 continue
             weights = [rng.random() + 1e-3 for _ in range(m)]
             total = sum(weights)
@@ -173,27 +172,27 @@ class TestEntropyBound:
 class TestLengthsToInstance:
     def test_counterexample_blocks(self):
         inst = lengths_to_instance(ProblemSpec(Q22, ((1, 0), (0, 1))))
-        assert [b.size for b in inst.blocks] == [Size(1, 2), Size(2, 1)]
+        assert inst.blocks == (Size(1, 2), Size(2, 1))
         assert inst.container == reg(0, 0, 2, 2)
 
     def test_degenerate_root(self):
         inst = lengths_to_instance(ProblemSpec(Q22, ((0, 0),)))
-        assert [b.size for b in inst.blocks] == [Size(1, 1)]
+        assert inst.blocks == (Size(1, 1),)
         assert inst.container == reg(0, 0, 1, 1)
 
     def test_mixed_arities(self):
         spec = ProblemSpec(Arities(2, 3), ((1, 1), (2, 0)))
         inst = lengths_to_instance(spec)
-        assert [b.size for b in inst.blocks] == [Size(2, 1), Size(1, 3)]
+        assert inst.blocks == (Size(2, 1), Size(1, 3))
         assert inst.container == reg(0, 0, 4, 3)
         # block-area sum over container area telescopes to the Kraft sum
-        ratio = Fraction(sum(b.size.area for b in inst.blocks), inst.container.area)
+        ratio = Fraction(sum(b.area for b in inst.blocks), inst.container.area)
         assert ratio == kraft_sum((2, 3), spec.lengths)
 
     def test_unused_channel_degenerates(self):
         inst = lengths_to_instance(ProblemSpec(Q22, ((1, 0), (2, 0))))
         assert inst.container.h == 1
-        assert all(b.size.h == 1 for b in inst.blocks)
+        assert all(b.h == 1 for b in inst.blocks)
 
     def test_area_identity_randomized(self, rng):
         for _ in range(300):
@@ -201,8 +200,8 @@ class TestLengthsToInstance:
             m = rng.randint(0, 9)
             lengths = tuple((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(m))
             inst = lengths_to_instance(ProblemSpec(q, lengths))
-            fits = sum(b.size.area for b in inst.blocks) <= inst.container.area
-            assert fits == kraft_ok((q.q1, q.q2), lengths)
+            fits = sum(b.area for b in inst.blocks) <= inst.container.area
+            assert fits == (kraft_sum((q.q1, q.q2), lengths) <= 1)
 
 
 def leaf_span(word: str, base: int, lmax: int) -> tuple[int, int]:

@@ -5,22 +5,26 @@ from hypothesis import given, strategies as st
 
 from prefixpack.model import (
     Arities,
-    Block,
     ProblemSpec,
     Region,
     Size,
-    cmp_partial,
-    cmp_total,
     covers,
     ilog_exact,
     is_aligned,
     is_regular,
+    is_sorted_desc,
     reg,
     sort_blocks_desc,
     total_key,
 )
 
 sizes_64 = st.builds(Size, st.integers(1, 64), st.integers(1, 64))
+
+
+def total_sign(s1: Size, s2: Size) -> int:
+    """Sign of the total-order comparison by total_key: +1 greater, -1 less, 0 equal."""
+    k1, k2 = total_key(s1), total_key(s2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def cmp_by_definition(s1: Size, s2: Size) -> int:
@@ -37,14 +41,14 @@ def cmp_by_definition(s1: Size, s2: Size) -> int:
 
 class TestCmpTotal:
     def test_examples(self):
-        assert cmp_total(Size(8, 8), Size(8, 4)) == 1
-        assert cmp_total(Size(4, 2), Size(2, 8)) == -1
-        assert cmp_total(Size(4, 2), Size(4, 2)) == 0
+        assert total_sign(Size(8, 8), Size(8, 4)) == 1
+        assert total_sign(Size(4, 2), Size(2, 8)) == -1
+        assert total_sign(Size(4, 2), Size(4, 2)) == 0
 
     def test_descending_chain(self):
         chain = [Size(8, 8), Size(8, 4), Size(8, 2), Size(4, 8), Size(2, 8), Size(4, 2)]
         for a, b in zip(chain, chain[1:]):
-            assert cmp_total(a, b) == 1
+            assert total_sign(a, b) == 1
 
     def test_matches_definition_exhaustive_small(self):
         # Full pairwise check at components <= 24; larger components are
@@ -52,10 +56,10 @@ class TestCmpTotal:
         domain = [Size(w, h) for w in range(1, 25) for h in range(1, 25)]
         for s1 in domain:
             for s2 in domain:
-                assert cmp_total(s1, s2) == cmp_by_definition(s1, s2)
+                assert total_sign(s1, s2) == cmp_by_definition(s1, s2)
 
     def test_trichotomy_antisymmetry_via_key_injectivity(self):
-        # cmp_total compares tuple keys, so trichotomy/antisymmetry over all
+        # total_key is a tuple key, so trichotomy/antisymmetry over all
         # pairs with components <= 64 reduce to: distinct sizes never share a
         # key (and tuple comparison supplies transitivity).
         keys = {}
@@ -68,38 +72,36 @@ class TestCmpTotal:
 
     @given(sizes_64, sizes_64, sizes_64)
     def test_transitive(self, a, b, c):
-        if cmp_total(a, b) >= 0 and cmp_total(b, c) >= 0:
-            assert cmp_total(a, c) >= 0
+        if total_sign(a, b) >= 0 and total_sign(b, c) >= 0:
+            assert total_sign(a, c) >= 0
 
     @given(sizes_64, sizes_64)
     def test_matches_definition_sampled(self, s1, s2):
-        assert cmp_total(s1, s2) == cmp_by_definition(s1, s2)
+        assert total_sign(s1, s2) == cmp_by_definition(s1, s2)
 
 
 class TestCmpPartial:
+    """The partial order on sizes: covers, componentwise domination."""
+
     def test_examples(self):
-        assert cmp_partial(Size(8, 8), Size(8, 4)) == "succeeds"
-        assert cmp_partial(Size(8, 2), Size(2, 8)) == "incomparable"
-        assert cmp_partial(Size(2, 2), Size(2, 2)) == "equal"
+        assert covers(Size(8, 8), Size(8, 4))
+        assert not covers(Size(8, 2), Size(2, 8)) and not covers(Size(2, 8), Size(8, 2))
+        assert covers(Size(2, 2), Size(2, 2))
 
     def test_precedes(self):
-        assert cmp_partial(Size(2, 2), Size(4, 2)) == "precedes"
+        assert not covers(Size(2, 2), Size(4, 2)) and covers(Size(4, 2), Size(2, 2))
 
     def test_succeeds_implies_total_greater_exhaustive_small(self):
         domain = [Size(w, h) for w in range(1, 25) for h in range(1, 25)]
         for s1 in domain:
             for s2 in domain:
-                if cmp_partial(s1, s2) == "succeeds":
-                    assert cmp_total(s1, s2) == 1
+                if covers(s1, s2) and s1 != s2:
+                    assert total_sign(s1, s2) == 1
 
     @given(sizes_64, sizes_64)
     def test_succeeds_implies_total_greater_sampled(self, s1, s2):
-        if cmp_partial(s1, s2) == "succeeds":
-            assert cmp_total(s1, s2) == 1
-
-    @given(sizes_64, sizes_64)
-    def test_consistent_with_covers(self, s1, s2):
-        assert covers(s1, s2) == (cmp_partial(s1, s2) in ("succeeds", "equal"))
+        if covers(s1, s2) and s1 != s2:
+            assert total_sign(s1, s2) == 1
 
 
 class TestPredicates:
@@ -127,34 +129,35 @@ class TestPredicates:
     def test_comparisons_use_raw_values_across_arities(self):
         # Widths are q1-powers and heights q2-powers, but the ordering uses the
         # plain integers: [9, x] beats [8, y] on the longer side.
-        assert cmp_total(Size(9, 1), Size(8, 8)) == 1
+        assert total_sign(Size(9, 1), Size(8, 8)) == 1
 
 
 class TestSorting:
     def test_example_sort(self):
-        blocks = [Block(Size(4, 2)), Block(Size(8, 8)), Block(Size(2, 8))]
-        ordered = sort_blocks_desc(blocks)
-        assert [b.size for b in ordered] == [Size(8, 8), Size(2, 8), Size(4, 2)]
+        ordered = sort_blocks_desc([Size(4, 2), Size(8, 8), Size(2, 8)])
+        assert ordered == [Size(8, 8), Size(2, 8), Size(4, 2)]
 
     def test_empty(self):
         assert sort_blocks_desc([]) == []
 
     def test_tie_on_max_width_breaks(self):
-        ordered = sort_blocks_desc([Block(Size(2, 1)), Block(Size(1, 2))])
-        assert [b.size for b in ordered] == [Size(2, 1), Size(1, 2)]
+        ordered = sort_blocks_desc([Size(2, 1), Size(1, 2)])
+        assert ordered == [Size(2, 1), Size(1, 2)]
 
     def test_stable_for_equal_sizes(self):
-        a, b, c = Block(Size(2, 2)), Block(Size(2, 2)), Block(Size(4, 4))
+        a, b, c = Size(2, 2), Size(2, 2), Size(4, 4)
+        assert a is not b
         ordered = sort_blocks_desc([a, b, c])
         assert ordered == [c, a, b]
         assert ordered[1] is a and ordered[2] is b
 
-    @given(st.lists(st.builds(Block, sizes_64)))
+    @given(st.lists(sizes_64))
     def test_sort_is_permutation_and_descending(self, blocks):
         ordered = sort_blocks_desc(blocks)
         assert sorted(map(id, ordered)) == sorted(map(id, blocks))
+        assert is_sorted_desc(ordered)
         for x, y in zip(ordered, ordered[1:]):
-            assert cmp_total(x.size, y.size) >= 0
+            assert cmp_by_definition(x, y) >= 0
 
 
 class TestValueTypes:

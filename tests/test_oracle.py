@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from prefixpack.model import Arities, Block, Size, reg
+from prefixpack.model import Arities, Size, reg
 from prefixpack.oracle import (
     BudgetExceeded,
     OracleLimits,
@@ -19,11 +19,11 @@ Q22 = Arities(2, 2)
 
 class TestBruteDecide:
     def test_counterexample(self):
-        blocks = [Block(Size(1, 2)), Block(Size(2, 1))]
+        blocks = [Size(1, 2), Size(2, 1)]
         assert brute_decide(blocks, [reg(0, 0, 2, 2)]) == "no"
 
     def test_two_containers(self):
-        blocks = [Block(Size(2, 1)), Block(Size(1, 2))]
+        blocks = [Size(2, 1), Size(1, 2)]
         containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
         assert brute_decide(blocks, containers) == "yes"
 
@@ -32,19 +32,19 @@ class TestBruteDecide:
         assert brute_decide([], []) == "yes"
 
     def test_area_shortfall_is_no(self):
-        assert brute_decide([Block(Size(4, 4))], [reg(0, 0, 2, 2)]) == "no"
+        assert brute_decide([Size(4, 4)], [reg(0, 0, 2, 2)]) == "no"
 
     def test_budget_exceeded_reported(self):
-        blocks = [Block(Size(1, 1))] * 9
+        blocks = [Size(1, 1)] * 9
         containers = [reg(0, 0, 4, 4)]
         tight = OracleLimits(max_m=16, max_dim=64, max_nodes=3)
         assert brute_decide(blocks, containers, tight) == "budget_exceeded"
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
-            brute_decide([Block(Size(1, 1))] * 3, [], OracleLimits(max_m=2))
+            brute_decide([Size(1, 1)] * 3, [], OracleLimits(max_m=2))
         with pytest.raises(ValueError):
-            brute_decide([Block(Size(128, 1))], [], OracleLimits(max_dim=64))
+            brute_decide([Size(128, 1)], [], OracleLimits(max_dim=64))
         with pytest.raises(ValueError):
             OracleLimits(max_m=0)
 
@@ -53,7 +53,7 @@ class TestBruteDecide:
             q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
             m = rng.randint(1, 5)
             blocks = [
-                Block(Size(q.q1 ** rng.randint(0, 2), q.q2 ** rng.randint(0, 2)))
+                Size(q.q1 ** rng.randint(0, 2), q.q2 ** rng.randint(0, 2))
                 for _ in range(m)
             ]
             containers = [reg(0, 0, q.q1**2, q.q2**2)]
@@ -65,7 +65,7 @@ class TestBruteDecide:
     def test_alignment_constraint_enforced(self):
         # two 2x1 blocks in a 4x1 strip offset by 1: only x=2 is aligned,
         # so the second block cannot be placed
-        blocks = [Block(Size(2, 1)), Block(Size(2, 1))]
+        blocks = [Size(2, 1), Size(2, 1)]
         assert brute_decide(blocks, [reg(1, 0, 4, 1)]) == "no"
         assert brute_decide(blocks, [reg(0, 0, 4, 1)]) == "yes"
 

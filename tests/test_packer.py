@@ -7,7 +7,6 @@ from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codeboo
 from prefixpack.geometry import contains, overlap
 from prefixpack.model import (
     Arities,
-    Block,
     ProblemSpec,
     Region,
     Size,
@@ -31,8 +30,7 @@ def assert_solution_valid(blocks, containers, locations) -> None:
     """The three constraints a packing, one (x, y) per block, must satisfy."""
     assert len(locations) == len(blocks)
     placed = []
-    for (x, y), block in zip(locations, blocks):
-        size = block.size
+    for (x, y), size in zip(locations, blocks):
         assert x % size.w == 0 and y % size.h == 0, f"({x}, {y}) misaligned for {size}"
         placed.append(Region(x, y, size))
     for a, b in itertools.combinations(placed, 2):
@@ -43,11 +41,11 @@ def assert_solution_valid(blocks, containers, locations) -> None:
 
 class TestSolveNaive:
     def test_counterexample_has_no_packing(self):
-        blocks = sort_blocks_desc([Block(Size(2, 1)), Block(Size(1, 2))])
+        blocks = sort_blocks_desc([Size(2, 1), Size(1, 2)])
         assert solve_naive(blocks, [reg(0, 0, 2, 2)], Q22) is None
 
     def test_two_container_instance_packs(self):
-        blocks = [Block(Size(2, 1)), Block(Size(1, 2))]
+        blocks = [Size(2, 1), Size(1, 2)]
         containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
         sol = solve_naive(blocks, containers, Q22)
         assert sol == ((0, 2), (0, 0))
@@ -60,7 +58,7 @@ class TestSolveNaive:
 
     def test_rejects_unsorted_blocks(self):
         with pytest.raises(ValueError):
-            solve_naive([Block(Size(1, 2)), Block(Size(2, 1))], [reg(0, 0, 2, 2)], Q22)
+            solve_naive([Size(1, 2), Size(2, 1)], [reg(0, 0, 2, 2)], Q22)
 
     def test_rejects_overlapping_containers(self):
         with pytest.raises(ValueError):
@@ -68,7 +66,7 @@ class TestSolveNaive:
 
     def test_rejects_irregular_block(self):
         with pytest.raises(ValueError):
-            solve_naive([Block(Size(3, 1))], [reg(0, 0, 4, 4)], Q22)
+            solve_naive([Size(3, 1)], [reg(0, 0, 4, 4)], Q22)
 
     def test_outputs_always_satisfy_constraints(self, rng):
         for _ in range(300):
@@ -311,7 +309,7 @@ class TestContainerBank:
         packed = 0
         inst = lengths_to_instance(spec)
         for block in sort_blocks_desc(inst.blocks):
-            w, h = block.size.w, block.size.h
+            w, h = block.w, block.h
             import math
 
             i = round(math.log(w, q.q1))
