@@ -7,9 +7,9 @@ q1**l1max, which overflows fixed-width integers for quite modest inputs
 (q=10, l=30 already needs 100 bits).
 
 A block, a rectangle of regular size that still awaits a location, is its
-Size.  Blocks are packed largest first under the total order total_key; the
-partial order covers (componentwise domination) agrees with it, which makes
-that processing order sound.
+Size.  Blocks are packed largest first under the total order total_key.  A
+size that covers another (the componentwise partial order) comes first in
+that order, which makes the processing order sound.
 """
 
 from __future__ import annotations
