@@ -5,14 +5,20 @@ write, on small instances that cover each output path.
 The expected values were recorded from the CLI before the block and order
 helpers of the reference layer were removed; any change to them is a change
 to the CLI's byte-identical output contract.
+
+A second pin covers ``packer.construct``'s placements on a few hundred slack
+codes.  Any valid packing passes the codebook checks, so only a pin on the
+locations themselves catches a change in which container a block is given.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from prefixpack import cli
+from prefixpack import cli, packer
+from prefixpack.model import Arities, ProblemSpec
 
 INSTANCES = {
     "counterexample": {"q": [2, 2], "lengths": [[1, 0], [0, 1]]},
@@ -134,3 +140,36 @@ def run_commands(tmp_path, capsys, payload):
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_cli_outputs_match_golden(tmp_path, capsys, name):
     assert run_commands(tmp_path, capsys, INSTANCES[name]) == EXPECTED[name]
+
+
+def slack_codes(seed: int, count: int) -> list[ProblemSpec]:
+    """Codes over q in {2,3}^2 grown from the root by splitting random leaves
+    (lengths at most 8), with about a quarter of the codewords then dropped
+    and the rest shuffled."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        q = (rng.choice((2, 3)), rng.choice((2, 3)))
+        leaves = [(0, 0)]
+        for _ in range(rng.randint(1, 14)):
+            leaf = leaves.pop(rng.randrange(len(leaves)))
+            axis = rng.randrange(2) if max(leaf) < 8 else int(leaf[0] == 8)
+            if leaf[axis] == 8:
+                leaves.append(leaf)
+                continue
+            child = (leaf[0] + 1, leaf[1]) if axis == 0 else (leaf[0], leaf[1] + 1)
+            leaves += [child] * q[axis]
+        kept = [leaf for leaf in leaves if rng.random() < 0.75]
+        rng.shuffle(kept)
+        specs.append(ProblemSpec(Arities(*q), tuple(kept)))
+    return specs
+
+
+# sha256 of construct's locations (as JSON) on slack_codes(0x5EED, 300)
+CONSTRUCT_LOCATIONS_SHA256 = "b1e283576d53bc740adc7f4b505c0785cce3ffbc924b8b11f90b0213d14a1a1e"
+
+
+def test_construct_locations_match_golden():
+    locations = [packer.construct(spec) for spec in slack_codes(0x5EED, 300)]
+    digest = hashlib.sha256(json.dumps(locations).encode()).hexdigest()
+    assert digest == CONSTRUCT_LOCATIONS_SHA256
