@@ -64,6 +64,11 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _digit_limit_error(what: str) -> InputError:
+    limit = sys.get_int_max_str_digits()
+    return InputError(f"{what} is past Python's {limit:,}-digit limit for reading an integer from text")
+
+
 def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     """The rule for a "lengths" entry, applied entry by entry in file order.
 
@@ -106,6 +111,8 @@ def _parse_instance_json(text: str) -> InstanceFile:
         raise InputError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError("invalid JSON: arrays or objects nested too deep") from exc
+    except ValueError as exc:  # json.loads raises no other plain ValueError
+        raise _digit_limit_error("an integer in the JSON file") from exc
     _require(isinstance(raw, dict), "instance file must be a JSON object")
     _require("q" in raw, 'missing "q" field')
     _require("lengths" in raw, 'missing "lengths" field')
@@ -136,11 +143,17 @@ def _parse_instance_json(text: str) -> InstanceFile:
             len(raw["probs"]) == len(lengths),
             '"probs" must have one entry per codeword length',
         )
-        probs = tuple(map(float, raw["probs"]))
+        try:
+            probs = tuple(map(float, raw["probs"]))
+        except OverflowError as exc:
+            raise InputError('a "probs" entry is too large for a float') from exc
     base = None
     if "D" in raw and raw["D"] is not None:
         _require(type(raw["D"]) in (int, float), '"D" must be a number')
-        base = float(raw["D"])
+        try:
+            base = float(raw["D"])
+        except OverflowError as exc:
+            raise InputError('"D" is too large for a float') from exc
     return InstanceFile(tuple(qs), lengths, groups, probs, base)
 
 
@@ -156,6 +169,11 @@ def parse_instance_text(text: str) -> InstanceFile:
         qs = tuple(map(int, rows[0]))
         tuples = tuple(tuple(map(int, row)) for row in rows[1:])
     except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        for n, row in enumerate(rows):
+            for token in row:
+                if limit and len(token) > limit and token.lstrip("+-").replace("_", "").isdecimal():
+                    raise _digit_limit_error("an arity" if n == 0 else "a codeword length") from exc
         raise InputError(f"non-integer token in text instance: {exc}") from exc
     for tup in tuples:
         if len(tup) != len(qs):
@@ -233,6 +251,8 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
         report = codes.entropy_bound(inst.qs, inst.lengths, dist)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except OverflowError as exc:  # probs and base are floats already; only a length can overflow
+        raise InputError("a codeword length is too large for a float") from exc
     return (report.avg_length, report.entropy, report.slack)
 
 
@@ -408,6 +428,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     arity_pairs = _parse_arity_flag(args.arities)
     for flag, value in (("--max-m", args.max_m), ("--max-len", args.max_len)):
         _require(value >= 0, f"{flag} must be >= 0, got {value}")
+    if args.max_m >= 1:
+        # the sweep constructs every spec; a lone (max_len, max_len) codeword has the largest grid
+        for q1, q2 in arity_pairs:
+            _guard_construct_size(ProblemSpec(Arities(q1, q2), ((args.max_len, args.max_len),)))
     limits = oracle.OracleLimits(
         max_m=max(args.max_m, 1), max_dim=4096, max_nodes=5_000_000
     )

@@ -314,6 +314,21 @@ class TestSelftest:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {flag} must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("max_len", ["12", "1000000"])
+    def test_grid_guard_before_the_sweep(self, capsys, max_len):
+        # construct would build a q1**max_len x q2**max_len grid of origins
+        tracemalloc.start()
+        try:
+            code = cli.main(["selftest", "--max-m", "1", "--max-len", max_len, "--arities", "2,2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert peak < 1 << 20
+        limit = cli.CONSTRUCT_CELL_LIMIT if max_len == "12" else cli.CODE_SPACE_BITS_LIMIT
+        assert str(limit) in err
+
     def test_injected_fault_detected(self, capsys, monkeypatch):
         from prefixpack import packer
 
@@ -414,15 +429,46 @@ class TestSchemaValidation:
             {"q": [2, 2], "lengths": [[1, 0]], "probs": [1.0], "D": 10**400},
             {"q": [2, 2], "lengths": [[1, 0]], "probs": [10**400], "D": 2},
             {"q": [2], "lengths": [[10**400]], "probs": [1.0], "D": 2},
+            # past the int-from-text digit limit; json.dumps cannot write it either
+            pytest.param('{"q": [2, 2], "lengths": [[' + "9" * 5001 + ", 0]]}", id="digits-5001"),
         ],
     )
-    def test_rejected_payloads(self, tmp_path, payload):
+    def test_rejected_payloads(self, tmp_path, capsys, payload):
         path = tmp_path / "inst.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
         svg = ["--svg", str(tmp_path / "out.svg")]
         for argv in (["decide"], ["kraft"], ["construct"], ["entropy"], ["render", *svg]):
             assert cli.main(argv + ["--input", str(path)]) == 2
+            out, err = capsys.readouterr()
+            # one line of our own words, not a bare message from a conversion
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert "Exceeds the limit" not in err and "int too large" not in err
         assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize(
+        "fmt, text, cmd, message",
+        [
+            ("json", '{"q": [2, 2], "lengths": [[' + "9" * 5001 + ", 0]]}", "decide",
+             "an integer in the JSON file is past Python's 4,300-digit limit for reading an integer from text"),
+            ("text", "2 2\n1 0\n" + "9" * 5001 + " 0\n", "decide",
+             "a codeword length is past Python's 4,300-digit limit for reading an integer from text"),
+            ("text", "9" * 5001 + " 2\n1 0\n", "kraft",
+             "an arity is past Python's 4,300-digit limit for reading an integer from text"),
+            ("text", "2 2\n1 x\n", "decide",
+             "non-integer token in text instance: invalid literal for int() with base 10: 'x'"),
+            ("json", json.dumps({"q": [2, 2], "lengths": [[1, 0]], "probs": [1.0], "D": 10**400}), "entropy",
+             '"D" is too large for a float'),
+            ("json", json.dumps({"q": [2, 2], "lengths": [[1, 0]], "probs": [10**400], "D": 2}), "decide",
+             'a "probs" entry is too large for a float'),
+            ("json", json.dumps({"q": [2], "lengths": [[10**400]], "probs": [1.0], "D": 2}), "entropy",
+             "a codeword length is too large for a float"),
+        ],
+    )
+    def test_number_limits_name_the_field(self, tmp_path, capsys, fmt, text, cmd, message):
+        path = tmp_path / "inst"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main([cmd, "--input", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_first_bad_entry_in_file_order(self, tmp_path, capsys):
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[0, 1], [1, 0, 0], [True, 0]]})

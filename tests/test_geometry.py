@@ -2,15 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prefixpack.geometry import (
-    contains,
-    corner_cut_regions,
-    cut_sigma,
-    overlap,
-    quotient_bound,
-    remainder_regions,
-)
+from prefixpack.geometry import contains, corner_cut_regions, cut_sigma, overlap
 from prefixpack.model import Arities, Region, Size, reg
 from prefixpack.oracle import OracleLimits, brute_sigma_min
 
@@ -18,19 +12,6 @@ from conftest import assert_partition
 
 Q22 = Arities(2, 2)
 ARITY_PAIRS = (Arities(2, 2), Arities(2, 3), Arities(3, 2), Arities(3, 3))
-
-
-def quocon_set(c: Region, s: Size) -> set[tuple[int, int]]:
-    """Enumeration oracle: every aligned location of an s-sized region inside c."""
-    out = set()
-    x = -(-c.x // s.w) * s.w
-    while x + s.w <= c.x + c.w:
-        y = -(-c.y // s.h) * s.h
-        while y + s.h <= c.y + c.h:
-            out.add((x, y))
-            y += s.h
-        x += s.w
-    return out
 
 
 def checked_cut(c: Region, s: Size, q: Arities):
@@ -52,59 +33,6 @@ class TestOverlap:
     def test_symmetric(self):
         a, b = reg(0, 3, 4, 2), reg(3, 0, 2, 4)
         assert overlap(a, b) == overlap(b, a)
-
-
-class TestQuotientBound:
-    def test_whole_container(self):
-        # oracle: every aligned [2,1] cell of [0,4)x[0,2) is present
-        assert len(quocon_set(reg(0, 0, 4, 2), Size(2, 1))) == 4
-        assert quotient_bound(reg(0, 0, 4, 2), Size(2, 1)) == reg(0, 0, 4, 2)
-
-    def test_absent(self):
-        assert quocon_set(reg(1, 0, 2, 1), Size(2, 1)) == set()
-        assert quotient_bound(reg(1, 0, 2, 1), Size(2, 1)) is None
-
-    def test_aligned_container_is_its_own_quotient(self):
-        c = reg(4, 2, 4, 2)
-        assert quotient_bound(c, c.size) == c
-
-    def test_matches_enumeration_oracle_randomized(self, rng):
-        for _ in range(2000):
-            c = reg(rng.randrange(0, 20), rng.randrange(0, 20), rng.randrange(1, 16), rng.randrange(1, 16))
-            s = Size(rng.choice([1, 2, 3, 4, 8, 9]), rng.choice([1, 2, 3, 4, 8, 9]))
-            cells = quocon_set(c, s)
-            qb = quotient_bound(c, s)
-            if not cells:
-                assert qb is None
-                continue
-            xs = [x for x, _ in cells]
-            ys = [y for _, y in cells]
-            assert qb == reg(min(xs), min(ys), max(xs) - min(xs) + s.w, max(ys) - min(ys) + s.h)
-
-
-class TestRemainderRegions:
-    def test_empty_quotient_gives_container_itself(self):
-        assert remainder_regions(reg(1, 0, 2, 1), Size(2, 1)) == (reg(1, 0, 2, 1),)
-
-    def test_fully_covered_gives_nothing(self):
-        assert remainder_regions(reg(0, 0, 4, 2), Size(2, 1)) == ()
-
-    def test_right_strip_only(self):
-        assert remainder_regions(reg(0, 0, 3, 2), Size(2, 1)) == (reg(2, 0, 1, 2),)
-
-    def test_frame_tiles_container_randomized(self, rng):
-        for _ in range(2000):
-            c = reg(rng.randrange(0, 20), rng.randrange(0, 20), rng.randrange(1, 16), rng.randrange(1, 16))
-            s = Size(rng.choice([1, 2, 4, 3]), rng.choice([1, 2, 4, 3]))
-            rem = remainder_regions(c, s)
-            qb = quotient_bound(c, s)
-            parts = list(rem) + ([qb] if qb else [])
-            assert sum(p.area for p in parts) == c.area
-            for p in parts:
-                assert contains(c, p)
-                assert p.w > 0 and p.h > 0  # empties dropped
-            for a, b in itertools.combinations(parts, 2):
-                assert not overlap(a, b)
 
 
 class TestRegularAlignedDichotomy:
@@ -141,38 +69,6 @@ class TestRegularAlignedDichotomy:
             y_hi = min(r1.y + r1.h, r2.y + r2.h)
             if y_lo < y_hi:
                 assert (y_lo, y_hi) == (r1.y, r1.y + r1.h)
-
-
-class TestQuotientLocality:
-    """Quotients act locally on rectangular unions of remainder regions."""
-
-    @pytest.mark.parametrize("q", ARITY_PAIRS, ids=lambda q: f"q{q.q1}{q.q2}")
-    def test_rectangular_unions(self, q):
-        rng = random.Random(999 * q.q1 + q.q2)
-        checked = 0
-        while checked < 400:
-            a2 = rng.randint(0, 3)
-            b2 = rng.randint(0, 3)
-            a1 = rng.randint(0, a2)
-            b1 = rng.randint(0, b2)
-            big = Size(q.q1**a2, q.q2**b2)
-            small = Size(q.q1**a1, q.q2**b1)
-            c = reg(rng.randrange(0, 30), rng.randrange(0, 30), rng.randrange(1, 30), rng.randrange(1, 30))
-            rem = remainder_regions(c, big)
-            if len(rem) < 2:
-                continue
-            for k in (2, 3):
-                for combo in itertools.combinations(rem, k):
-                    xs = [r.x for r in combo]
-                    ys = [r.y for r in combo]
-                    w = max(r.x + r.w for r in combo) - min(xs)
-                    h = max(r.y + r.h for r in combo) - min(ys)
-                    if w * h != sum(r.area for r in combo):
-                        continue  # union is not a rectangle
-                    union = reg(min(xs), min(ys), w, h)
-                    per_region = set().union(*(quocon_set(r, small) for r in combo))
-                    assert quocon_set(union, small) == per_region
-                    checked += 1
 
 
 class TestCutSigma:
@@ -222,6 +118,30 @@ class TestCutSigma:
     def test_rejects_irregular_bound(self):
         with pytest.raises(ValueError):
             cut_sigma(reg(0, 0, 4, 4), Size(3, 2), Q22)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 5), st.integers(2, 5),
+        st.integers(0, 10**4 - 1), st.integers(0, 10**4 - 1),
+        st.integers(1, 128), st.integers(1, 128),
+        st.integers(0, 6), st.integers(0, 6),
+    )
+    def test_no_piece_can_grow(self, q1, q2, x, y, w, h, a, b):
+        # A tiling whose every piece is a product of maximal aligned intervals
+        # is the product cut, hence minimal: the aligned interval q times
+        # longer than a piece's, on either axis, must exceed the bound or c.
+        q, c, s = Arities(q1, q2), reg(x, y, w, h), Size(q1**a, q2**b)
+        pieces = checked_cut(c, s, q)
+        for p in pieces:
+            for lo, side, qa, bound, c_lo, c_side in (
+                (p.x, p.w, q1, s.w, c.x, c.w),
+                (p.y, p.h, q2, s.h, c.y, c.h),
+            ):
+                grown = side * qa
+                start = lo - lo % grown
+                assert grown > bound or start < c_lo or start + grown > c_lo + c_side, (
+                    f"piece {p} of the cut of {c} bound {s} can grow"
+                )
 
 
 def _all_partitions(c: Region, s: Size, q: Arities, budget: int):

@@ -1,0 +1,122 @@
+"""Hand-listed mutants of the packing code, run against tier-1 one at a time.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py
+
+Each mutant is one text replacement in one source file.  For each, the
+script copies src/, tests/, benchmarks/ (which tests read) and
+pyproject.toml to a temporary directory, applies the replacement there, and
+runs tier-1 with criterion 4 deselected (for time), stopping at the first
+failure.  A mutant that every selected test passes survives: the tests
+cannot tell it from the real code.  The survivors are printed at the end,
+and the exit code is 1 when any survives.  Standard library only; the
+working tree is never modified.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "benchmarks", "pyproject.toml")
+DESELECTED = "tests/test_acceptance.py::test_criterion_4_sigma_matches_minimal_partition"
+TIMEOUT_S = 600  # a mutant that loops forever counts as caught
+
+GEOMETRY = "src/prefixpack/geometry.py"
+PACKER = "src/prefixpack/packer.py"
+CLI = "src/prefixpack/cli.py"
+
+# (name, file, old text, new text); each old text occurs exactly once in its file
+MUTANTS = [
+    ("cut1d-bound-strict", GEOMETRY,
+     "while w * q <= bound and", "while w * q < bound and"),
+    ("cut1d-ignores-alignment", GEOMETRY,
+     "lo % (w * q) == 0", "lo % w == 0"),
+    ("cut1d-overruns-end", GEOMETRY,
+     "lo + w * q <= end:", "lo + w * q <= end + 1:"),
+    ("corner-x-cut-bounded-by-block", GEOMETRY,
+     "_cut1d(c.x + bw, c.w - bw, q.q1, c.w)", "_cut1d(c.x + bw, c.w - bw, q.q1, bw)"),
+    ("corner-y-cut-full-width", GEOMETRY,
+     "reg(c.x, y, bw, h)", "reg(c.x, y, c.w, h)"),
+    ("overlap-closed-edge", GEOMETRY,
+     "r1.x < r2.x + r2.w", "r1.x <= r2.x + r2.w"),
+    ("contains-strict-right", GEOMETRY,
+     "inner.x + inner.w <= outer.x + outer.w", "inner.x + inner.w < outer.x + outer.w"),
+    ("naive-tie-break-y-first", PACKER,
+     "key=lambda r: (total_key(r.size), r.x, r.y)", "key=lambda r: (total_key(r.size), r.y, r.x)"),
+    ("folded-origins-in-front", PACKER,
+     "along_o[d - 1] += _split(along_o[d], q, step, u)",
+     "along_o[d - 1] = _split(along_o[d], q, step, u) + along_o[d - 1]"),
+    ("pack-tie-break-swapped", PACKER,
+     "key=lambda ll: (max(size[ll]), *size[ll])", "key=lambda ll: (max(size[ll]), *size[ll][::-1])"),
+    ("walk-skips-first-level", PACKER,
+     "        k = start\n", "        k = start + 1\n"),
+    ("square-blocks-walk-the-row", PACKER,
+     "if w >= h:", "if w > h:"),
+    ("walk-takes-newest-first", PACKER,
+     "taken = spots[k][-used:]", "taken = spots[k][:used]"),
+    ("construct-owners-reversed", PACKER,
+     "key=lambda k: rank[spec.lengths[k]])", "key=lambda k: -rank[spec.lengths[k]])"),
+    ("json-admits-bool-lengths", CLI,
+     "<= {int}", "<= {int, bool}"),
+    ("json-skips-arity-check", CLI,
+     "if any(len(key) != len(qs) for key in groups):", "if False:"),
+    ("json-probs-count-loose", CLI,
+     'len(raw["probs"]) == len(lengths)', 'len(raw["probs"]) <= len(lengths)'),
+    ("json-collector-left-off", CLI,
+     "        if gc_was_enabled:\n", "        if not gc_was_enabled:\n"),
+    ("text-keeps-comments", CLI,
+     'line = line.split("#", 1)[0].strip()', "line = line.strip()"),
+    ("text-allows-short-lines", CLI,
+     "if len(tup) != len(qs):", "if len(tup) > len(qs):"),
+]
+
+
+def run_mutant(file: str, old: str, new: str) -> tuple[bool, str]:
+    """Apply one replacement in a fresh copy; (survived, last line of pytest's output)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            src = REPO / name
+            if src.is_dir():
+                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__", ".work"))
+            else:
+                shutil.copy2(src, root / name)
+        target = root / file
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            raise SystemExit(f"{file}: the text to replace occurs {text.count(old)} times: {old!r}")
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--deselect", DESELECTED, "tests"]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        try:
+            done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+        lines = done.stdout.strip().splitlines()
+        return done.returncode == 0, lines[-1] if lines else done.stderr.strip()
+
+
+def main() -> int:
+    survivors = []
+    for name, file, old, new in MUTANTS:
+        start = time.monotonic()
+        survived, summary = run_mutant(file, old, new)
+        verdict = "SURVIVED" if survived else "caught"
+        print(f"{verdict:8} {name:32} {time.monotonic() - start:6.1f} s  {summary}", flush=True)
+        if survived:
+            survivors.append(name)
+    print(f"{len(survivors)} of {len(MUTANTS)} mutants survived" + (": " + ", ".join(survivors) if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
