@@ -448,20 +448,24 @@ class TestSchemaValidation:
     @pytest.mark.parametrize(
         "fmt, text, cmd, message",
         [
-            ("json", '{"q": [2, 2], "lengths": [[' + "9" * 5001 + ", 0]]}", "decide",
-             "an integer in the JSON file is past Python's 4,300-digit limit for reading an integer from text"),
-            ("text", "2 2\n1 0\n" + "9" * 5001 + " 0\n", "decide",
-             "a codeword length is past Python's 4,300-digit limit for reading an integer from text"),
-            ("text", "9" * 5001 + " 2\n1 0\n", "kraft",
-             "an arity is past Python's 4,300-digit limit for reading an integer from text"),
-            ("text", "2 2\n1 x\n", "decide",
-             "non-integer token in text instance: invalid literal for int() with base 10: 'x'"),
-            ("json", json.dumps({"q": [2, 2], "lengths": [[1, 0]], "probs": [1.0], "D": 10**400}), "entropy",
-             '"D" is too large for a float'),
-            ("json", json.dumps({"q": [2, 2], "lengths": [[1, 0]], "probs": [10**400], "D": 2}), "decide",
-             'a "probs" entry is too large for a float'),
-            ("json", json.dumps({"q": [2], "lengths": [[10**400]], "probs": [1.0], "D": 2}), "entropy",
-             "a codeword length is too large for a float"),
+            pytest.param("json", '{"q": [2, 2], "lengths": [[' + "9" * 5001 + ", 0]]}", "decide",
+                         "an integer in the JSON file is past Python's 4,300-digit limit for reading an integer from text",
+                         id="json-digits"),
+            pytest.param("text", "2 2\n1 0\n" + "9" * 5001 + " 0\n", "decide",
+                         "a codeword length is past Python's 4,300-digit limit for reading an integer from text",
+                         id="text-length-digits"),
+            pytest.param("text", "9" * 5001 + " 2\n1 0\n", "kraft",
+                         "an arity is past Python's 4,300-digit limit for reading an integer from text",
+                         id="text-arity-digits"),
+            pytest.param("text", "2 2\n1 x\n", "decide",
+                         "non-integer token in text instance: invalid literal for int() with base 10: 'x'",
+                         id="text-non-integer"),
+            pytest.param("json", json.dumps({"q": [2, 2], "lengths": [[1, 0]], "probs": [1.0], "D": 10**400}),
+                         "entropy", '"D" is too large for a float', id="json-D-float"),
+            pytest.param("json", json.dumps({"q": [2, 2], "lengths": [[1, 0]], "probs": [10**400], "D": 2}),
+                         "decide", 'a "probs" entry is too large for a float', id="json-probs-float"),
+            pytest.param("json", json.dumps({"q": [2], "lengths": [[10**400]], "probs": [1.0], "D": 2}),
+                         "entropy", "a codeword length is too large for a float", id="json-length-float"),
         ],
     )
     def test_number_limits_name_the_field(self, tmp_path, capsys, fmt, text, cmd, message):
