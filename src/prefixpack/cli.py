@@ -14,10 +14,9 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-from . import codes, oracle, packer
+from . import codes, packer
 from .model import Arities, ProblemSpec
 
 EXIT_EXISTS = 0
@@ -41,15 +40,16 @@ class InputError(Exception):
     """Malformed instance file or unsupported parameters."""
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(NamedTuple):
     """A parsed instance file.
 
     lengths holds the codeword length rows in file order: the lists JSON
     loaded, or tuples for the text format.  groups is their histogram,
-    Counter(tuple(row) for row in lengths), counted once at parse time:
-    decide and kraft read only groups, while construct, render and entropy
-    read lengths.
+    Counter(tuple(row) for row in lengths), counted once at parse time, with
+    exact-int keys of len(qs) values each; the parser checks the rows on
+    these distinct keys, not value by value.  decide and kraft read only
+    groups, while construct, render and entropy read lengths.  probs and
+    base are floats, whether the file wrote them as integers or as floats.
     """
 
     qs: tuple[int, ...]
@@ -69,10 +69,22 @@ def _digit_limit_error(what: str) -> InputError:
     return InputError(f"{what} is past Python's {limit:,}-digit limit for reading an integer from text")
 
 
+class _FloatText(str):
+    """A JSON float literal, or NaN/Infinity, kept as its text.
+
+    A str never equals an int, so a float cannot pass for an integer length
+    in a histogram key; repr is the float's, so error texts print 1.0."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return repr(float(self))
+
+
 def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     """The rule for a "lengths" entry, applied entry by entry in file order.
 
-    Only runs once the whole-array checks found a bad entry, so that the
+    Only runs once a check on the rows found a bad entry, so that the
     message names the first one."""
     for entry in lengths:
         if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
@@ -86,14 +98,24 @@ def parse_instance_json(text: str) -> InstanceFile:
     """Parse and validate a JSON instance file.
 
     Every "lengths" entry must be an array of exactly len(q) integers.  The
-    loaded rows are checked by type() of every row and every value (JSON
-    true/false load as bool, an int subclass, and 1.0 == 1, so neither may
-    reach a Counter key that equals an int tuple) and are counted once into
-    InstanceFile.groups; no tuple is kept per codeword.  When a check fails,
-    the per-entry rule runs to name the first bad entry in file order.  The
-    cyclic collector is paused for the whole parse and then restored: the
-    loaded rows hold no cycles, and its passes over them would make
-    json.loads about half as slow again.
+    rows are counted once into InstanceFile.groups and checked on its
+    distinct keys, so no check runs per value:
+
+    - Float literals load as their text (_FloatText), which equals no int,
+      so a 1.0 cannot merge into a key (1, ...); "probs" and "D" convert
+      them with float().
+    - JSON true/false load as bool, which equals 0 or 1.  When the text
+      holds either word, every value of every row is checked by type()
+      before the rows are counted.
+    - Each row must be a list before any row is turned into a tuple, so a
+      long string row is never spread into one.
+    - Each distinct key must hold len(q) values of exact type int; a row
+      holding an array or object cannot be counted at all.
+
+    When a check fails, the per-entry rule runs to name the first bad entry
+    in file order.  The cyclic collector is paused for the whole parse and
+    then restored: the loaded rows hold no cycles, and its passes over them
+    would make json.loads about half as slow again.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -106,7 +128,7 @@ def parse_instance_json(text: str) -> InstanceFile:
 
 def _parse_instance_json(text: str) -> InstanceFile:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_FloatText, parse_constant=_FloatText)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -124,19 +146,26 @@ def _parse_instance_json(text: str) -> InstanceFile:
     )
     lengths = raw["lengths"]
     _require(isinstance(lengths, list), '"lengths" must be an array')
-    # the second check iterates every row, so it runs only once all are lists
+    channels = len(qs)
+    if not set(map(type, lengths)) <= {list}:
+        _reject_first_bad_entry(lengths, channels)
+    if ("true" in text or "false" in text) and not set(
+        map(type, itertools.chain.from_iterable(lengths))
+    ) <= {int}:
+        _reject_first_bad_entry(lengths, channels)
+    try:
+        groups = Counter(map(tuple, lengths))
+    except TypeError:  # a row holds an array or an object
+        _reject_first_bad_entry(lengths, channels)
     if not (
-        set(map(type, lengths)) <= {list}
-        and set(map(type, itertools.chain.from_iterable(lengths))) <= {int}
+        all(len(key) == channels for key in groups)
+        and set(map(type, itertools.chain.from_iterable(groups))) <= {int}
     ):
-        _reject_first_bad_entry(lengths, len(qs))
-    groups = Counter(map(tuple, lengths))
-    if any(len(key) != len(qs) for key in groups):
-        _reject_first_bad_entry(lengths, len(qs))
+        _reject_first_bad_entry(lengths, channels)
     probs = None
     if "probs" in raw and raw["probs"] is not None:
         _require(
-            isinstance(raw["probs"], list) and set(map(type, raw["probs"])) <= {int, float},
+            isinstance(raw["probs"], list) and set(map(type, raw["probs"])) <= {int, _FloatText},
             '"probs" must be an array of numbers',
         )
         _require(
@@ -149,7 +178,7 @@ def _parse_instance_json(text: str) -> InstanceFile:
             raise InputError('a "probs" entry is too large for a float') from exc
     base = None
     if "D" in raw and raw["D"] is not None:
-        _require(type(raw["D"]) in (int, float), '"D" must be a number')
+        _require(type(raw["D"]) in (int, _FloatText), '"D" must be a number')
         try:
             base = float(raw["D"])
         except OverflowError as exc:
@@ -198,17 +227,27 @@ def write_output(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def to_problem_spec(qs: tuple[int, ...], lengths: Iterable[Sequence[int]]) -> ProblemSpec:
-    """Two-channel packing view of codeword lengths over the arities qs, in the
-    order given; single-channel lengths (l,) get a dummy unused second channel,
-    (l, 0) (the decision does not depend on it)."""
+def to_problem_spec(
+    qs: tuple[int, ...], lengths: Iterable[Sequence[int]] | Counter[tuple[int, ...]]
+) -> ProblemSpec:
+    """Two-channel packing view of codeword lengths over the arities qs.
+
+    lengths is the rows in order, for construct and render, or their
+    histogram as a Counter, for decide, which builds the spec in O(g) for g
+    distinct pairs.  Single-channel lengths (l,) get a dummy unused second
+    channel, (l, 0) (the decision does not depend on it)."""
     _require(len(qs) <= 2, f"packing commands support at most 2 channels, file has {len(qs)}")
     try:
+        arities = Arities(qs[0], 2) if len(qs) == 1 else Arities(*qs)
+        if isinstance(lengths, Counter):
+            if len(qs) == 1:
+                lengths = {(length, 0): n for (length,), n in lengths.items()}
+            return ProblemSpec.from_groups(arities, lengths)
         if len(qs) == 1:
             firsts = [row[0] for row in lengths]
             padded = {length: (length, 0) for length in set(firsts)}  # one pair per distinct length
-            return ProblemSpec(Arities(qs[0], 2), tuple(map(padded.__getitem__, firsts)))
-        return ProblemSpec(Arities(*qs), tuple(lengths))  # type: ignore[arg-type]
+            return ProblemSpec(arities, tuple(map(padded.__getitem__, firsts)))
+        return ProblemSpec(arities, tuple(lengths))  # type: ignore[arg-type]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -268,9 +307,7 @@ def _load_groups(args: argparse.Namespace) -> tuple[tuple[int, ...], Counter[tup
 
 def cmd_decide(args: argparse.Namespace) -> int:
     qs, groups = _load_groups(args)
-    # The verdict does not depend on order: the spec repeats the histogram's
-    # key tuples rather than copying the rows.
-    spec = to_problem_spec(qs, tuple(groups.elements()))
+    spec = to_problem_spec(qs, groups)  # the verdict does not depend on order
     _guard_code_space((spec.arities.q1, spec.arities.q2), [spec.l1max, spec.l2max])
     if packer.decide(spec):
         print("EXISTS")
@@ -425,6 +462,8 @@ def _parse_arity_flag(values: list[str] | None) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import oracle  # only the sweep needs the brute-force references
+
     arity_pairs = _parse_arity_flag(args.arities)
     for flag, value in (("--max-m", args.max_m), ("--max-len", args.max_len)):
         _require(value >= 0, f"{flag} must be >= 0, got {value}")

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .model import ProblemSpec, Region, Size, reg
+from .model import ProblemSpec, Region, Size, _set, _Value, reg
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # One character per digit keeps prefix relations plain string prefixes.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(NamedTuple):
     """Digit-string pair, one word per channel; either may be empty."""
 
     c1: str
@@ -32,21 +32,21 @@ class Codeword:
 Codebook = tuple[Codeword, ...]
 
 
-@dataclass(frozen=True)
-class SourceDistribution:
+class SourceDistribution(_Value):
     """Source symbol probabilities and the log base for entropy accounting."""
 
-    probs: tuple[float, ...]
-    base: float
+    __slots__ = ("probs", "base")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.base) and self.base > 1):
-            raise ValueError(f"entropy base must be a finite number > 1, got {self.base}")
-        for p in self.probs:
+    def __init__(self, probs: tuple[float, ...], base: float) -> None:
+        if not (math.isfinite(base) and base > 1):
+            raise ValueError(f"entropy base must be a finite number > 1, got {base}")
+        for p in probs:
             if not 0 < p <= 1:
                 raise ValueError(f"probabilities must lie in (0, 1], got {p}")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
+        if abs(sum(probs) - 1.0) > 1e-9:
+            raise ValueError(f"probabilities must sum to 1, got {sum(probs)}")
+        _set(self, "probs", probs)
+        _set(self, "base", base)
 
 
 class EntropyReport(NamedTuple):
@@ -80,6 +80,8 @@ def kraft_sum(
     one numerator over the product of q_i**lmax_i with equal tuples counted once.
 
     lengths is the codewords' length tuples, or their histogram as a Counter."""
+    from fractions import Fraction  # loaded by the commands that print a Kraft sum, not by decide
+
     groups = lengths if isinstance(lengths, Counter) else Counter(map(tuple, lengths))
     _validate_channels(qs, groups)
     lmax = [max(column) for column in zip(*groups)]

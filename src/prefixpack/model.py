@@ -16,11 +16,50 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # A codeword length is a bare pair (l1, l2); validation happens in ProblemSpec.
 LengthTuple = tuple[int, int]
+
+_set = object.__setattr__  # how __init__ sets a field of a _Value
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in __slots__ and sets each once, in
+    __init__, through _set.  Equality (within one class), hashing, repr and
+    copies read _fields, which are __init__'s arguments: the slots, unless
+    the class names fewer (a slot may cache a derived value).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._key(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def ilog_exact(n: int, base: int) -> int | None:
@@ -34,57 +73,55 @@ def ilog_exact(n: int, base: int) -> int | None:
     return e if n == 1 else None
 
 
-@dataclass(frozen=True)
-class Arities:
+class Arities(_Value):
     """Alphabet sizes of the two channels."""
 
-    q1: int
-    q2: int
+    __slots__ = ("q1", "q2")
 
-    def __post_init__(self) -> None:
-        if self.q1 < 2 or self.q2 < 2:
-            raise ValueError(f"arities must be >= 2, got ({self.q1}, {self.q2})")
+    def __init__(self, q1: int, q2: int) -> None:
+        if q1 < 2 or q2 < 2:
+            raise ValueError(f"arities must be >= 2, got ({q1}, {q2})")
+        _set(self, "q1", q1)
+        _set(self, "q2", q2)
 
 
-@dataclass(frozen=True)
-class Size:
+class Size(_Value):
     """Width/height pair of a rectangle; both dimensions are >= 1."""
 
-    w: int
-    h: int
+    __slots__ = ("w", "h")
 
-    def __post_init__(self) -> None:
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"size dimensions must be >= 1, got [{self.w}, {self.h}]")
+    def __init__(self, w: int, h: int) -> None:
+        if w < 1 or h < 1:
+            raise ValueError(f"size dimensions must be >= 1, got [{w}, {h}]")
+        _set(self, "w", w)
+        _set(self, "h", h)
 
     @property
     def area(self) -> int:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
-class Region:
-    """Half-open rectangle [x, x+w) x [y, y+h); left/bottom borders closed."""
+class Region(_Value):
+    """Half-open rectangle [x, x+w) x [y, y+h); left/bottom borders closed.
 
-    x: int
-    y: int
-    size: Size
+    w and h repeat the size's dimensions, so the overlap tests read one slot.
+    """
 
-    def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"region location must be non-negative, got ({self.x}, {self.y})")
+    __slots__ = ("x", "y", "size", "w", "h")
+    _fields = ("x", "y", "size")
 
-    @property
-    def w(self) -> int:
-        return self.size.w
-
-    @property
-    def h(self) -> int:
-        return self.size.h
+    def __init__(self, x: int, y: int, size: Size) -> None:
+        if x < 0 or y < 0:
+            raise ValueError(f"region location must be non-negative, got ({x}, {y})")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "size", size)
+        _set(self, "w", size.w)
+        _set(self, "h", size.h)
 
     @property
     def area(self) -> int:
-        return self.size.area
+        return self.w * self.h
 
 
 def reg(x: int, y: int, w: int, h: int) -> Region:
@@ -92,21 +129,51 @@ def reg(x: int, y: int, w: int, h: int) -> Region:
     return Region(x, y, Size(w, h))
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_Value):
     """Decision-procedure input: arities plus a multiset of codeword lengths.
 
-    The multiset keeps its given order (duplicates allowed); constructed
-    codebooks are reported in this order.  groups counts each distinct pair.
+    ProblemSpec(arities, lengths) keeps the lengths in their given order
+    (duplicates allowed); constructed codebooks are reported in this order.
+    groups counts each distinct pair, and the decision reads only groups.
+
+    ProblemSpec.from_groups(arities, groups) builds the spec from that
+    histogram alone, {(l1, l2): count}, in O(g) for g distinct pairs.  Its
+    lengths are the histogram's pairs, each repeated count times in the
+    histogram's order, and are built only when read (construct and the
+    codebook read them; decide does not).
+
+    Either way each distinct pair is checked once, and pairs of other
+    integral types (bools) are stored as exact ints.
     """
 
-    arities: Arities
-    lengths: tuple[LengthTuple, ...]
-    groups: dict[LengthTuple, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("arities", "_lengths", "groups")
+    _fields = ("arities", "lengths")
+
+    def __init__(self, arities: Arities, lengths: Iterable[Sequence[int]]) -> None:
+        _set(self, "arities", arities)
+        _set(self, "_lengths", lengths)
+        _set(self, "groups", None)
+        self.__post_init__()
+
+    @classmethod
+    def from_groups(cls, arities: Arities, groups: Mapping[LengthTuple, int]) -> ProblemSpec:
+        spec = cls.__new__(cls)
+        _set(spec, "arities", arities)
+        _set(spec, "_lengths", None)
+        _set(spec, "groups", groups)
+        spec.__post_init__()
+        return spec
 
     def __post_init__(self) -> None:
-        lengths = tuple(map(tuple, self.lengths))
-        groups = Counter(lengths)
+        """Count the lengths, or copy the histogram, and check each distinct pair once."""
+        lengths, groups = self._lengths, self.groups
+        if groups is None:
+            lengths = tuple(map(tuple, lengths))
+            groups = Counter(lengths)
+        else:
+            groups = Counter(groups)
+            if not all(type(n) is int and n >= 1 for n in groups.values()):
+                raise ValueError("codeword counts must be integers >= 1")
         for l1, l2 in groups:
             try:
                 low = min(operator.index(l1), operator.index(l2))
@@ -115,14 +182,24 @@ class ProblemSpec:
             if low < 0:
                 raise ValueError(f"codeword lengths must be >= 0, got ({l1}, {l2})")
         if any(type(l) is not int for pair in groups for l in pair):  # bools and the like become ints
-            lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
-            groups = Counter(lengths)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "groups", groups)
+            exact = Counter()
+            for (l1, l2), n in groups.items():
+                exact[operator.index(l1), operator.index(l2)] += n
+            groups = exact
+            if lengths is not None:
+                lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
+        _set(self, "_lengths", lengths)
+        _set(self, "groups", groups)
+
+    @property
+    def lengths(self) -> tuple[LengthTuple, ...]:
+        if self._lengths is None:
+            _set(self, "_lengths", tuple(self.groups.elements()))
+        return self._lengths
 
     @property
     def m(self) -> int:
-        return len(self.lengths)
+        return sum(self.groups.values())
 
     @property
     def l1max(self) -> int:

@@ -13,10 +13,9 @@ never silently turned into a wrong answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .model import Arities, ProblemSpec, Region, Size, ilog_exact, reg, total_key
+from .model import Arities, ProblemSpec, Region, Size, _set, _Value, ilog_exact, reg, total_key
 from .geometry import overlap
 
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
@@ -26,15 +25,15 @@ class BudgetExceeded(Exception):
     """Search-node budget hit before the question was settled."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_m: int = 12
-    max_dim: int = 64
-    max_nodes: int = 2_000_000
+class OracleLimits(_Value):
+    __slots__ = ("max_m", "max_dim", "max_nodes")
 
-    def __post_init__(self) -> None:
-        if self.max_m <= 0 or self.max_dim <= 0 or self.max_nodes <= 0:
+    def __init__(self, max_m: int = 12, max_dim: int = 64, max_nodes: int = 2_000_000) -> None:
+        if max_m <= 0 or max_dim <= 0 or max_nodes <= 0:
             raise ValueError("oracle limits must be positive")
+        _set(self, "max_m", max_m)
+        _set(self, "max_dim", max_dim)
+        _set(self, "max_nodes", max_nodes)
 
 
 def _ceil_to(value: int, step: int) -> int:

@@ -23,7 +23,6 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
-from .geometry import corner_cut_regions, cut_sigma, overlap
 from .model import Arities, ProblemSpec, Region, Size, covers, is_regular, is_sorted_desc, total_key
 
 
@@ -32,6 +31,8 @@ Locations = tuple[tuple[int, int], ...]
 
 
 def _validate_containers(containers: Sequence[Region]) -> None:
+    from .geometry import overlap
+
     for i in range(len(containers)):
         for j in range(i + 1, len(containers)):
             if overlap(containers[i], containers[j]):
@@ -51,6 +52,8 @@ def solve_naive(
     Ties among equally small candidate containers are broken by
     lexicographically smallest (x, y) so outputs are reproducible.
     """
+    from .geometry import corner_cut_regions, cut_sigma  # the reference layer; no command loads it
+
     if not is_sorted_desc(blocks):
         raise ValueError("blocks must be sorted descending under the total order")
     for b in blocks:
@@ -317,8 +320,9 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
     """Existence decision on the canonical instance via the bank's counts.
 
     Matches solve_naive's verdict on the single initial container
-    [q1**l1max, q2**l2max] while never materializing locations.  Past the
-    spec's O(m) histogram of g distinct pairs it runs O(g log g + g *
+    [q1**l1max, q2**l2max] while never materializing locations.  It reads
+    only the spec's histogram of g distinct pairs (which
+    ProblemSpec.from_groups builds in O(g)) and runs O(g log g + g *
     max(l1max, l2max) + s) big-integer operations, where s is the number of
     occupied cap-line cells moved by the at most l1max + l2max cap steps,
     and keeps l1max + l2max + 2 counts.

@@ -12,10 +12,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prefixpack import cli
+from prefixpack import cli, packer
 from prefixpack.codes import Codeword, verify_codebook
+from prefixpack.model import Arities, ProblemSpec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -71,6 +72,16 @@ class TestDecide:
         path = write_json(tmp_path, {"q": [2], "lengths": [[1], [1]]})
         assert cli.main(["decide", "--input", path]) == 0
         assert capsys.readouterr().out.strip() == "EXISTS"
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([2, 3]), st.lists(st.integers(0, 5), max_size=12))
+    def test_single_channel_files_pad_per_distinct_length(self, tmp_path, q, lengths):
+        expected = packer.decide(ProblemSpec(Arities(q, 2), [(length, 0) for length in lengths]))
+        json_path = write_json(tmp_path, {"q": [q], "lengths": [[length] for length in lengths]})
+        text_path = tmp_path / "inst.txt"
+        text_path.write_text(f"{q}\n" + "".join(f"{length}\n" for length in lengths), encoding="utf-8")
+        for argv in (["--input", json_path], ["--input", str(text_path), "--format", "text"]):
+            assert cli.main(["decide", *argv]) == (cli.EXIT_EXISTS if expected else cli.EXIT_NOT_EXISTS)
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["decide", "--input", str(tmp_path / "nope.json")]) == 2
@@ -330,8 +341,6 @@ class TestSelftest:
         assert str(limit) in err
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
-        from prefixpack import packer
-
         monkeypatch.setattr(packer, "decide_fast", lambda spec, **kw: True)
         code = cli.main(
             ["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"]
@@ -340,8 +349,6 @@ class TestSelftest:
         assert "DISAGREEMENT" in capsys.readouterr().out
 
     def test_overlapping_codebook_detected(self, capsys, monkeypatch):
-        from prefixpack import packer
-
         def stacked(spec, **kw):  # the right verdict, with every block at the origin
             if packer.decide_fast(spec):
                 return ((0, 0),) * spec.m
@@ -576,6 +583,83 @@ def instance_payloads(draw):
     return channels, draw(st.one_of(st.lists(good, max_size=8), st.lists(row, max_size=8)))
 
 
+def reference_parse(text):
+    """The whole-array rule the parser kept before it checked rows on their
+    distinct keys: floats load as floats, and every value of every row is
+    checked by type().  Documents here always carry a valid "q"."""
+    raw = json.loads(text)
+    qs, rows = raw["q"], raw["lengths"]
+    if not isinstance(rows, list):
+        raise cli.InputError('"lengths" must be an array')
+    if not (set(map(type, rows)) <= {list} and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        cli._reject_first_bad_entry(rows, len(qs))
+    groups = Counter(map(tuple, rows))
+    if any(len(key) != len(qs) for key in groups):
+        cli._reject_first_bad_entry(rows, len(qs))
+    probs, base = raw.get("probs"), raw.get("D")
+    if probs is not None:
+        if not (isinstance(probs, list) and set(map(type, probs)) <= {int, float}):
+            raise cli.InputError('"probs" must be an array of numbers')
+        if len(probs) != len(rows):
+            raise cli.InputError('"probs" must have one entry per codeword length')
+        probs = tuple(map(float, probs))
+    if base is not None:
+        if type(base) not in (int, float):
+            raise cli.InputError('"D" must be a number')
+        base = float(base)
+    return tuple(qs), groups, probs, base
+
+
+def _json_array(items):
+    return "[" + ", ".join(items) + "]"
+
+
+# JSON text of single values: integers, values equal to one as a key (bools
+# and floats), and values no key may hold
+_json_ints = st.sampled_from(["0", "1", "2", "-1"])
+_json_equal_to_ints = st.sampled_from(["true", "false", "1.0", "1e0", "-0.0", "2.0"])
+_json_scalars = st.one_of(
+    _json_ints,
+    _json_equal_to_ints,
+    st.sampled_from(["null", "1E400", "NaN", "Infinity", "-Infinity", "0.5"]),
+    st.sampled_from(['"true"', '"false"', '"1"', '"1.0"', '""']),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(_json_array),
+        st.lists(inner, max_size=2).map(lambda xs: "{" + ", ".join(f'"k{i}": {x}' for i, x in enumerate(xs)) + "}"),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def json_documents(draw):
+    """An instance file as text, built from JSON pieces rather than json.dumps,
+    so that 1e0, -0.0, 1E400, NaN and Infinity appear as written."""
+    channels = draw(st.integers(1, 2))
+    good = st.lists(_json_ints, min_size=channels, max_size=channels).map(_json_array)
+    near = st.one_of(_json_ints, _json_equal_to_ints)
+    row = st.one_of(
+        good,
+        st.lists(near, min_size=channels, max_size=channels).map(_json_array),
+        st.lists(st.one_of(near, _json_values), min_size=channels, max_size=channels).map(_json_array),
+        st.lists(near, max_size=channels + 1).map(_json_array),
+        _json_values,
+    )
+    rows = draw(st.one_of(st.lists(good, max_size=6), st.lists(row, max_size=6)))
+    fields = [f'"q": {_json_array(["2"] * channels)}', f'"lengths": {_json_array(rows)}']
+    number = st.one_of(_json_scalars, _json_values)
+    if draw(st.booleans()):
+        count = draw(st.sampled_from([len(rows), len(rows), len(rows) + 1]))
+        probs = draw(st.one_of(st.lists(number, min_size=count, max_size=count).map(_json_array), number))
+        fields.append(f'"probs": {probs}')
+    if draw(st.booleans()):
+        fields.append(f'"D": {draw(number)}')
+    return "{" + ", ".join(draw(st.permutations(fields))) + "}"
+
+
 class TestParseDifferential:
     @settings(max_examples=400, deadline=None)
     @given(instance_payloads())
@@ -594,6 +678,29 @@ class TestParseDifferential:
         assert inst.lengths == rows
         assert inst.groups == Counter(expected)
         assert all(type(v) is int for key in inst.groups for v in key)
+
+    @settings(max_examples=600, deadline=None)
+    @given(json_documents())
+    @example('{"q": [2, 2], "lengths": [[1, 0], [true, 0]]}')
+    @example('{"q": [2, 2], "lengths": [[1, 2], [1.0, 2]], "D": 2}')
+    @example('{"q": [2], "lengths": [[0], [-0.0]]}')
+    @example('{"q": [2], "lengths": [[0], [1]], "probs": [1e0, 0], "D": 1E400, "note": "true"}')
+    @example('{"q": [2], "lengths": [[1]], "probs": [NaN], "D": true}')
+    @example('{"q": [2], "lengths": [[1], [[1]]]}')
+    def test_matches_whole_array_reference(self, text):
+        try:
+            expected = reference_parse(text)
+        except cli.InputError as exc:
+            with pytest.raises(cli.InputError) as got:
+                cli.parse_instance_json(text)
+            assert str(got.value) == str(exc)
+            return
+        inst = cli.parse_instance_json(text)
+        # repr tells nan from nan and -0.0 from 0.0
+        assert repr((inst.qs, inst.groups, inst.probs, inst.base)) == repr(expected)
+        assert all(type(v) is int for key in inst.groups for v in key)
+        assert inst.probs is None or all(type(p) is float for p in inst.probs)
+        assert inst.base is None or type(inst.base) is float
 
     def test_text_and_json_give_one_histogram(self, tmp_path, capsys):
         lengths = caterpillar(random.Random(3), 300, window=300)
@@ -625,6 +732,21 @@ class TestParseFootprint:
             tracemalloc.stop()
         assert capsys.readouterr().out == ("EXISTS\n" if cmd == "decide" else "1/1 SATISFIED\n")
         assert peak < 14 << 20
+
+    def test_string_row_is_never_spread_into_a_tuple(self, tmp_path, capsys):
+        # tuple() of this row alone would hold a pointer per character, 8 bytes
+        # each; the file text, the loaded row, its repr, the message and its
+        # capture take about 6 bytes per character
+        row = "x" * (20 << 20)
+        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 0], row]})
+        tracemalloc.start()
+        try:
+            assert cli.main(["decide", "--input", path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("", f"error: length entry {row!r} must be an array of integers\n")
+        assert peak < 8 * len(row)
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize(

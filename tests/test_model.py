@@ -1,4 +1,8 @@
+import copy
+import enum
+import pickle
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,3 +207,59 @@ class TestValueTypes:
         s = Size(2, 2)
         with pytest.raises(AttributeError):
             s.w = 4  # type: ignore[misc]
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class TestSpecFromGroups:
+    def test_bool_and_int_enum_lengths_become_ints(self):
+        pairs = [(True, 0), (Level.ONE, 0), (1, 0), (0, Level.TWO)]
+        for spec in (ProblemSpec(Arities(2, 2), pairs), ProblemSpec.from_groups(Arities(2, 2), Counter(pairs))):
+            assert spec.groups == {(1, 0): 3, (0, 2): 1}
+            assert all(type(v) is int for pair in spec.groups for v in pair)
+            assert all(type(v) is int for pair in spec.lengths for v in pair)
+            assert (spec.m, spec.l1max, spec.l2max) == (4, 1, 2)
+
+    def test_lengths_in_histogram_order(self):
+        spec = ProblemSpec.from_groups(Arities(2, 3), {(2, 0): 2, (0, 1): 1, (1, 1): 2})
+        assert spec.lengths == ((2, 0), (2, 0), (0, 1), (1, 1), (1, 1))
+        assert spec == ProblemSpec(Arities(2, 3), spec.lengths)
+        assert hash(spec) == hash(ProblemSpec(Arities(2, 3), spec.lengths))
+
+    def test_copies_the_histogram(self):
+        groups = Counter({(1, 0): 2})
+        spec = ProblemSpec.from_groups(Arities(2, 2), groups)
+        groups[(0, 1)] += 1
+        assert spec.groups == {(1, 0): 2}
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ({(1.0, 0): 1}, "codeword lengths must be integers, got (1.0, 0)"),
+            ({(0, -1): 2}, "codeword lengths must be >= 0, got (0, -1)"),
+            ({(1, 0): 0}, "codeword counts must be integers >= 1"),
+            ({(1, 0): 1.5}, "codeword counts must be integers >= 1"),
+            ({(1, 0): True}, "codeword counts must be integers >= 1"),
+        ],
+    )
+    def test_rejects(self, groups, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProblemSpec.from_groups(Arities(2, 2), groups)
+
+    def test_value_types_compare_within_their_class(self):
+        assert Size(2, 3) == Size(2, 3) and hash(Size(2, 3)) == hash(Size(2, 3))
+        assert Size(2, 3) != Arities(2, 3) and Size(2, 3) != (2, 3)
+        assert reg(1, 2, 4, 8) == Region(1, 2, Size(4, 8)) and reg(1, 2, 4, 8) != reg(1, 2, 4, 4)
+        assert repr(reg(0, 4, 2, 1)) == "Region(x=0, y=4, size=Size(w=2, h=1))"
+        assert repr(ProblemSpec(Arities(2, 2), [(1, 0)])) == "ProblemSpec(arities=Arities(q1=2, q2=2), lengths=((1, 0),))"
+        with pytest.raises(AttributeError):
+            del reg(0, 0, 1, 1).x
+
+    def test_value_types_copy_and_pickle(self):
+        spec = ProblemSpec.from_groups(Arities(2, 3), {(1, 0): 2})
+        for value in (Size(2, 3), reg(1, 2, 4, 8), spec, ProblemSpec(Arities(3, 2), [(0, 1), (1, 0)])):
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value and type(twin) is type(value)

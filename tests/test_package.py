@@ -1,12 +1,23 @@
 """The package root: the library API the README shows, and nothing more."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import prefixpack
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
+
+# Modules that decide and kraft do not run; each costs its import (and its
+# compile, when no bytecode is cached) on every launch that loads it.
+NOT_LOADED_BY_CLI = ["dataclasses", "fractions", "inspect", "prefixpack.geometry", "prefixpack.oracle"]
 
 LIBRARY_API = [
     "Arities",
@@ -41,3 +52,43 @@ def test_readme_quick_start_runs_as_commented():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert values == [Fraction(1, 1), False, True]
     assert [type(v) for v in values] == [Fraction, bool, bool]
+
+
+def run_fresh(tmp_path, code: str, *argv: str) -> subprocess.CompletedProcess:
+    """python -c code argv... in a fresh interpreter that imports prefixpack from
+    this checkout, run in tmp_path beside the instance file inst.json."""
+    (tmp_path / "inst.json").write_text(json.dumps({"q": [2, 2], "lengths": [[1, 0], [0, 1], [2, 2]]}))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=60)
+
+
+def test_cli_import_and_decide_load_only_what_decide_runs(tmp_path):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import prefixpack.cli\n"
+        "after_import = sorted(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    exit_code = prefixpack.cli.main(['decide', '--input', 'inst.json'])\n"
+        "print(json.dumps([after_import, sorted(sys.modules), exit_code, out.getvalue()]))\n"
+    )
+    done = run_fresh(tmp_path, code)
+    assert done.stderr == ""
+    after_import, after_decide, exit_code, out = json.loads(done.stdout)
+    assert (exit_code, out) == (1, "NOT-EXISTS\n")
+    for loaded in (after_import, after_decide):
+        assert [name for name in NOT_LOADED_BY_CLI if name in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["kraft", "--input", "inst.json"], "17/16 VIOLATED\n"),
+        (["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"],
+         "selftest: 15 instances, all procedures agree\n"),
+    ],
+    ids=["kraft", "selftest"],
+)
+def test_lazily_loaded_commands_run_from_a_fresh_process(tmp_path, argv, out):
+    done = run_fresh(tmp_path, "import sys; from prefixpack.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")

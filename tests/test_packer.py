@@ -1,7 +1,9 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
 from prefixpack.geometry import contains, overlap
@@ -161,6 +163,26 @@ class TestTheoremEquivalenceSweep:
             brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no")
             assert fast == built == (naive is not None) == (brute == "yes"), f"{spec.lengths}"
+
+
+class TestSpecFromHistogram:
+    """ProblemSpec.from_groups, decide's input, against the spec built from the lengths."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12),
+    )
+    def test_same_verdict_and_multiset(self, qs, lengths):
+        listed = ProblemSpec(Arities(*qs), lengths)
+        hist = ProblemSpec.from_groups(Arities(*qs), Counter(lengths))
+        assert decide(hist) == decide(listed)
+        assert (hist.m, hist.l1max, hist.l2max, hist.groups) == (listed.m, listed.l1max, listed.l2max, listed.groups)
+        assert Counter(hist.lengths) == Counter(lengths)  # built on demand, grouped
+        locations = construct(hist)
+        assert (locations is not None) == decide(listed)
+        if locations is not None:
+            assert verify_codebook(solution_to_codebook(hist, locations))
 
 
 class TestDecisionProperties:

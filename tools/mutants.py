@@ -65,9 +65,17 @@ MUTANTS = [
     ("construct-owners-reversed", PACKER,
      "key=lambda k: rank[spec.lengths[k]])", "key=lambda k: -rank[spec.lengths[k]])"),
     ("json-admits-bool-lengths", CLI,
-     "<= {int}", "<= {int, bool}"),
+     "chain.from_iterable(lengths))\n    ) <= {int}", "chain.from_iterable(lengths))\n    ) <= {int, bool}"),
     ("json-skips-arity-check", CLI,
-     "if any(len(key) != len(qs) for key in groups):", "if False:"),
+     "all(len(key) == channels for key in groups)", "True"),
+    ("json-skips-bool-scan", CLI,
+     '("true" in text or "false" in text)', "False"),
+    ("json-skips-int-key-check", CLI,
+     "\n        and set(map(type, itertools.chain.from_iterable(groups))) <= {int}", ""),
+    ("json-float-text-as-int", CLI,
+     "chain.from_iterable(groups))) <= {int}", "chain.from_iterable(groups))) <= {int, _FloatText}"),
+    ("json-tuples-string-rows", CLI,
+     "if not set(map(type, lengths)) <= {list}:", "if False:"),
     ("json-probs-count-loose", CLI,
      'len(raw["probs"]) == len(lengths)', 'len(raw["probs"]) <= len(lengths)'),
     ("json-collector-left-off", CLI,
