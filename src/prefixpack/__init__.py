@@ -8,17 +8,6 @@ an explicit codebook when one exists, and computes the exact Kraft sum and
 the entropy bound.
 """
 
-from .codes import (
-    Codeword,
-    SourceDistribution,
-    entropy_bound,
-    kraft_sum,
-    solution_to_codebook,
-    verify_codebook,
-)
-from .model import Arities, ProblemSpec
-from .packer import construct, decide
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -34,3 +23,28 @@ __all__ = [
     "solution_to_codebook",
     "verify_codebook",
 ]
+
+# Each export is imported from its module on first access, so that importing
+# a submodule such as prefixpack.cli loads only the modules it needs.
+_HOMES = {
+    "Arities": "model",
+    "Codeword": "codes",
+    "ProblemSpec": "model",
+    "SourceDistribution": "codes",
+    "construct": "packer",
+    "decide": "packer",
+    "entropy_bound": "codes",
+    "kraft_sum": "codes",
+    "solution_to_codebook": "codes",
+    "verify_codebook": "codes",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value

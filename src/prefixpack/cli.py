@@ -14,10 +14,15 @@ import json
 import math
 import sys
 from collections import Counter
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
 
-from . import codes, packer
 from .model import Arities, ProblemSpec
+
+if TYPE_CHECKING:
+    from .packer import Locations
+
+# Each command imports codes and packer itself, as it needs them, and calls
+# them as module attributes, so that a launch compiles only what it runs.
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -81,6 +86,18 @@ class _FloatText(str):
         return repr(float(self))
 
 
+# The longest entry text an error message repeats whole; a longer one is cut
+# to its head and its length, so that no message grows with the file.
+ENTRY_TEXT_WIDTH = 80
+
+
+def _entry_text(entry: object) -> str:
+    text = repr(entry)
+    if len(text) <= ENTRY_TEXT_WIDTH:
+        return text
+    return f"{text[:ENTRY_TEXT_WIDTH]}... ({len(text)} characters)"
+
+
 def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     """The rule for a "lengths" entry, applied entry by entry in file order.
 
@@ -88,9 +105,9 @@ def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     message names the first one."""
     for entry in lengths:
         if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
-            raise InputError(f"length entry {entry!r} must be an array of integers")
+            raise InputError(f"length entry {_entry_text(entry)} must be an array of integers")
         if len(entry) != channels:
-            raise InputError(f"length entry {entry!r} does not match {channels} channel(s)")
+            raise InputError(f"length entry {_entry_text(entry)} does not match {channels} channel(s)")
     raise AssertionError("the whole-array checks rejected entries the per-entry rule accepts")
 
 
@@ -285,6 +302,8 @@ def result_to_json(payload: dict) -> str:
 def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
     if inst.probs is None or inst.base is None:
         return None
+    from . import codes
+
     try:
         dist = codes.SourceDistribution(inst.probs, inst.base)
         report = codes.entropy_bound(inst.qs, inst.lengths, dist)
@@ -307,6 +326,8 @@ def _load_groups(args: argparse.Namespace) -> tuple[tuple[int, ...], Counter[tup
 
 def cmd_decide(args: argparse.Namespace) -> int:
     qs, groups = _load_groups(args)
+    from . import packer
+
     spec = to_problem_spec(qs, groups)  # the verdict does not depend on order
     _guard_code_space((spec.arities.q1, spec.arities.q2), [spec.l1max, spec.l2max])
     if packer.decide(spec):
@@ -318,8 +339,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def _load_and_construct(
     args: argparse.Namespace,
-) -> tuple[InstanceFile, ProblemSpec, packer.Locations | None]:
+) -> tuple[InstanceFile, ProblemSpec, Locations | None]:
     """The input file, its spec and construct's packing of it, for construct and render."""
+    from . import packer
+
     inst = load_instance(args.input, args.format)
     spec = to_problem_spec(inst.qs, inst.lengths)
     _guard_construct_size(spec)
@@ -327,6 +350,8 @@ def _load_and_construct(
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import codes
+
     inst, spec, locations = _load_and_construct(args)
     payload: dict = {"decision": locations is not None}
     if locations is not None:
@@ -349,6 +374,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_kraft(args: argparse.Namespace) -> int:
     qs, groups = _load_groups(args)
+    from . import codes
+
     _guard_code_space(qs, [max(column) for column in zip(*groups)])
     frac = codes.kraft_sum(qs, groups)  # its ValueError exits 2 through main
     verdict = "SATISFIED" if frac <= 1 else "VIOLATED"
@@ -376,7 +403,7 @@ def _svg_axis_map(total: int, canvas: float, log_mode: bool):
     return lambda v: canvas * v / total
 
 
-def render_svg(spec: ProblemSpec, locations: packer.Locations) -> str:
+def render_svg(spec: ProblemSpec, locations: Locations) -> str:
     """SVG diagram over a q-power grid: one labeled rectangle per codeword's
     block, at its (x, y) from locations, which follow the spec's order.
 
@@ -384,6 +411,8 @@ def render_svg(spec: ProblemSpec, locations: packer.Locations) -> str:
     maximum length (true scale would be astronomically wide); labels stay
     exact either way.
     """
+    from . import codes
+
     q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
     book = codes.solution_to_codebook(spec, locations)
@@ -462,7 +491,7 @@ def _parse_arity_flag(values: list[str] | None) -> tuple[tuple[int, int], ...]:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from . import oracle  # only the sweep needs the brute-force references
+    from . import codes, oracle, packer  # oracle: only the sweep needs the brute-force references
 
     arity_pairs = _parse_arity_flag(args.arities)
     for flag, value in (("--max-m", args.max_m), ("--max-len", args.max_len)):

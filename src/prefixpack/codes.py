@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .model import ProblemSpec, Region, Size, _set, _Value, reg
@@ -73,23 +74,57 @@ def _validate_channels(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> N
                 raise ValueError(f"codeword lengths must be >= 0, got {li}")
 
 
+def _descending_powers(q: int, top: int, spent: Sequence[int]) -> dict[int, int]:
+    """{l: q**(top - l)} for each distinct l in spent, all <= top, by one running product."""
+    table, power, last = {}, 1, top
+    for length in sorted(set(spent), reverse=True):
+        power *= q ** (last - length)
+        table[length] = power
+        last = length
+    return table
+
+
 def kraft_sum(
     qs: Sequence[int], lengths: Sequence[Sequence[int]] | Counter[tuple[int, ...]]
 ) -> Fraction:
     """Exact sum over codewords of the product of q_i**(-l_i), any channel count, as
     one numerator over the product of q_i**lmax_i with equal tuples counted once.
 
-    lengths is the codewords' length tuples, or their histogram as a Counter."""
+    lengths is the codewords' length tuples, or their histogram as a Counter.
+
+    Channels of equal arity q merge: a tuple's term holds q**(top - spent),
+    where top and spent sum lmax_i and l_i over q's channels.  Each further
+    distinct arity multiplies the group counts by one entry of its power
+    table; the counts are then summed per spent length of the first arity and
+    folded into the numerator by one Horner pass over those lengths, so no
+    group costs a product of big powers.
+    """
     from fractions import Fraction  # loaded by the commands that print a Kraft sum, not by decide
 
     groups = lengths if isinstance(lengths, Counter) else Counter(map(tuple, lengths))
     _validate_channels(qs, groups)
-    lmax = [max(column) for column in zip(*groups)]
-    numerator = sum(
-        n * math.prod(qi ** (top - li) for qi, top, li in zip(qs, lmax, tup))
-        for tup, n in groups.items()
-    )
-    return Fraction(numerator, math.prod(qi**top for qi, top in zip(qs, lmax)))
+    columns = list(zip(*groups))  # one tuple of lengths per channel, in group order
+    if not columns:  # no codewords, or no channels: every term is the empty product
+        return Fraction(sum(groups.values()))
+    top: dict[int, int] = {}
+    spent: dict[int, Sequence[int]] = {}
+    for qi, column in zip(qs, columns):
+        top[qi] = top.get(qi, 0) + max(column)
+        spent[qi] = list(map(add, spent[qi], column)) if qi in spent else column
+    (q, first), *others = spent.items()
+    counts: Sequence[int] = list(groups.values())
+    for qo, column in others:
+        powers = _descending_powers(qo, top[qo], column)
+        counts = list(map(mul, counts, map(powers.__getitem__, column)))
+    by_length: dict[int, int] = {}
+    for length, n in zip(first, counts):
+        by_length[length] = by_length.get(length, 0) + n
+    numerator, last = 0, 0
+    for length in sorted(by_length):  # largest power of q first
+        numerator = numerator * q ** (length - last) + by_length[length]
+        last = length
+    numerator *= q ** (top[q] - last)
+    return Fraction(numerator, math.prod(qi**t for qi, t in top.items()))
 
 
 def entropy_bound(

@@ -16,7 +16,6 @@ import itertools
 from typing import Iterator, Literal, Sequence
 
 from .model import Arities, ProblemSpec, Region, Size, _set, _Value, ilog_exact, reg, total_key
-from .geometry import overlap
 
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
 
@@ -51,7 +50,9 @@ def brute_decide(
     Blocks are normalized into descending size order internally, so the
     verdict cannot depend on input order.  Runs of identical sizes only try
     placements in increasing location order (identical blocks are
-    interchangeable, so any solution can be rewritten that way).
+    interchangeable, so any solution can be rewritten that way).  Placed
+    blocks are kept as bare (x, y, x + w, y + h) tuples, and a candidate
+    is tested against them with the half-open interval overlap test.
     """
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
@@ -79,7 +80,7 @@ def brute_decide(
         return out
 
     spots = {s: candidates(s) for s in set(order)}
-    placed: list[Region] = []
+    placed: list[tuple[int, int, int, int]] = []
     nodes = 0
 
     def search(k: int) -> bool:
@@ -90,14 +91,15 @@ def brute_decide(
         if nodes > limits.max_nodes:
             raise BudgetExceeded
         s = order[k]
+        w, h = s.w, s.h
         repeat = k > 0 and order[k - 1] == s
         for x, y in spots[s]:
-            if repeat and (x, y) <= (placed[-1].x, placed[-1].y):
+            if repeat and (x, y) <= placed[-1][:2]:
                 continue
-            r = Region(x, y, s)
-            if any(overlap(r, p) for p in placed):
+            x2, y2 = x + w, y + h
+            if any(x < px2 and px < x2 and y < py2 and py < y2 for px, py, px2, py2 in placed):
                 continue
-            placed.append(r)
+            placed.append((x, y, x2, y2))
             if search(k + 1):
                 return True
             placed.pop()

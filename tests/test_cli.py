@@ -735,8 +735,8 @@ class TestParseFootprint:
 
     def test_string_row_is_never_spread_into_a_tuple(self, tmp_path, capsys):
         # tuple() of this row alone would hold a pointer per character, 8 bytes
-        # each; the file text, the loaded row, its repr, the message and its
-        # capture take about 6 bytes per character
+        # each; the file text, the loaded row and its repr take about 3 bytes
+        # per character, and the message repeats only the repr's head
         row = "x" * (20 << 20)
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 0], row]})
         tracemalloc.start()
@@ -745,8 +745,21 @@ class TestParseFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert capsys.readouterr() == ("", f"error: length entry {row!r} must be an array of integers\n")
-        assert peak < 8 * len(row)
+        head = repr(row)[: cli.ENTRY_TEXT_WIDTH]
+        err = f"error: length entry {head}... ({len(row) + 2} characters) must be an array of integers\n"
+        assert capsys.readouterr() == ("", err)
+        assert len(err) < 200
+        assert peak < 4 * len(row)
+
+    def test_entry_text_is_cut_only_past_its_width(self, tmp_path, capsys):
+        width = cli.ENTRY_TEXT_WIDTH
+        for row, shown in (
+            ("x" * (width - 2), repr("x" * (width - 2))),  # its repr is exactly width characters
+            ("x" * (width - 1), f"'{'x' * (width - 1)}... ({width + 1} characters)"),
+        ):
+            path = write_json(tmp_path, {"q": [2, 2], "lengths": [row]})
+            assert cli.main(["decide", "--input", path]) == 2
+            assert capsys.readouterr().err == f"error: length entry {shown} must be an array of integers\n"
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize(

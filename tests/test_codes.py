@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prefixpack.codes import (
     Codeword,
@@ -36,9 +36,11 @@ def kraft_reference(qs, lengths):
 
 @st.composite
 def multisets(draw, channels, max_len):
-    """Arities and a length list drawn from a few distinct tuples, so tuples repeat."""
+    """Arities, all equal or drawn per channel, and a length list drawn from a
+    few distinct tuples, so tuples repeat."""
     n = draw(channels)
-    qs = tuple(draw(st.lists(st.integers(2, 5), min_size=n, max_size=n)))
+    arity = st.integers(2, 5)
+    qs = (draw(arity),) * n if draw(st.booleans()) else tuple(draw(st.lists(arity, min_size=n, max_size=n)))
     pool = draw(st.lists(st.tuples(*[st.integers(0, max_len)] * n), min_size=1, max_size=5))
     return qs, draw(st.lists(st.sampled_from(pool), max_size=24))
 
@@ -88,10 +90,13 @@ class TestKraftSum:
 
 
 class TestHistogram:
-    @given(multisets(st.integers(1, 3), 12))
+    @settings(max_examples=300)
+    @given(multisets(st.integers(1, 3), 60))
     def test_kraft_matches_per_codeword_reference(self, case):
         qs, lengths = case
-        assert kraft_sum(qs, lengths) == kraft_reference(qs, lengths)
+        expected = kraft_reference(qs, lengths)
+        assert kraft_sum(qs, lengths) == expected
+        assert kraft_sum(qs, Counter(lengths)) == expected
 
     @given(multisets(st.just(2), 4), st.randoms(use_true_random=False))
     def test_groups_and_permutation_invariance(self, case, rnd):

@@ -18,6 +18,8 @@ README = REPO / "README.md"
 # Modules that decide and kraft do not run; each costs its import (and its
 # compile, when no bytecode is cached) on every launch that loads it.
 NOT_LOADED_BY_CLI = ["dataclasses", "fractions", "inspect", "prefixpack.geometry", "prefixpack.oracle"]
+# Loaded by the commands that run them: decide loads packer and not codes.
+NOT_LOADED_BY_CLI_IMPORT = ["prefixpack.codes", "prefixpack.packer"]
 
 LIBRARY_API = [
     "Arities",
@@ -78,6 +80,8 @@ def test_cli_import_and_decide_load_only_what_decide_runs(tmp_path):
     assert (exit_code, out) == (1, "NOT-EXISTS\n")
     for loaded in (after_import, after_decide):
         assert [name for name in NOT_LOADED_BY_CLI if name in loaded] == []
+    assert [name for name in NOT_LOADED_BY_CLI_IMPORT if name in after_import] == []
+    assert "prefixpack.packer" in after_decide and "prefixpack.codes" not in after_decide
 
 
 @pytest.mark.parametrize(

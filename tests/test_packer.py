@@ -18,11 +18,14 @@ from prefixpack.model import (
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
 from prefixpack.packer import (
     ContainerBank,
+    _pack,
     construct,
     decide,
     decide_fast,
     solve_naive,
 )
+
+from dense_bank import DenseBank
 
 Q22 = Arities(2, 2)
 ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=5_000_000)
@@ -183,6 +186,72 @@ class TestSpecFromHistogram:
         assert (locations is not None) == decide(listed)
         if locations is not None:
             assert verify_codebook(solution_to_codebook(hist, locations))
+
+
+@st.composite
+def grown_codes(draw):
+    """Arities and a multiset of length pairs: the leaves of a two-channel prefix
+    tree grown by splitting leaves (lengths up to 4), some dropped, plus a few
+    arbitrary pairs, so that both verdicts and partly used containers occur."""
+    q = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    leaves = [(0, 0)]
+    for _ in range(draw(st.integers(0, 16))):
+        k = draw(st.integers(0, len(leaves) - 1))
+        c = draw(st.integers(0, 1))
+        if leaves[k][c] < 4:
+            grown = (leaves[k][0] + 1, leaves[k][1]) if c == 0 else (leaves[k][0], leaves[k][1] + 1)
+            leaves[k:k + 1] = [grown] * q[c]
+    kept = [p for p in leaves if not draw(st.booleans())] if draw(st.booleans()) else leaves
+    extra = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3))
+    return Arities(*q), Counter(kept + extra)
+
+
+class LockstepBank(ContainerBank):
+    """An audited bank that, after each group _pack hands it, packs the dense
+    reference's own next group and compares the two banks cell for cell."""
+
+    def __init__(self, spec, located):
+        super().__init__(spec.arities, spec.l1max, spec.l2max, audit=True, located=located)
+        self.ref = DenseBank(spec.arities, spec.l1max, spec.l2max)
+        self.todo = self.ref.order(spec.groups, (spec.l1max, spec.l2max))
+        self.groups_done = 0
+
+    def consume_column(self, i, b, need):
+        return self._compare(super().consume_column(i, b, need))
+
+    def consume_row(self, j, a, need):
+        return self._compare(super().consume_row(j, a, need))
+
+    def _compare(self, ok):
+        (i, j), need = self.todo[self.groups_done]
+        self.groups_done += 1
+        ref = self.ref
+        assert ref.pack(i, j, need) == ok, "the walks disagree"
+        assert self.caps == ref.caps
+        ci, cj = self.caps
+        assert all(key[0] == ci or key[1] == cj for key, origins in ref.cells.items() if origins)
+        assert self.lines[0][: ci + 1] == [ref.count(t, cj) for t in range(ci + 1)]
+        assert self.lines[1][: cj + 1] == [ref.count(ci, t) for t in range(cj + 1)]
+        assert self.free_area() == ref.free
+        if self.origins is not None:
+            assert self.origins[0][: ci + 1] == [ref.cells.get((t, cj), []) for t in range(ci + 1)]
+            assert self.origins[1][: cj + 1] == [ref.cells.get((ci, t), []) for t in range(cj + 1)]
+            assert self.placed == ref.placed
+        return ok
+
+
+class TestDenseLockstep:
+    """ContainerBank, driven by _pack, against the dense-table reference, group by group."""
+
+    @pytest.mark.parametrize("located", [False, True], ids=["counts", "origins"])
+    @settings(max_examples=300, deadline=None)
+    @given(code=grown_codes())
+    def test_banks_agree_after_every_group(self, located, code):
+        q, groups = code
+        spec = ProblemSpec.from_groups(q, groups)
+        bank = LockstepBank(spec, located)
+        if _pack(bank, spec.groups) is not None:  # else both failed the last group compared
+            assert bank.groups_done == len(bank.todo)
 
 
 class TestDecisionProperties:

@@ -1,4 +1,4 @@
-"""Hand-listed mutants of the packing code, run against tier-1 one at a time.
+"""Hand-listed mutants of the packing, Kraft, oracle and parsing code, run against tier-1 one at a time.
 
 Usage, from the repository root:
 
@@ -32,6 +32,8 @@ TIMEOUT_S = 600  # a mutant that loops forever counts as caught
 GEOMETRY = "src/prefixpack/geometry.py"
 PACKER = "src/prefixpack/packer.py"
 CLI = "src/prefixpack/cli.py"
+CODES = "src/prefixpack/codes.py"
+ORACLE = "src/prefixpack/oracle.py"
 
 # (name, file, old text, new text); each old text occurs exactly once in its file
 MUTANTS = [
@@ -55,7 +57,13 @@ MUTANTS = [
      "along_o[d - 1] += _split(along_o[d], q, step, u)",
      "along_o[d - 1] = _split(along_o[d], q, step, u) + along_o[d - 1]"),
     ("pack-tie-break-swapped", PACKER,
-     "key=lambda ll: (max(size[ll]), *size[ll])", "key=lambda ll: (max(size[ll]), *size[ll][::-1])"),
+     "blocks.append((max(w, h), w, h, ll))", "blocks.append((max(w, h), h, w, ll))"),
+    ("pack-skips-row-cap-descent", PACKER,
+     "if a != caps[0] or cj != caps[1]:", "if a != caps[0]:"),
+    ("ledger-charges-unplaced-blocks", PACKER,
+     "self._free -= (need - left) *", "self._free -= need *"),
+    ("audit-skips-consume", PACKER,
+     "        if self.audit:\n            self._free", "        if False:\n            self._free"),
     ("walk-skips-first-level", PACKER,
      "        k = start\n", "        k = start + 1\n"),
     ("square-blocks-walk-the-row", PACKER,
@@ -84,6 +92,18 @@ MUTANTS = [
      'line = line.split("#", 1)[0].strip()', "line = line.strip()"),
     ("text-allows-short-lines", CLI,
      "if len(tup) != len(qs):", "if len(tup) > len(qs):"),
+    ("entry-text-never-cut", CLI,
+     "if len(text) <= ENTRY_TEXT_WIDTH:", "if True:"),
+    ("kraft-table-exponent-off-by-one", CODES,
+     "power *= q ** (last - length)", "power *= q ** (last - length + 1)"),
+    ("kraft-horner-from-wrong-end", CODES,
+     "for length in sorted(by_length):", "for length in sorted(by_length, reverse=True):"),
+    ("kraft-horner-step-off-by-one", CODES,
+     "numerator * q ** (length - last) +", "numerator * q ** (length - last + 1) +"),
+    ("kraft-equal-arities-not-merged", CODES,
+     "top[qi] = top.get(qi, 0) + max(column)", "top[qi] = max(column)"),
+    ("oracle-overlap-closed-edge", ORACLE,
+     "x < px2 and px < x2", "x <= px2 and px < x2"),
 ]
 
 
