@@ -14,10 +14,12 @@ from collections import Counter
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .model import ProblemSpec, Region, Size, _set, _Value, reg
+from .model import ProblemSpec, _set, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .geometry import Region, Size
 
 # One character per digit keeps prefix relations plain string prefixes.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -166,6 +168,8 @@ def lengths_to_instance(spec: ProblemSpec) -> CanonicalInstance:
     all blocks go into the container spanning every leaf pair.  A channel
     unused by all codewords degenerates to dimension 1.
     """
+    from .geometry import Size, reg  # the reference packing world; only selftest and tests get here
+
     q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
     blocks = tuple(Size(q.q1 ** (l1max - l1), q.q2 ** (l2max - l2)) for l1, l2 in spec.lengths)

@@ -1,15 +1,9 @@
-"""Core value types: arities, sizes, regions, problem instances, and the two orders on sizes.
+"""Core value types: arities and problem instances.
 
 All values are immutable after construction and every operation here is a pure
-function, so everything in this module is safe to share across threads.
-Coordinates and dimensions are plain Python ints: container widths reach
-q1**l1max, which overflows fixed-width integers for quite modest inputs
-(q=10, l=30 already needs 100 bits).
-
-A block, a rectangle of regular size that still awaits a location, is its
-Size.  Blocks are packed largest first under the total order total_key.  A
-size that covers another (the componentwise partial order) comes first in
-that order, which makes the processing order sound.
+function, so everything in this module is safe to share across threads.  The
+reference packing world (sizes, regions and the two orders on sizes) lives in
+``geometry``, which no command but ``selftest`` loads.
 """
 
 from __future__ import annotations
@@ -62,17 +56,6 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
-def ilog_exact(n: int, base: int) -> int | None:
-    """Exponent e with base**e == n, or None if n is not a power of base."""
-    if n < 1:
-        return None
-    e = 0
-    while n % base == 0:
-        n //= base
-        e += 1
-    return e if n == 1 else None
-
-
 class Arities(_Value):
     """Alphabet sizes of the two channels."""
 
@@ -83,50 +66,6 @@ class Arities(_Value):
             raise ValueError(f"arities must be >= 2, got ({q1}, {q2})")
         _set(self, "q1", q1)
         _set(self, "q2", q2)
-
-
-class Size(_Value):
-    """Width/height pair of a rectangle; both dimensions are >= 1."""
-
-    __slots__ = ("w", "h")
-
-    def __init__(self, w: int, h: int) -> None:
-        if w < 1 or h < 1:
-            raise ValueError(f"size dimensions must be >= 1, got [{w}, {h}]")
-        _set(self, "w", w)
-        _set(self, "h", h)
-
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
-
-class Region(_Value):
-    """Half-open rectangle [x, x+w) x [y, y+h); left/bottom borders closed.
-
-    w and h repeat the size's dimensions, so the overlap tests read one slot.
-    """
-
-    __slots__ = ("x", "y", "size", "w", "h")
-    _fields = ("x", "y", "size")
-
-    def __init__(self, x: int, y: int, size: Size) -> None:
-        if x < 0 or y < 0:
-            raise ValueError(f"region location must be non-negative, got ({x}, {y})")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "size", size)
-        _set(self, "w", size.w)
-        _set(self, "h", size.h)
-
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
-
-def reg(x: int, y: int, w: int, h: int) -> Region:
-    """Shorthand constructor for a region."""
-    return Region(x, y, Size(w, h))
 
 
 class ProblemSpec(_Value):
@@ -208,32 +147,3 @@ class ProblemSpec(_Value):
     @property
     def l2max(self) -> int:
         return max((l2 for _, l2 in self.groups), default=0)
-
-
-def total_key(s: Size) -> tuple[int, int, int]:
-    """Sort key realizing the total order: longest side, then width, then height."""
-    return (max(s.w, s.h), s.w, s.h)
-
-
-def covers(s1: Size, s2: Size) -> bool:
-    """True when s1 dominates s2 componentwise (width and height both >=)."""
-    return s1.w >= s2.w and s1.h >= s2.h
-
-
-def is_regular(s: Size, q: Arities) -> bool:
-    """True when the width is a power of q1 and the height a power of q2."""
-    return ilog_exact(s.w, q.q1) is not None and ilog_exact(s.h, q.q2) is not None
-
-
-def is_aligned(r: Region) -> bool:
-    """True when the location is a multiple of the region's own size."""
-    return r.x % r.w == 0 and r.y % r.h == 0
-
-
-def sort_blocks_desc(blocks: Iterable[Size]) -> list[Size]:
-    """Stable descending sort under the total order; equal sizes keep input order."""
-    return sorted(blocks, key=total_key, reverse=True)
-
-
-def is_sorted_desc(blocks: Sequence[Size]) -> bool:
-    return all(total_key(a) >= total_key(b) for a, b in zip(blocks, blocks[1:]))

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Literal, Sequence
 
-from .model import Arities, ProblemSpec, Region, Size, _set, _Value, ilog_exact, reg, total_key
+from .geometry import Region, Size, ilog_exact, reg, total_key
+from .model import Arities, ProblemSpec, _set, _Value
 
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
 
@@ -35,8 +36,9 @@ class OracleLimits(_Value):
         _set(self, "max_nodes", max_nodes)
 
 
-def _ceil_to(value: int, step: int) -> int:
-    return -(-value // step) * step
+def _starts(lo: int, extent: int, step: int) -> range:
+    """Aligned starts of a step-long interval inside [lo, lo + extent)."""
+    return range(-(-lo // step) * step, lo + extent - step + 1, step)
 
 
 def brute_decide(
@@ -52,7 +54,9 @@ def brute_decide(
     placements in increasing location order (identical blocks are
     interchangeable, so any solution can be rewritten that way).  Placed
     blocks are kept as bare (x, y, x + w, y + h) tuples, and a candidate
-    is tested against them with the half-open interval overlap test.
+    is tested against them with the half-open interval overlap test.  More
+    aligned candidates, over all distinct sizes, than max_nodes is over
+    budget too; they are counted before any is listed.
     """
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
@@ -67,19 +71,12 @@ def brute_decide(
     if sum(b.area for b in order) > sum(c.area for c in containers):
         return "no"
 
-    def candidates(s: Size) -> list[tuple[int, int]]:
-        out = []
-        for c in containers:
-            x = _ceil_to(c.x, s.w)
-            while x + s.w <= c.x + c.w:
-                y = _ceil_to(c.y, s.h)
-                while y + s.h <= c.y + c.h:
-                    out.append((x, y))
-                    y += s.h
-                x += s.w
-        return out
-
-    spots = {s: candidates(s) for s in set(order)}
+    # Each size's aligned starts per container, as ranges: the candidates are
+    # counted, arithmetically, before any is listed.
+    grids = {s: [(_starts(c.x, c.w, s.w), _starts(c.y, c.h, s.h)) for c in containers] for s in set(order)}
+    if sum(len(xs) * len(ys) for grid in grids.values() for xs, ys in grid) > limits.max_nodes:
+        return "budget_exceeded"
+    spots = {s: [(x, y) for xs, ys in grid for x in xs for y in ys] for s, grid in grids.items()}
     placed: list[tuple[int, int, int, int]] = []
     nodes = 0
 

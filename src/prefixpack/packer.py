@@ -1,4 +1,4 @@
-"""The greedy container bank behind decide and construct, and its naive reference.
+"""The greedy container bank behind decide and construct.
 
 ``ContainerBank`` counts the free containers of each size [q1**i, q2**j]
 on the only two lines that hold any, one cap column and one cap row.  Blocks
@@ -14,84 +14,30 @@ The free-area ledger, an independent check on the counts, is kept only by
 audited banks: its update multiplies two powers per group, about a fifth of
 decide_fast's time on codes whose block sides have over a thousand bits.
 
-``solve_naive`` is the reference the bank is tested against: per block it
-re-cuts every container at hand with ``cut_sigma`` to the componentwise
-maximum of the remaining block sizes, then packs the largest block into the
-lower-left corner of a smallest adequate container.  No command runs it.
+The bank is tested against the reference packer ``geometry.solve_naive``,
+which no command runs.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Sequence
 
-from .model import Arities, ProblemSpec, Region, Size, covers, is_regular, is_sorted_desc, total_key
+from .model import Arities, ProblemSpec
 
 
 # A packing: one (x, y) origin per block, in block order.
 Locations = tuple[tuple[int, int], ...]
 
 
-def _validate_containers(containers: Sequence[Region]) -> None:
-    from .geometry import overlap
+def __getattr__(name: str):
+    # Only for benchmarks/tracer.py, which wraps packer.solve_naive at install;
+    # ROADMAP item 1 deletes this forward along with that lookup.
+    if name != "solve_naive":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .geometry import solve_naive
 
-    for i in range(len(containers)):
-        for j in range(i + 1, len(containers)):
-            if overlap(containers[i], containers[j]):
-                raise ValueError(
-                    f"containers must not overlap: {containers[i]} vs {containers[j]}"
-                )
-
-
-def solve_naive(
-    blocks: Sequence[Size], containers: Sequence[Region], q: Arities
-) -> Locations | None:
-    """Greedy packer: the origin of each block, given as its size, in the
-    given order, or None when no packing exists.
-
-    Expects blocks pre-sorted descending under the total order (rejected
-    otherwise, as are overlapping containers and non-regular block sizes).
-    Ties among equally small candidate containers are broken by
-    lexicographically smallest (x, y) so outputs are reproducible.
-    """
-    from .geometry import corner_cut_regions, cut_sigma  # the reference layer; no command loads it
-
-    if not is_sorted_desc(blocks):
-        raise ValueError("blocks must be sorted descending under the total order")
-    for b in blocks:
-        if not is_regular(b, q):
-            raise ValueError(f"block size [{b.w}, {b.h}] is not regular")
-    _validate_containers(containers)
-
-    n = len(blocks)
-    if n == 0:
-        return ()
-    # Suffix componentwise maxima: s*[i] bounds every block from i on.
-    smax: list[Size] = [Size(1, 1)] * n
-    w, h = blocks[n - 1].w, blocks[n - 1].h
-    smax[n - 1] = Size(w, h)
-    for i in range(n - 2, -1, -1):
-        w = max(w, blocks[i].w)
-        h = max(h, blocks[i].h)
-        smax[i] = Size(w, h)
-
-    pool: list[Region] = list(containers)
-    locations: list[tuple[int, int]] = []
-    for i, blk in enumerate(blocks):
-        cut_pool: list[Region] = []
-        for r in pool:
-            cut_pool.extend(cut_sigma(r, smax[i], q))
-        pool = cut_pool
-        adequate = [r for r in pool if covers(r.size, blk)]
-        if not adequate:
-            return None
-        target = min(adequate, key=lambda r: (total_key(r.size), r.x, r.y))
-        locations.append((target.x, target.y))
-        pool.remove(target)
-        if target.size != blk:
-            pool.extend(corner_cut_regions(target, blk, q))
-    return tuple(locations)
+    return solve_naive
 
 
 def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) -> list:
@@ -105,7 +51,8 @@ def _split(origins: list, q: int, step: int, u: tuple[int, int]) -> list:
 
 
 class _CountsView:
-    """Read-only counts[i][j] of a bank, as if it were the full table: zero off the cap lines."""
+    """Read-only counts[i][j] of a bank, as if it were the full table: zero off the cap lines.
+    Its one reader is benchmarks/tracer.py; ROADMAP item 1 deletes it and the counts property."""
 
     def __init__(self, bank: ContainerBank, i: int | None = None):
         self.bank, self.i = bank, i
@@ -179,6 +126,7 @@ class ContainerBank:
 
     @property
     def counts(self) -> _CountsView:
+        """The cap lines as a full table, for benchmarks/tracer.py only (see _CountsView)."""
         return _CountsView(self)
 
     def free_area(self) -> int | None:
@@ -333,9 +281,9 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
 def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
     """Existence decision on the canonical instance via the bank's counts.
 
-    Matches solve_naive's verdict on the single initial container
-    [q1**l1max, q2**l2max] while never materializing locations.  It reads
-    only the spec's histogram of g distinct pairs (which
+    Matches the reference geometry.solve_naive's verdict on the single
+    initial container [q1**l1max, q2**l2max] while never materializing
+    locations.  It reads only the spec's histogram of g distinct pairs (which
     ProblemSpec.from_groups builds in O(g)) and runs O(g log g + g *
     max(l1max, l2max) + s) big-integer operations, where s is the number of
     occupied cap-line cells moved by the at most l1max + l2max cap steps,

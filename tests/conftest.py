@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from prefixpack.geometry import overlap
-from prefixpack.model import Arities, Region, Size, covers, is_aligned, is_regular
+from prefixpack.geometry import Region, Size, covers, is_aligned, is_regular, overlap
+from prefixpack.model import Arities
 
 
 def assert_partition(c: Region, s: Size, q: Arities, pieces) -> None:

@@ -8,7 +8,7 @@ blocks takes the newest containers of each level first and frees the rest
 of a partly used one as its largest aligned pieces, lowest offset first.
 """
 
-from prefixpack.model import Size, total_key
+from prefixpack.geometry import Size, total_key
 
 
 def _shift(o, axis, offset):

@@ -19,15 +19,15 @@ from prefixpack.codes import (
     solution_to_codebook,
     verify_codebook,
 )
-from prefixpack.geometry import cut_sigma, overlap
-from prefixpack.model import Arities, ProblemSpec, Region, Size, reg, sort_blocks_desc
+from prefixpack.geometry import Region, Size, cut_sigma, overlap, reg, solve_naive, sort_blocks_desc
+from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import (
     OracleLimits,
     brute_decide,
     brute_sigma_min,
     enumerate_instances,
 )
-from prefixpack.packer import construct, decide, decide_fast, solve_naive
+from prefixpack.packer import construct, decide, decide_fast
 
 from conftest import assert_partition
 

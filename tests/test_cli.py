@@ -380,7 +380,8 @@ class TestTracedRun:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["caterpillar", "kraft-excess"])
     def test_same_answer_after_deep_descents(self, tmp_path, extra):
-        # The tracer reads bank.counts after every descent that moves a cap;
+        # The tracer reads the cap lines through bank.counts, the table view
+        # only it still uses, after every descent that moves a cap;
         # a caterpillar makes hundreds of them, and one more copy of its
         # smallest block pushes Kraft above 1 so the last group fails.
         lengths = caterpillar(random.Random(7), 600)

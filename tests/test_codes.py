@@ -15,8 +15,8 @@ from prefixpack.codes import (
     solution_to_codebook,
     verify_codebook,
 )
-from prefixpack.geometry import overlap
-from prefixpack.model import Arities, ProblemSpec, Region, Size, reg
+from prefixpack.geometry import Region, Size, overlap, reg
+from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import brute_decide
 from prefixpack.packer import construct, decide
 

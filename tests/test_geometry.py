@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixpack.geometry import contains, corner_cut_regions, cut_sigma, overlap
-from prefixpack.model import Arities, Region, Size, reg
+from prefixpack.geometry import Region, Size, contains, corner_cut_regions, cut_sigma, overlap, reg
+from prefixpack.model import Arities
 from prefixpack.oracle import OracleLimits, brute_sigma_min
 
 from conftest import assert_partition

@@ -7,9 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from prefixpack.model import (
-    Arities,
-    ProblemSpec,
+from prefixpack.geometry import (
     Region,
     Size,
     covers,
@@ -21,6 +19,7 @@ from prefixpack.model import (
     sort_blocks_desc,
     total_key,
 )
+from prefixpack.model import Arities, ProblemSpec
 
 sizes_64 = st.builds(Size, st.integers(1, 64), st.integers(1, 64))
 

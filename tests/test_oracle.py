@@ -2,7 +2,8 @@ from collections import Counter
 
 import pytest
 
-from prefixpack.model import Arities, Size, reg
+from prefixpack.geometry import Size, reg
+from prefixpack.model import Arities
 from prefixpack.oracle import (
     BudgetExceeded,
     OracleLimits,
@@ -39,6 +40,11 @@ class TestBruteDecide:
         containers = [reg(0, 0, 4, 4)]
         tight = OracleLimits(max_m=16, max_dim=64, max_nodes=3)
         assert brute_decide(blocks, containers, tight) == "budget_exceeded"
+
+    def test_candidates_counted_against_the_budget(self):
+        # one unit block has 512 * 512 aligned spots: counted, and over budget, before any is listed
+        limits = OracleLimits(max_m=1, max_dim=512, max_nodes=1000)
+        assert brute_decide([Size(1, 1)], [reg(0, 0, 512, 512)], limits) == "budget_exceeded"
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ README = REPO / "README.md"
 NOT_LOADED_BY_CLI = ["dataclasses", "fractions", "inspect", "prefixpack.geometry", "prefixpack.oracle"]
 # Loaded by the commands that run them: decide loads packer and not codes.
 NOT_LOADED_BY_CLI_IMPORT = ["prefixpack.codes", "prefixpack.packer"]
+# The reference packing world and the brute-force oracle: only selftest loads them.
+REFERENCES = ["prefixpack.geometry", "prefixpack.oracle"]
 
 LIBRARY_API = [
     "Arities",
@@ -56,10 +58,10 @@ def test_readme_quick_start_runs_as_commented():
     assert [type(v) for v in values] == [Fraction, bool, bool]
 
 
-def run_fresh(tmp_path, code: str, *argv: str) -> subprocess.CompletedProcess:
+def run_fresh(tmp_path, code: str, *argv: str, lengths=((1, 0), (0, 1), (2, 2))) -> subprocess.CompletedProcess:
     """python -c code argv... in a fresh interpreter that imports prefixpack from
     this checkout, run in tmp_path beside the instance file inst.json."""
-    (tmp_path / "inst.json").write_text(json.dumps({"q": [2, 2], "lengths": [[1, 0], [0, 1], [2, 2]]}))
+    (tmp_path / "inst.json").write_text(json.dumps({"q": [2, 2], "lengths": lengths}))
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=60)
@@ -84,15 +86,24 @@ def test_cli_import_and_decide_load_only_what_decide_runs(tmp_path):
     assert "prefixpack.packer" in after_decide and "prefixpack.codes" not in after_decide
 
 
+CONSTRUCTED = {"codebook": [{"c1": "1", "c2": "1"}, {"c1": "0", "c2": ""}], "decision": True, "kraft": "3/4"}
+
+
 @pytest.mark.parametrize(
-    "argv, out",
+    "argv, lengths, out, references",
     [
-        (["kraft", "--input", "inst.json"], "17/16 VIOLATED\n"),
-        (["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"],
-         "selftest: 15 instances, all procedures agree\n"),
+        (["kraft", "--input", "inst.json"], [[1, 0], [0, 1], [2, 2]], "17/16 VIOLATED\n", []),
+        (["construct", "--input", "inst.json"], [[1, 1], [1, 0]],
+         json.dumps(CONSTRUCTED, sort_keys=True, indent=2) + "\n", []),
+        (["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"], [],
+         "selftest: 15 instances, all procedures agree\n", REFERENCES),
     ],
-    ids=["kraft", "selftest"],
+    ids=["kraft", "construct", "selftest"],
 )
-def test_lazily_loaded_commands_run_from_a_fresh_process(tmp_path, argv, out):
-    done = run_fresh(tmp_path, "import sys; from prefixpack.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
-    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+def test_lazily_loaded_commands_run_from_a_fresh_process(tmp_path, argv, lengths, out, references):
+    # stderr lists the reference modules the command loaded
+    code = ("import sys\nfrom prefixpack.cli import main\nexit_code = main(sys.argv[1:])\n"
+            f"print(*[name for name in {REFERENCES!r} if name in sys.modules], file=sys.stderr)\n"
+            "sys.exit(exit_code)\n")
+    done = run_fresh(tmp_path, code, *argv, lengths=lengths)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, " ".join(references) + "\n")

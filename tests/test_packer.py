@@ -6,24 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
-from prefixpack.geometry import contains, overlap
-from prefixpack.model import (
-    Arities,
-    ProblemSpec,
-    Region,
-    Size,
-    reg,
-    sort_blocks_desc,
-)
+from prefixpack.geometry import Region, Size, contains, overlap, reg, solve_naive, sort_blocks_desc
+from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
-from prefixpack.packer import (
-    ContainerBank,
-    _pack,
-    construct,
-    decide,
-    decide_fast,
-    solve_naive,
-)
+from prefixpack.packer import ContainerBank, _pack, construct, decide, decide_fast
 
 from dense_bank import DenseBank
 
@@ -292,14 +278,14 @@ class TestDecisionProperties:
 class TestContainerBank:
     def test_initial_state(self):
         bank = ContainerBank(Q22, 3, 2, audit=True)
-        assert bank.counts[3][2] == 1
+        assert bank.caps == [3, 2] and bank.lines[0][3] == 1  # the corner, on the cap row
         assert bank.free_area() == 8 * 4
         assert bank.counted_area() == bank.free_area()
 
     def test_descend_splits_counts(self):
         bank = ContainerBank(Q22, 3, 2, audit=True)
         bank.descend_caps(1, 1)
-        assert bank.counts[1][1] == 4 * 2
+        assert bank.caps == [1, 1] and bank.lines[0][1] == 4 * 2
         assert bank.counted_area() == 32
 
     def test_descend_rejects_raising_caps(self):
@@ -326,7 +312,7 @@ class TestContainerBank:
         bank = ContainerBank(Q22, 2, 2, audit=True)
         bank.descend_caps(1, 1)  # four 2x2 containers
         assert bank.consume_column(1, 1, 3) is True
-        assert bank.counts[1][1] == 1
+        assert bank.caps == [1, 1] and bank.lines[0][1] == 1
         assert bank.free_area() == 4
 
     def test_consume_with_partial_leftover(self):
@@ -334,20 +320,20 @@ class TestContainerBank:
         # one 4x4 container; pack three 4x1 rows
         assert bank.consume_column(2, 0, 3) is True
         # leftover: one 4x1 slab
-        assert bank.counts[2][0] == 1
+        assert bank.caps == [2, 2] and bank.lines[1][0] == 1  # on the cap column
         assert bank.free_area() == 4
 
     def test_descent_moves_a_slab_left_by_a_column_walk(self):
         bank = ContainerBank(Q22, 2, 2, audit=True)
-        assert bank.consume_column(2, 0, 3) is True  # one 4x1 slab left at counts[2][0]
+        assert bank.consume_column(2, 0, 3) is True  # one 4x1 slab left on the cap column
         bank.descend_caps(1, 2)
-        assert bank.counts[1][0] == 2
+        assert bank.caps == [1, 2] and bank.lines[1][0] == 2
 
     def test_descent_moves_a_slab_left_by_a_row_walk(self):
         bank = ContainerBank(Q22, 2, 2, audit=True)
-        assert bank.consume_row(2, 0, 3) is True  # one 1x4 slab left at counts[0][2]
+        assert bank.consume_row(2, 0, 3) is True  # one 1x4 slab left on the cap row
         bank.descend_caps(2, 1)
-        assert bank.counts[0][1] == 2
+        assert bank.caps == [2, 1] and bank.lines[0][0] == 2
 
     def test_consume_reports_shortage(self):
         bank = ContainerBank(Q22, 1, 1, audit=True)

@@ -51,8 +51,14 @@ MUTANTS = [
      "r1.x < r2.x + r2.w", "r1.x <= r2.x + r2.w"),
     ("contains-strict-right", GEOMETRY,
      "inner.x + inner.w <= outer.x + outer.w", "inner.x + inner.w < outer.x + outer.w"),
-    ("naive-tie-break-y-first", PACKER,
+    ("naive-tie-break-y-first", GEOMETRY,
      "key=lambda r: (total_key(r.size), r.x, r.y)", "key=lambda r: (total_key(r.size), r.y, r.x)"),
+    ("covers-strict-height", GEOMETRY,
+     "return s1.w >= s2.w and s1.h >= s2.h", "return s1.w >= s2.w and s1.h > s2.h"),
+    ("total-key-height-before-width", GEOMETRY,
+     "return (max(s.w, s.h), s.w, s.h)", "return (max(s.w, s.h), s.h, s.w)"),
+    ("sorted-desc-rejects-ties", GEOMETRY,
+     "total_key(a) >= total_key(b)", "total_key(a) > total_key(b)"),
     ("folded-origins-in-front", PACKER,
      "along_o[d - 1] += _split(along_o[d], q, step, u)",
      "along_o[d - 1] = _split(along_o[d], q, step, u) + along_o[d - 1]"),
@@ -104,6 +110,8 @@ MUTANTS = [
      "top[qi] = top.get(qi, 0) + max(column)", "top[qi] = max(column)"),
     ("oracle-overlap-closed-edge", ORACLE,
      "x < px2 and px < x2", "x <= px2 and px < x2"),
+    ("oracle-budget-counts-one-axis", ORACLE,
+     "len(xs) * len(ys)", "len(xs)"),
 ]
 
 
