@@ -490,6 +490,11 @@ def _parse_arity_flag(values: list[str] | None) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _where(spec: ProblemSpec) -> str:
+    """The instance a selftest failure names."""
+    return f"q=({spec.arities.q1},{spec.arities.q2}) lengths={list(spec.lengths)}"
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
     from . import codes, oracle, packer  # oracle: only the sweep needs the brute-force references
 
@@ -505,21 +510,20 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     )
     checked = 0
     for spec in oracle.enumerate_instances(arity_pairs, args.max_m, args.max_len):
-        where = f"q=({spec.arities.q1},{spec.arities.q2}) lengths={list(spec.lengths)}"
         fast = packer.decide_fast(spec)
         locations = packer.construct(spec)
         built = locations is not None
         inst = codes.lengths_to_instance(spec)
         brute = oracle.brute_decide(inst.blocks, [inst.container], limits)
         if brute == "budget_exceeded":
-            print(f"selftest: oracle budget exceeded on {where}")
+            print(f"selftest: oracle budget exceeded on {_where(spec)}")
             return EXIT_SELFTEST_FAILED
         expect = brute == "yes"
         if fast != expect or built != expect:
-            print(f"selftest: DISAGREEMENT on {where}: fast={fast} construct={built} brute={expect}")
+            print(f"selftest: DISAGREEMENT on {_where(spec)}: fast={fast} construct={built} brute={expect}")
             return EXIT_SELFTEST_FAILED
         if built and not codes.verify_codebook(codes.solution_to_codebook(spec, locations)):
-            print(f"selftest: INVALID CODEBOOK on {where}")
+            print(f"selftest: INVALID CODEBOOK on {_where(spec)}")
             return EXIT_SELFTEST_FAILED
         checked += 1
     print(f"selftest: {checked} instances, all procedures agree")

@@ -85,7 +85,7 @@ class ProblemSpec(_Value):
     integral types (bools) are stored as exact ints.
     """
 
-    __slots__ = ("arities", "_lengths", "groups")
+    __slots__ = ("arities", "_lengths", "groups", "_m", "_l1max", "_l2max")
     _fields = ("arities", "lengths")
 
     def __init__(self, arities: Arities, lengths: Iterable[Sequence[int]]) -> None:
@@ -104,7 +104,8 @@ class ProblemSpec(_Value):
         return spec
 
     def __post_init__(self) -> None:
-        """Count the lengths, or copy the histogram, and check each distinct pair once."""
+        """Count the lengths, or copy the histogram, check each distinct pair
+        once, and keep m, l1max and l2max."""
         lengths, groups = self._lengths, self.groups
         if groups is None:
             lengths = tuple(map(tuple, lengths))
@@ -129,6 +130,9 @@ class ProblemSpec(_Value):
                 lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
         _set(self, "_lengths", lengths)
         _set(self, "groups", groups)
+        _set(self, "_m", sum(groups.values()))
+        _set(self, "_l1max", max((l1 for l1, _ in groups), default=0))
+        _set(self, "_l2max", max((l2 for _, l2 in groups), default=0))
 
     @property
     def lengths(self) -> tuple[LengthTuple, ...]:
@@ -138,12 +142,12 @@ class ProblemSpec(_Value):
 
     @property
     def m(self) -> int:
-        return sum(self.groups.values())
+        return self._m
 
     @property
     def l1max(self) -> int:
-        return max((l1 for l1, _ in self.groups), default=0)
+        return self._l1max
 
     @property
     def l2max(self) -> int:
-        return max((l2 for _, l2 in self.groups), default=0)
+        return self._l2max

@@ -6,19 +6,36 @@ cutting oracle enumerates partitions outright.  Both are hopeless beyond toy
 sizes, which is the point - they answer small instances by sheer enumeration
 so the real algorithms have something honest to be checked against.
 
+Both search on integer bitmasks, one bit per cell.  The packing oracle
+numbers the cells its containers cover column by column, so a block at a
+spot is its mask at the origin shifted by the spot's offset, and offsets
+order spots as their (x, y) do; one array serves as both the spots and
+their sort keys.  Each (size, containers) pair has its mask and its offsets
+listed once and kept in a bounded cache, which the selftest sweep hits on
+nearly every call.  The offsets are an array of machine words, not one
+tuple or one shifted mask per spot: a unit block in a 512 x 512 container
+has 262,144 spots, which take 2 MiB as words, about 40 MiB as (x, y)
+tuples, and gigabytes as masks as wide as the container.
+
 Budgets are explicit: exceeding one is reported as its own outcome (or raised),
 never silently turned into a wrong answer.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+from array import array
 from typing import Iterator, Literal, Sequence
 
-from .geometry import Region, Size, ilog_exact, reg, total_key
+from .geometry import Region, Size, ilog_exact, reg
 from .model import Arities, ProblemSpec, _set, _Value
 
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
+
+# A container as a bare (x, y, w, h) tuple, the cache key's half that is not the size
+Box = tuple[int, int, int, int]
 
 
 class BudgetExceeded(Exception):
@@ -41,6 +58,63 @@ def _starts(lo: int, extent: int, step: int) -> range:
     return range(-(-lo // step) * step, lo + extent - step + 1, step)
 
 
+def _size_key(wh: tuple[int, int]) -> tuple[int, int, int]:
+    """geometry.total_key on a bare (w, h) pair."""
+    return (max(wh), wh[0], wh[1])
+
+
+def _spot_count(size: tuple[int, int], boxes: tuple[Box, ...]) -> int:
+    """Number of aligned spots of a size in the containers, counted without listing them."""
+    w, h = size
+    return sum(len(_starts(x, cw, w)) * len(_starts(y, ch, h)) for x, y, cw, ch in boxes)
+
+
+def _packed_axis(spans: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Each [lo, hi) span's shift onto the axis with its uncovered stretches
+    removed, and that axis' length.
+
+    Far-apart containers thus cost no bits for the gaps between them, and
+    the shifted axis keeps both the order and the adjacency of covered points.
+    """
+    merged: list[list[int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    los, shifts, length = [], [], 0
+    for lo, hi in merged:
+        los.append(lo)
+        shifts.append(length - lo)
+        length += hi - lo
+    return [shifts[bisect.bisect_right(los, lo) - 1] for lo, _ in spans], length
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(size: tuple[int, int], boxes: tuple[Box, ...]) -> tuple[int, array]:
+    """A size's cell mask at the origin and the bit offsets of its aligned
+    spots in the containers, in the containers' order, x-major.
+
+    Cells are numbered column by column over the covered columns and rows
+    only, so the offset of (x, y) is x' * height + y' for the shifted x' and
+    y', and offsets compare as their (x, y) do.
+    """
+    w, h = size
+    xshift, _ = _packed_axis([(x, x + cw) for x, _, cw, _ in boxes])
+    yshift, height = _packed_axis([(y, y + ch) for _, y, _, ch in boxes])
+    column = (1 << h) - 1
+    block = 0
+    for dx in range(w):
+        block |= column << dx * height
+    offsets = array("q")
+    for (x, y, cw, ch), sx, sy in zip(boxes, xshift, yshift):
+        ys = _starts(y, ch, h)
+        for x0 in _starts(x, cw, w):
+            first = (x0 + sx) * height + ys.start + sy
+            offsets.extend(range(first, first + len(ys) * h, h))
+    return block, offsets
+
+
 def brute_decide(
     blocks: Sequence[Size],
     containers: Sequence[Region],
@@ -52,11 +126,12 @@ def brute_decide(
     Blocks are normalized into descending size order internally, so the
     verdict cannot depend on input order.  Runs of identical sizes only try
     placements in increasing location order (identical blocks are
-    interchangeable, so any solution can be rewritten that way).  Placed
-    blocks are kept as bare (x, y, x + w, y + h) tuples, and a candidate
-    is tested against them with the half-open interval overlap test.  More
-    aligned candidates, over all distinct sizes, than max_nodes is over
-    budget too; they are counted before any is listed.
+    interchangeable, so any solution can be rewritten that way).  The cells
+    taken so far are one int, and a candidate, its size's mask shifted to
+    the spot, is tested against it with one bitwise and; masks and spots
+    come from _layout's cache.  More aligned candidates, over all distinct
+    sizes, than max_nodes is over budget too; they are counted before any
+    is listed.
     """
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
@@ -67,43 +142,36 @@ def brute_decide(
         if c.w > limits.max_dim or c.h > limits.max_dim:
             raise ValueError(f"container {c} exceeds the dimension limit {limits.max_dim}")
 
-    order = sorted(blocks, key=total_key, reverse=True)
-    if sum(b.area for b in order) > sum(c.area for c in containers):
+    order = sorted(((b.w, b.h) for b in blocks), key=_size_key, reverse=True)
+    if sum(w * h for w, h in order) > sum(c.area for c in containers):
         return "no"
 
-    # Each size's aligned starts per container, as ranges: the candidates are
-    # counted, arithmetically, before any is listed.
-    grids = {s: [(_starts(c.x, c.w, s.w), _starts(c.y, c.h, s.h)) for c in containers] for s in set(order)}
-    if sum(len(xs) * len(ys) for grid in grids.values() for xs, ys in grid) > limits.max_nodes:
+    boxes = tuple((c.x, c.y, c.w, c.h) for c in containers)
+    sizes = set(order)
+    if sum(_spot_count(s, boxes) for s in sizes) > limits.max_nodes:
         return "budget_exceeded"
-    spots = {s: [(x, y) for xs, ys in grid for x in xs for y in ys] for s, grid in grids.items()}
-    placed: list[tuple[int, int, int, int]] = []
+    layouts = {s: _layout(s, boxes) for s in sizes}
+    # per block: its mask, its spots, and whether it repeats the block before it
+    plan = [(*layouts[s], k > 0 and order[k - 1] == s) for k, s in enumerate(order)]
     nodes = 0
 
-    def search(k: int) -> bool:
+    def search(k: int, taken: int, last: int) -> bool:
+        """Place blocks k.. around the taken cells; last is block k - 1's offset."""
         nonlocal nodes
-        if k == len(order):
+        if k == len(plan):
             return True
         nodes += 1
         if nodes > limits.max_nodes:
             raise BudgetExceeded
-        s = order[k]
-        w, h = s.w, s.h
-        repeat = k > 0 and order[k - 1] == s
-        for x, y in spots[s]:
-            if repeat and (x, y) <= placed[-1][:2]:
-                continue
-            x2, y2 = x + w, y + h
-            if any(x < px2 and px < x2 and y < py2 and py < y2 for px, py, px2, py2 in placed):
-                continue
-            placed.append((x, y, x2, y2))
-            if search(k + 1):
+        block, offsets, repeat = plan[k]
+        floor = last if repeat else -1
+        for off in offsets:
+            if off > floor and not (cell := block << off) & taken and search(k + 1, taken | cell, off):
                 return True
-            placed.pop()
         return False
 
     try:
-        return "yes" if search(0) else "no"
+        return "yes" if search(0, 0, -1) else "no"
     except BudgetExceeded:
         return "budget_exceeded"
 

@@ -313,5 +313,6 @@ def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
         return None
     # bank.placed runs group by group in pack order; a stable sort matches it to the codewords
     rank = {ll: r for r, ll in enumerate(order)}
-    owners = sorted(range(spec.m), key=lambda k: rank[spec.lengths[k]])
+    lengths = spec.lengths
+    owners = sorted(range(len(lengths)), key=lambda k: rank[lengths[k]])
     return tuple(xy for _, xy in sorted(zip(owners, bank.placed)))

@@ -346,7 +346,9 @@ class TestSelftest:
             ["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"]
         )
         assert code == 3
-        assert "DISAGREEMENT" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "selftest: DISAGREEMENT on q=(2,2) lengths=[(0, 0), (0, 0)]: fast=True construct=False brute=False\n"
+        )
 
     def test_overlapping_codebook_detected(self, capsys, monkeypatch):
         def stacked(spec, **kw):  # the right verdict, with every block at the origin
@@ -357,7 +359,16 @@ class TestSelftest:
         monkeypatch.setattr(packer, "construct", stacked)
         code = cli.main(["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"])
         assert code == 3
-        assert "INVALID CODEBOOK" in capsys.readouterr().out
+        assert capsys.readouterr().out == "selftest: INVALID CODEBOOK on q=(2,2) lengths=[(0, 1), (0, 1)]\n"
+
+    def test_oracle_budget_reported(self, capsys, monkeypatch):
+        from prefixpack import oracle
+
+        limits = oracle.OracleLimits  # the sweep's limits with a one-node budget: (0, 1) has two spots
+        monkeypatch.setattr(oracle, "OracleLimits", lambda **kw: limits(**{**kw, "max_nodes": 1}))
+        code = cli.main(["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"])
+        assert code == 3
+        assert capsys.readouterr().out == "selftest: oracle budget exceeded on q=(2,2) lengths=[(0, 1)]\n"
 
 
 class TestTracedRun:

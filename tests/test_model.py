@@ -262,3 +262,31 @@ class TestSpecFromGroups:
         for value in (Size(2, 3), reg(1, 2, 4, 8), spec, ProblemSpec(Arities(3, 2), [(0, 1), (1, 0)])):
             for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
                 assert twin == value and type(twin) is type(value)
+
+
+pairs = st.tuples(st.integers(0, 6) | st.booleans(), st.integers(0, 6) | st.booleans())
+
+
+class TestSpecDerived:
+    """m, l1max and l2max are kept at construction; they stay out of the fields."""
+
+    @given(st.lists(pairs, max_size=8))
+    def test_equal_scans_of_lengths(self, lengths):
+        for spec in (ProblemSpec(Arities(2, 3), lengths), ProblemSpec.from_groups(Arities(2, 3), Counter(lengths))):
+            assert spec.m == len(spec.lengths) == len(lengths)
+            assert spec.l1max == max((int(l1) for l1, _ in lengths), default=0)
+            assert spec.l2max == max((int(l2) for _, l2 in lengths), default=0)
+
+    def test_fields_and_value_semantics_unchanged(self):
+        spec = ProblemSpec(Arities(2, 3), [(2, 0), (0, 1), (2, 0)])
+        assert ProblemSpec._fields == ("arities", "lengths")
+        assert spec.__reduce__() == (ProblemSpec, (Arities(2, 3), ((2, 0), (0, 1), (2, 0))))
+        assert repr(spec) == "ProblemSpec(arities=Arities(q1=2, q2=3), lengths=((2, 0), (0, 1), (2, 0)))"
+        twin = ProblemSpec.from_groups(Arities(2, 3), {(2, 0): 2, (0, 1): 1})
+        assert twin != spec  # same multiset, other order
+        assert pickle.loads(pickle.dumps(spec)) == spec and hash(pickle.loads(pickle.dumps(spec))) == hash(spec)
+        copied = pickle.loads(pickle.dumps(twin))
+        assert (copied.m, copied.l1max, copied.l2max) == (twin.m, twin.l1max, twin.l2max) == (3, 2, 1)
+        with pytest.raises(AttributeError):
+            spec._m = 0
+

@@ -1,8 +1,11 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from prefixpack.geometry import Size, reg
+from prefixpack import oracle
+from prefixpack.geometry import Size, overlap, reg
 from prefixpack.model import Arities
 from prefixpack.oracle import (
     BudgetExceeded,
@@ -13,6 +16,7 @@ from prefixpack.oracle import (
 )
 from prefixpack.packer import decide
 
+from brute_reference import brute_decide_reference
 from conftest import assert_partition
 
 Q22 = Arities(2, 2)
@@ -74,6 +78,43 @@ class TestBruteDecide:
         blocks = [Size(2, 1), Size(2, 1)]
         assert brute_decide(blocks, [reg(1, 0, 4, 1)]) == "no"
         assert brute_decide(blocks, [reg(0, 0, 4, 1)]) == "yes"
+        assert brute_decide(blocks, [reg(1, 0, 4, 1)]) == "no"  # the cached spots follow the container
+
+    @settings(max_examples=300)
+    @given(
+        blocks=st.lists(st.builds(Size, st.integers(1, 4), st.integers(1, 4)), max_size=6),
+        containers=st.lists(st.builds(reg, *[st.integers(1, 12)] * 2, *[st.integers(1, 6)] * 2), min_size=1, max_size=3),
+        max_nodes=st.sampled_from([1, 3, 10, 50, 10**6]),
+    )
+    def test_same_outcome_as_the_tuple_reference(self, blocks, containers, max_nodes):
+        assume(not any(overlap(a, b) for i, a in enumerate(containers) for b in containers[i + 1:]))
+        limits = OracleLimits(max_m=6, max_dim=64, max_nodes=max_nodes)
+        assert brute_decide(blocks, containers, limits) == brute_decide_reference(blocks, containers, limits)
+
+    def test_far_apart_containers_cost_no_gap_cells(self):
+        # the gap between the containers is left out of the cell numbering
+        far = 10**12
+        tracemalloc.start()
+        try:
+            got = brute_decide([Size(2, 2), Size(1, 1)], [reg(0, 0, 2, 2), reg(far, far, 1, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == "yes" and peak < 1 << 20
+        assert brute_decide([Size(1, 1)] * 2, [reg(0, 0, 1, 1), reg(far, 0, 1, 1)]) == "yes"
+        assert brute_decide([Size(1, 1)] * 2, [reg(0, 0, 1, 1), reg(1, 0, 1, 1)]) == "yes"  # touching
+        assert brute_decide([Size(2, 1)], [reg(0, 0, 1, 1), reg(1, 0, 1, 1)]) == "no"  # no block spans two
+
+    def test_spots_kept_in_arrays(self):
+        # a unit block in 512 x 512 has 262,144 spots: 2 MiB as machine words, about 40 MiB as tuples
+        oracle._layout.cache_clear()
+        tracemalloc.start()
+        try:
+            got = brute_decide([Size(1, 1)], [reg(0, 0, 512, 512)], OracleLimits(max_dim=4096, max_nodes=5_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == "yes" and peak < 8 << 20
 
 
 class TestBruteSigmaMin:

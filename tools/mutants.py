@@ -1,12 +1,12 @@
-"""Hand-listed mutants of the packing, Kraft, oracle and parsing code, run against tier-1 one at a time.
+"""Hand-listed mutants of the packing, Kraft, spec, oracle and parsing code, run against tier-1 one at a time.
 
 Usage, from the repository root:
 
     python3 tools/mutants.py
 
 Each mutant is one text replacement in one source file.  For each, the
-script copies src/, tests/, benchmarks/ (which tests read) and
-pyproject.toml to a temporary directory, applies the replacement there, and
+script copies src/, tests/, benchmarks/ and README.md (which tests read)
+and pyproject.toml to a temporary directory, applies the replacement there, and
 runs tier-1 with criterion 4 deselected (for time), stopping at the first
 failure.  A mutant that every selected test passes survives: the tests
 cannot tell it from the real code.  The survivors are printed at the end,
@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "benchmarks", "pyproject.toml")
+COPIED = ("src", "tests", "benchmarks", "pyproject.toml", "README.md")
 DESELECTED = "tests/test_acceptance.py::test_criterion_4_sigma_matches_minimal_partition"
 TIMEOUT_S = 600  # a mutant that loops forever counts as caught
 
@@ -33,6 +33,7 @@ GEOMETRY = "src/prefixpack/geometry.py"
 PACKER = "src/prefixpack/packer.py"
 CLI = "src/prefixpack/cli.py"
 CODES = "src/prefixpack/codes.py"
+MODEL = "src/prefixpack/model.py"
 ORACLE = "src/prefixpack/oracle.py"
 
 # (name, file, old text, new text); each old text occurs exactly once in its file
@@ -77,7 +78,7 @@ MUTANTS = [
     ("walk-takes-newest-first", PACKER,
      "taken = spots[k][-used:]", "taken = spots[k][:used]"),
     ("construct-owners-reversed", PACKER,
-     "key=lambda k: rank[spec.lengths[k]])", "key=lambda k: -rank[spec.lengths[k]])"),
+     "key=lambda k: rank[lengths[k]])", "key=lambda k: -rank[lengths[k]])"),
     ("json-admits-bool-lengths", CLI,
      "chain.from_iterable(lengths))\n    ) <= {int}", "chain.from_iterable(lengths))\n    ) <= {int, bool}"),
     ("json-skips-arity-check", CLI,
@@ -108,10 +109,16 @@ MUTANTS = [
      "numerator * q ** (length - last) +", "numerator * q ** (length - last + 1) +"),
     ("kraft-equal-arities-not-merged", CODES,
      "top[qi] = top.get(qi, 0) + max(column)", "top[qi] = max(column)"),
-    ("oracle-overlap-closed-edge", ORACLE,
-     "x < px2 and px < x2", "x <= px2 and px < x2"),
+    ("spec-l1max-reads-channel-2", MODEL,
+     "max((l1 for l1, _ in groups), default=0)", "max((l2 for _, l2 in groups), default=0)"),
+    ("oracle-repeat-rule-for-every-block", ORACLE,
+     "floor = last if repeat else -1", "floor = last"),
+    ("oracle-block-mask-one-row-short", ORACLE,
+     "column = (1 << h) - 1", "column = (1 << h - 1) - 1"),
     ("oracle-budget-counts-one-axis", ORACLE,
-     "len(xs) * len(ys)", "len(xs)"),
+     "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
+    ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
+     "_layout(s, boxes)", '_layout(s, _layout.__dict__.setdefault("boxes", boxes))'),
 ]
 
 
