@@ -8,13 +8,15 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
 import math
+import re
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .model import Arities, ProblemSpec
 
@@ -23,6 +25,8 @@ if TYPE_CHECKING:
 
 # Each command imports codes and packer itself, as it needs them, and calls
 # them as module attributes, so that a launch compiles only what it runs.
+
+_Parsed = TypeVar("_Parsed")
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -52,9 +56,12 @@ class InstanceFile(NamedTuple):
     loaded, or tuples for the text format.  groups is their histogram,
     Counter(tuple(row) for row in lengths), counted once at parse time, with
     exact-int keys of len(qs) values each; the parser checks the rows on
-    these distinct keys, not value by value.  decide and kraft read only
-    groups, while construct, render and entropy read lengths.  probs and
-    base are floats, whether the file wrote them as integers or as floats.
+    these distinct keys, not value by value.  construct, render and entropy
+    read lengths.  decide and kraft need only qs and groups, and build no
+    InstanceFile for a JSON file the row counter takes (see _load_groups);
+    they parse one only for the files it refuses and for the text format.
+    probs and base are floats, whether the file wrote them as integers or as
+    floats.
     """
 
     qs: tuple[int, ...]
@@ -111,6 +118,33 @@ def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     raise AssertionError("the whole-array checks rejected entries the per-entry rule accepts")
 
 
+def _rows_hold_ints(rows: Collection[Sequence[object]], channels: int) -> bool:
+    """The rule for the distinct rows: channels values each, all of exact type int.
+
+    type() rather than isinstance(): JSON true/false load as bool, an int subclass."""
+    return set(map(len, rows)) <= {channels} and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+
+
+def _collector_paused(parse: Callable[[str], _Parsed]) -> Callable[[str], _Parsed]:
+    """Run a JSON parser with the cyclic collector paused, then restored.
+
+    The loaded rows hold no cycles, and the collector's passes over them
+    would make json.loads about half as slow again."""
+
+    @functools.wraps(parse)
+    def run(text: str) -> _Parsed:
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return parse(text)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    return run
+
+
+@_collector_paused
 def parse_instance_json(text: str) -> InstanceFile:
     """Parse and validate a JSON instance file.
 
@@ -130,20 +164,8 @@ def parse_instance_json(text: str) -> InstanceFile:
       holding an array or object cannot be counted at all.
 
     When a check fails, the per-entry rule runs to name the first bad entry
-    in file order.  The cyclic collector is paused for the whole parse and
-    then restored: the loaded rows hold no cycles, and its passes over them
-    would make json.loads about half as slow again.
+    in file order.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_instance_json(text)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _parse_instance_json(text: str) -> InstanceFile:
     try:
         raw = json.loads(text, parse_float=_FloatText, parse_constant=_FloatText)
     except json.JSONDecodeError as exc:
@@ -174,10 +196,7 @@ def _parse_instance_json(text: str) -> InstanceFile:
         groups = Counter(map(tuple, lengths))
     except TypeError:  # a row holds an array or an object
         _reject_first_bad_entry(lengths, channels)
-    if not (
-        all(len(key) == channels for key in groups)
-        and set(map(type, itertools.chain.from_iterable(groups))) <= {int}
-    ):
+    if not _rows_hold_ints(groups, channels):
         _reject_first_bad_entry(lengths, channels)
     probs = None
     if "probs" in raw and raw["probs"] is not None:
@@ -201,6 +220,78 @@ def _parse_instance_json(text: str) -> InstanceFile:
         except OverflowError as exc:
             raise InputError('"D" is too large for a float') from exc
     return InstanceFile(tuple(qs), lengths, groups, probs, base)
+
+
+# JSON's whitespace and digits, spelled out: \s and \d also match \x0c, \xa0
+# and other Unicode spaces and digits, which json.loads rejects.  The patterns
+# stay strings here; re compiles them on the first call, so that only decide
+# and kraft pay for it.
+_JSON_WS = r"[ \t\n\r]*"
+_JSON_INT = rf"{_JSON_WS}-?(?:0|[1-9][0-9]*){_JSON_WS}"
+_JSON_HEAD = (
+    rf'{_JSON_WS}\{{{_JSON_WS}"q"{_JSON_WS}:{_JSON_WS}\[((?:{_JSON_INT},)*{_JSON_INT})\]'
+    rf'{_JSON_WS},{_JSON_WS}"lengths"{_JSON_WS}:{_JSON_WS}\['
+)
+_JSON_TAIL = rf"{_JSON_WS}\}}{_JSON_WS}"
+
+
+@_collector_paused
+def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]]] | None:
+    """(qs, groups) of a JSON file {"q": [ints], "lengths": [rows]}, counted
+    on the rows' text; None for any text it cannot certify.
+
+    The "lengths" array runs from the head to the last "]" of the text.
+    Split there on "]", each row is one piece: its separator and its values
+    up to its "]".  The first row gets the separator ", " that the others
+    carry, so that equal rows have equal texts; the pieces are counted with
+    Counter at C speed, and only the distinct texts are decoded, with one
+    json.loads and parse_instance_json's hooks.  Each distinct text must hold
+    exactly one "[" and no string or object, and decode to one row, so that
+    each decodes to a flat list; the rows then pass parse_instance_json's
+    rule (_rows_hold_ints).  Texts that decode equal, such as -0 and 0, or
+    rows spaced differently, merge in the histogram.  Anything else (other
+    fields, an empty or malformed array, a bad row or a number past the
+    digit limit) returns None and is left to parse_instance_json, which
+    writes every error message.
+    """
+    head = re.match(_JSON_HEAD, text)
+    if head is None:
+        return None
+    try:
+        qs = tuple(map(int, head[1].split(",")))
+    except ValueError:  # past the digit limit
+        return None
+    pieces = text.split("]")
+    if len(pieces) < 4:  # the "q" list, at least one row, the array's end and the rest
+        return None
+    outer, inner = pieces.pop(), pieces.pop()
+    if not (re.fullmatch(_JSON_WS, inner) and re.fullmatch(_JSON_TAIL, outer)):
+        return None
+    # pieces[0] runs up to the end of the "q" list, pieces[1] on to the first row's end
+    pieces[1] = ", " + pieces[1][head.end() - len(pieces[0]) - 1 :]
+    del pieces[0]
+    counts = Counter(pieces)
+    del pieces
+    texts = list(counts)
+    joined = "]".join(texts)
+    # one "[" per text: as many as texts, and never two with no "]" between them
+    if joined.count("[") != len(texts) or re.search(r"\[[^]]*\[", joined):
+        return None
+    if '"' in joined or "{" in joined or "}" in joined:
+        return None
+    try:  # the first text's leading comma gives way to the array's "["
+        rows = json.loads(f"[{joined[1:]}]]", parse_float=_FloatText, parse_constant=_FloatText)
+    except ValueError:  # a malformed text, or a number past the digit limit
+        return None
+    if len(rows) != len(texts) or not _rows_hold_ints(rows, len(qs)):
+        return None
+    keys = list(map(tuple, rows))
+    groups = Counter(dict(zip(keys, counts.values())))
+    if len(groups) < len(keys):  # texts that decode equal, such as -0 and 0, merge
+        groups = Counter()
+        for key, n in zip(keys, counts.values()):
+            groups[key] += n
+    return qs, groups
 
 
 def parse_instance_text(text: str) -> InstanceFile:
@@ -227,12 +318,16 @@ def parse_instance_text(text: str) -> InstanceFile:
     return InstanceFile(qs, tuples, Counter(tuples), None, None)
 
 
-def load_instance(path: str, fmt: str) -> InstanceFile:
+def read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def load_instance(path: str, fmt: str) -> InstanceFile:
+    text = read_input(path)
     return parse_instance_json(text) if fmt == "json" else parse_instance_text(text)
 
 
@@ -316,12 +411,23 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
 
 def _load_groups(args: argparse.Namespace) -> tuple[tuple[int, ...], Counter[tuple[int, ...]]]:
     """Arities and length histogram of the input file, for the commands that
-    need only the multiset.  The rows are freed before anything else is
-    allocated, so no collector pass walks them."""
-    inst = load_instance(args.input, args.format)
-    qs, groups = inst.qs, inst.groups
-    del inst
-    return qs, groups
+    need only the multiset.
+
+    A JSON file of the shape {"q": [ints], "lengths": [rows]} is counted on
+    its text by count_json_rows, which decodes only its distinct rows.  Any
+    other JSON file, and any text the counter cannot certify, goes through
+    parse_instance_json, the source of every error message; the text format
+    through parse_instance_text.  Either way the file's text and rows are
+    freed on return, before anything else is allocated."""
+    text = read_input(args.input)
+    if args.format == "text":
+        inst = parse_instance_text(text)
+    else:
+        counted = count_json_rows(text)
+        if counted is not None:
+            return counted
+        inst = parse_instance_json(text)
+    return inst.qs, inst.groups
 
 
 def cmd_decide(args: argparse.Namespace) -> int:

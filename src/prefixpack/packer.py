@@ -263,7 +263,11 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
     caps = bank.caps  # descend_caps lowers these in place
     for _, w, h, ll in blocks:
         a, b = top1 - ll[0], top2 - ll[1]
-        if w >= h:  # the caps descend to the layer max(w, h), so this walk is on a cap line
+        # The caps descend to the layer max(w, h), so the walk is on a cap line.
+        # For a square block (w == h) the `=` is a free choice: either descent
+        # ends at the corner (a, b), and a walk up the column or the row takes
+        # the same containers from the corner, whose origin list both share.
+        if w >= h:
             cj = _floor_exp(w, pow2, caps[1])
             if a != caps[0] or cj != caps[1]:
                 bank.descend_caps(a, cj)

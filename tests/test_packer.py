@@ -1,3 +1,4 @@
+import copy
 import itertools
 import tracemalloc
 from collections import Counter
@@ -43,6 +44,10 @@ class TestSolveNaive:
         assert_solution_valid(blocks, containers, sol)
         # the independent oracle agrees a packing exists
         assert brute_decide(blocks, containers, ORACLE_LIMITS) == "yes"
+
+    def test_ties_go_to_the_smallest_x_then_y(self):
+        # after (0, 0), three equal cells are left; (0, 1) precedes (1, 0)
+        assert solve_naive([Size(1, 1)] * 4, [reg(0, 0, 2, 2)], Q22) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_empty_blocks(self):
         assert solve_naive([], [reg(0, 0, 2, 2)], Q22) == ()
@@ -238,6 +243,80 @@ class TestDenseLockstep:
         bank = LockstepBank(spec, located)
         if _pack(bank, spec.groups) is not None:  # else both failed the last group compared
             assert bank.groups_done == len(bank.todo)
+
+
+# Arities with square blocks off the diagonal (4**1 == 2**2, 9**1 == 3**2),
+# each with length caps that keep a located bank's grid at most 2**12 cells
+SQUARE_ARITIES = {(2, 2): (4, 4), (3, 3): (3, 3), (4, 2): (3, 4), (2, 4): (4, 3), (9, 3): (2, 3), (3, 9): (3, 2)}
+
+
+@st.composite
+def square_codes(draw):
+    """Arities and a multiset of length pairs grown as in grown_codes, with
+    arities whose blocks are square at mixed exponents."""
+    q = draw(st.sampled_from(sorted(SQUARE_ARITIES)))
+    caps = SQUARE_ARITIES[q]
+    leaves = [(0, 0)]
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, len(leaves) - 1))
+        c = draw(st.integers(0, 1))
+        if leaves[k][c] < caps[c]:
+            grown = (leaves[k][0] + 1, leaves[k][1]) if c == 0 else (leaves[k][0], leaves[k][1] + 1)
+            leaves[k:k + 1] = [grown] * q[c]
+    kept = [p for p in leaves if not draw(st.booleans())] if draw(st.booleans()) else leaves
+    extra = draw(st.lists(st.tuples(st.integers(0, caps[0]), st.integers(0, caps[1])), max_size=3))
+    return Arities(*q), Counter(kept + extra)
+
+
+class TwinWalkBank(ContainerBank):
+    """A located, audited bank that packs each group of square blocks twice,
+    up the cap column on itself and up the cap row on a deep copy, and checks
+    that both walks leave the same bank."""
+
+    def __init__(self, spec):
+        super().__init__(spec.arities, spec.l1max, spec.l2max, audit=True, located=True)
+        self.squares = 0
+
+    def consume_column(self, i, b, need):
+        if self.pow1[i] == self.pow2[b]:
+            return self._both_walks(i, b, need)
+        return super().consume_column(i, b, need)
+
+    def consume_row(self, j, a, need):
+        if self.pow1[a] == self.pow2[j]:
+            return self._both_walks(a, j, need)
+        return super().consume_row(j, a, need)
+
+    def _both_walks(self, a, b, need):
+        assert self.caps == [a, b], "the descent for a square block ends at the corner"
+        twin = copy.deepcopy(self)
+        ok = ContainerBank.consume_column(self, a, b, need)
+        assert ContainerBank.consume_row(twin, b, a, need) == ok
+        assert (twin.lines, twin.caps, twin.live, twin.free_area()) == (self.lines, self.caps, self.live, self.free_area())
+        assert (twin.origins, twin.placed) == (self.origins, self.placed)
+        self.squares += 1
+        return ok
+
+
+class TestSquareBlocks:
+    """_pack's `w >= h` sends square blocks up the cap column; `w > h` would
+    send them up the cap row.  Both walks must leave the same bank."""
+
+    def test_column_and_row_walks_agree(self):
+        squares = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(code=square_codes())
+        def check(code):
+            q, groups = code
+            spec = ProblemSpec.from_groups(q, groups)
+            bank = TwinWalkBank(spec)
+            order = _pack(bank, spec.groups)
+            assert (order is not None) == decide(spec)
+            squares.append(bank.squares)
+
+        check()
+        assert sum(map(bool, squares)) * 2 >= len(squares), "too few codes hold a square block"
 
 
 class TestDecisionProperties:

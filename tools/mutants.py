@@ -1,4 +1,4 @@
-"""Hand-listed mutants of the packing, Kraft, spec, oracle and parsing code, run against tier-1 one at a time.
+"""Hand-listed mutants of the packing, Kraft, spec, oracle, parsing and row-counting code, run against tier-1 one at a time.
 
 Usage, from the repository root:
 
@@ -73,8 +73,6 @@ MUTANTS = [
      "        if self.audit:\n            self._free", "        if False:\n            self._free"),
     ("walk-skips-first-level", PACKER,
      "        k = start\n", "        k = start + 1\n"),
-    ("square-blocks-walk-the-row", PACKER,
-     "if w >= h:", "if w > h:"),
     ("walk-takes-newest-first", PACKER,
      "taken = spots[k][-used:]", "taken = spots[k][:used]"),
     ("construct-owners-reversed", PACKER,
@@ -82,19 +80,29 @@ MUTANTS = [
     ("json-admits-bool-lengths", CLI,
      "chain.from_iterable(lengths))\n    ) <= {int}", "chain.from_iterable(lengths))\n    ) <= {int, bool}"),
     ("json-skips-arity-check", CLI,
-     "all(len(key) == channels for key in groups)", "True"),
+     "set(map(len, rows)) <= {channels}", "True"),
     ("json-skips-bool-scan", CLI,
      '("true" in text or "false" in text)', "False"),
     ("json-skips-int-key-check", CLI,
-     "\n        and set(map(type, itertools.chain.from_iterable(groups))) <= {int}", ""),
+     " and set(map(type, itertools.chain.from_iterable(rows))) <= {int}", ""),
     ("json-float-text-as-int", CLI,
-     "chain.from_iterable(groups))) <= {int}", "chain.from_iterable(groups))) <= {int, _FloatText}"),
+     "chain.from_iterable(rows))) <= {int}", "chain.from_iterable(rows))) <= {int, _FloatText}"),
     ("json-tuples-string-rows", CLI,
      "if not set(map(type, lengths)) <= {list}:", "if False:"),
     ("json-probs-count-loose", CLI,
      'len(raw["probs"]) == len(lengths)', 'len(raw["probs"]) <= len(lengths)'),
     ("json-collector-left-off", CLI,
-     "        if gc_was_enabled:\n", "        if not gc_was_enabled:\n"),
+     "            if gc_was_enabled:\n", "            if not gc_was_enabled:\n"),
+    ("counter-python-whitespace", CLI,
+     '_JSON_WS = r"[ \\t\\n\\r]*"', '_JSON_WS = r"\\s*"'),
+    ("counter-python-digits", CLI,
+     "[1-9][0-9]*", "[1-9]\\d*"),
+    ("counter-admits-strings", CLI,
+     """    if '"' in joined or "{" in joined or "}" in joined:\n        return None\n""", ""),
+    ("counter-admits-any-brackets", CLI,
+     """    if joined.count("[") != len(texts) or re.search(r"\\[[^]]*\\[", joined):\n        return None\n""", ""),
+    ("counter-skips-row-count", CLI,
+     "if len(rows) != len(texts) or not _rows_hold_ints", "if not _rows_hold_ints"),
     ("text-keeps-comments", CLI,
      'line = line.split("#", 1)[0].strip()', "line = line.strip()"),
     ("text-allows-short-lines", CLI,
