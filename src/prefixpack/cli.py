@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .model import Arities, ProblemSpec
 
@@ -54,14 +54,13 @@ class InstanceFile(NamedTuple):
 
     lengths holds the codeword length rows in file order: the lists JSON
     loaded, or tuples for the text format.  groups is their histogram,
-    Counter(tuple(row) for row in lengths), counted once at parse time, with
-    exact-int keys of len(qs) values each; the parser checks the rows on
-    these distinct keys, not value by value.  construct, render and entropy
-    read lengths.  decide and kraft need only qs and groups, and build no
-    InstanceFile for a JSON file the row counter takes (see _load_groups);
-    they parse one only for the files it refuses and for the text format.
-    probs and base are floats, whether the file wrote them as integers or as
-    floats.
+    Counter(tuple(row) for row in lengths), counted once at parse time after
+    every row passed the row rule, so its keys hold len(qs) exact ints each.
+    construct, render and entropy read lengths.  decide and kraft need only
+    qs and groups, and build no InstanceFile for a JSON file the row counter
+    takes (see _load_groups); they parse one only for the files it refuses
+    and for the text format.  probs and base are floats, whether the file
+    wrote them as integers or as floats.
     """
 
     qs: tuple[int, ...]
@@ -81,24 +80,20 @@ def _digit_limit_error(what: str) -> InputError:
     return InputError(f"{what} is past Python's {limit:,}-digit limit for reading an integer from text")
 
 
-class _FloatText(str):
-    """A JSON float literal, or NaN/Infinity, kept as its text.
-
-    A str never equals an int, so a float cannot pass for an integer length
-    in a histogram key; repr is the float's, so error texts print 1.0."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return repr(float(self))
-
-
 # The longest entry text an error message repeats whole; a longer one is cut
 # to its head and its length, so that no message grows with the file.
 ENTRY_TEXT_WIDTH = 80
+ENTRY_TEXT_CHUNK = 1 << 16
 
 
 def _entry_text(entry: object) -> str:
+    if isinstance(entry, str) and len(entry) > ENTRY_TEXT_CHUNK:
+        # a long string's repr is measured piece by piece, never built whole; each
+        # piece carries the quotes the string holds, since they pick repr's quote
+        quotes = "".join(c for c in "'\"" if c in entry)
+        pieces = range(0, len(entry), ENTRY_TEXT_CHUNK)
+        size = 2 + sum(len(repr(quotes + entry[i : i + ENTRY_TEXT_CHUNK])) - len(repr(quotes)) for i in pieces)
+        return f"{repr(entry[:ENTRY_TEXT_WIDTH] + quotes)[:ENTRY_TEXT_WIDTH]}... ({size} characters)"
     text = repr(entry)
     if len(text) <= ENTRY_TEXT_WIDTH:
         return text
@@ -118,10 +113,13 @@ def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     raise AssertionError("the whole-array checks rejected entries the per-entry rule accepts")
 
 
-def _rows_hold_ints(rows: Collection[Sequence[object]], channels: int) -> bool:
-    """The rule for the distinct rows: channels values each, all of exact type int.
-
-    type() rather than isinstance(): JSON true/false load as bool, an int subclass."""
+def _rows_hold_ints(rows: list, channels: int) -> bool:
+    """The row rule of both JSON readers, run before any row is counted, so
+    that no 1.0 or true merges into the key of 1: every row is a list (tested
+    first, so that len never sees a number) of channels values, each of exact
+    type int (JSON true/false load as bool, an int subclass)."""
+    if not set(map(type, rows)) <= {list}:
+        return False
     return set(map(len, rows)) <= {channels} and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
 
 
@@ -149,25 +147,12 @@ def parse_instance_json(text: str) -> InstanceFile:
     """Parse and validate a JSON instance file.
 
     Every "lengths" entry must be an array of exactly len(q) integers.  The
-    rows are counted once into InstanceFile.groups and checked on its
-    distinct keys, so no check runs per value:
-
-    - Float literals load as their text (_FloatText), which equals no int,
-      so a 1.0 cannot merge into a key (1, ...); "probs" and "D" convert
-      them with float().
-    - JSON true/false load as bool, which equals 0 or 1.  When the text
-      holds either word, every value of every row is checked by type()
-      before the rows are counted.
-    - Each row must be a list before any row is turned into a tuple, so a
-      long string row is never spread into one.
-    - Each distinct key must hold len(q) values of exact type int; a row
-      holding an array or object cannot be counted at all.
-
-    When a check fails, the per-entry rule runs to name the first bad entry
-    in file order.
+    rows pass the row rule (_rows_hold_ints) before they are counted once
+    into InstanceFile.groups; when they fail it, the per-entry rule runs to
+    name the first bad entry in file order.
     """
     try:
-        raw = json.loads(text, parse_float=_FloatText, parse_constant=_FloatText)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -186,22 +171,13 @@ def parse_instance_json(text: str) -> InstanceFile:
     lengths = raw["lengths"]
     _require(isinstance(lengths, list), '"lengths" must be an array')
     channels = len(qs)
-    if not set(map(type, lengths)) <= {list}:
+    if not _rows_hold_ints(lengths, channels):
         _reject_first_bad_entry(lengths, channels)
-    if ("true" in text or "false" in text) and not set(
-        map(type, itertools.chain.from_iterable(lengths))
-    ) <= {int}:
-        _reject_first_bad_entry(lengths, channels)
-    try:
-        groups = Counter(map(tuple, lengths))
-    except TypeError:  # a row holds an array or an object
-        _reject_first_bad_entry(lengths, channels)
-    if not _rows_hold_ints(groups, channels):
-        _reject_first_bad_entry(lengths, channels)
+    groups = Counter(map(tuple, lengths))
     probs = None
     if "probs" in raw and raw["probs"] is not None:
         _require(
-            isinstance(raw["probs"], list) and set(map(type, raw["probs"])) <= {int, _FloatText},
+            isinstance(raw["probs"], list) and set(map(type, raw["probs"])) <= {int, float},
             '"probs" must be an array of numbers',
         )
         _require(
@@ -214,7 +190,7 @@ def parse_instance_json(text: str) -> InstanceFile:
             raise InputError('a "probs" entry is too large for a float') from exc
     base = None
     if "D" in raw and raw["D"] is not None:
-        _require(type(raw["D"]) in (int, _FloatText), '"D" must be a number')
+        _require(type(raw["D"]) in (int, float), '"D" must be a number')
         try:
             base = float(raw["D"])
         except OverflowError as exc:
@@ -245,14 +221,13 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     up to its "]".  The first row gets the separator ", " that the others
     carry, so that equal rows have equal texts; the pieces are counted with
     Counter at C speed, and only the distinct texts are decoded, with one
-    json.loads and parse_instance_json's hooks.  Each distinct text must hold
-    exactly one "[" and no string or object, and decode to one row, so that
-    each decodes to a flat list; the rows then pass parse_instance_json's
-    rule (_rows_hold_ints).  Texts that decode equal, such as -0 and 0, or
-    rows spaced differently, merge in the histogram.  Anything else (other
-    fields, an empty or malformed array, a bad row or a number past the
-    digit limit) returns None and is left to parse_instance_json, which
-    writes every error message.
+    json.loads.  Each distinct text must hold exactly one "[" and no string
+    or object, and decode to one flat list; once these rows pass the row
+    rule (_rows_hold_ints), their counts merge, so that texts that decode
+    equal, such as -0 and 0 or rows spaced differently, share a key.
+    Anything else (other fields, an empty or malformed array, a bad row or a
+    number past the digit limit) returns None and is left to
+    parse_instance_json, which writes every error message.
     """
     head = re.match(_JSON_HEAD, text)
     if head is None:
@@ -280,7 +255,7 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     if '"' in joined or "{" in joined or "}" in joined:
         return None
     try:  # the first text's leading comma gives way to the array's "["
-        rows = json.loads(f"[{joined[1:]}]]", parse_float=_FloatText, parse_constant=_FloatText)
+        rows = json.loads(f"[{joined[1:]}]]")
     except ValueError:  # a malformed text, or a number past the digit limit
         return None
     if len(rows) != len(texts) or not _rows_hold_ints(rows, len(qs)):

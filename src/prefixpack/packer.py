@@ -20,7 +20,7 @@ which no command runs.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 
 from .model import Arities, ProblemSpec
@@ -315,8 +315,8 @@ def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
     order = _pack(bank, spec.groups)
     if order is None:
         return None
-    # bank.placed runs group by group in pack order; a stable sort matches it to the codewords
-    rank = {ll: r for r, ll in enumerate(order)}
-    lengths = spec.lengths
-    owners = sorted(range(len(lengths)), key=lambda k: rank[lengths[k]])
-    return tuple(xy for _, xy in sorted(zip(owners, bank.placed)))
+    # bank.placed runs group by group in pack order; each group's placements
+    # go out in turn to its codewords
+    placed = iter(bank.placed)
+    spots = {ll: iter(tuple(islice(placed, spec.groups[ll]))) for ll in order}
+    return tuple(map(next, map(spots.__getitem__, spec.lengths)))

@@ -598,9 +598,9 @@ def instance_payloads(draw):
 
 
 def reference_parse(text):
-    """The whole-array rule the parser kept before it checked rows on their
-    distinct keys: floats load as floats, and every value of every row is
-    checked by type().  Documents here always carry a valid "q"."""
+    """The whole-array rule, written apart from the parser: floats load as
+    floats, and every value of every row is checked by type() before the
+    rows are counted.  Documents here always carry a valid "q"."""
     raw = json.loads(text)
     qs, rows = raw["q"], raw["lengths"]
     if not isinstance(rows, list):
@@ -742,7 +742,13 @@ class TestParseDifferential:
 
     @settings(max_examples=600, deadline=None)
     @given(json_documents())
+    # bad rows the row rule must reject before any row is counted, also
+    # where a float or bool twin comes before or after its int twin
     @example('{"q": [2, 2], "lengths": [[1, 0], [true, 0]]}')
+    @example('{"q": [2, 2], "lengths": [[1.0, 2], [1, 2]]}')
+    @example('{"q": [2, 2], "lengths": [[1, 0], [1E400, 0]]}')
+    @example('{"q": [2, 2], "lengths": [[NaN, 0]]}')
+    @example('{"q": [2, 2], "lengths": [[1, 0], [[1], 0]]}')
     @example('{"q": [2, 2], "lengths": [[1, 2], [1.0, 2]], "D": 2}')
     @example('{"q": [2], "lengths": [[0], [-0.0]]}')
     @example('{"q": [2], "lengths": [[0], [1]], "probs": [1e0, 0], "D": 1E400, "note": "true"}')
@@ -792,6 +798,8 @@ class TestParseDifferential:
         @example('{"q": [2], "lengths": [0, [1]]}')
         @example('{"q": [2], "lengths": [5, [[1], 2]]}')
         @example('{"q": [2, 2], "lengths": [5, "[][]", [1, 1]]}')
+        # objects nested past the recursion limit inside a one-"[" row
+        @example('{"q": [2], "lengths": [[1], [' + '{"a": ' * 5000 + "1" + "}" * 5000 + "]]}")
         def check(text):
             counted = cli.count_json_rows(text)
             taken.append(counted is not None)
@@ -839,8 +847,9 @@ class TestParseFootprint:
 
     def test_string_row_is_never_spread_into_a_tuple(self, tmp_path, capsys):
         # tuple() of this row alone would hold a pointer per character, 8 bytes
-        # each; the file text, the loaded row and its repr take about 3 bytes
-        # per character, and the message repeats only the repr's head
+        # each; the file text and the loaded row take about 2 bytes per
+        # character, and the message's head and length come from the row's
+        # repr measured piece by piece, never built whole
         row = "x" * (20 << 20)
         path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 0], row]})
         tracemalloc.start()
@@ -853,13 +862,20 @@ class TestParseFootprint:
         err = f"error: length entry {head}... ({len(row) + 2} characters) must be an array of integers\n"
         assert capsys.readouterr() == ("", err)
         assert len(err) < 200
-        assert peak < 4 * len(row)
+        assert peak < 2.5 * len(row)
 
     def test_entry_text_is_cut_only_past_its_width(self, tmp_path, capsys):
         width = cli.ENTRY_TEXT_WIDTH
         for row, shown in (
             ("x" * (width - 2), repr("x" * (width - 2))),  # its repr is exactly width characters
             ("x" * (width - 1), f"'{'x' * (width - 1)}... ({width + 1} characters)"),
+            # past a chunk the repr is measured piece by piece: the quotes, even
+            # those past the head, pick its quote, and escapes widen the pieces
+            *((row, f"{repr(row)[:width]}... ({len(repr(row))} characters)") for row in (
+                "x" * cli.ENTRY_TEXT_CHUNK + "'",
+                "'" * cli.ENTRY_TEXT_CHUNK + '"',
+                '"\\\n\x7f \u00e9\U0001f600' * cli.ENTRY_TEXT_CHUNK,
+            )),
         ):
             path = write_json(tmp_path, {"q": [2, 2], "lengths": [row]})
             assert cli.main(["decide", "--input", path]) == 2
