@@ -86,18 +86,29 @@ ENTRY_TEXT_WIDTH = 80
 ENTRY_TEXT_CHUNK = 1 << 16
 
 
+def _item_text(item: object) -> tuple[str, int]:
+    """repr(item) and its length; for a long string, the head of its repr and a length summed
+    over pieces that carry the quotes the string holds (they pick repr's quote), never the whole."""
+    if not (isinstance(item, str) and len(item) > ENTRY_TEXT_CHUNK):
+        text = repr(item)
+        return text, len(text)
+    quotes = "".join(c for c in "'\"" if c in item)
+    pieces = range(0, len(item), ENTRY_TEXT_CHUNK)
+    size = 2 + sum(len(repr(quotes + item[i : i + ENTRY_TEXT_CHUNK])) - len(repr(quotes)) for i in pieces)
+    return repr(item[:ENTRY_TEXT_WIDTH] + quotes), size
+
+
 def _entry_text(entry: object) -> str:
-    if isinstance(entry, str) and len(entry) > ENTRY_TEXT_CHUNK:
-        # a long string's repr is measured piece by piece, never built whole; each
-        # piece carries the quotes the string holds, since they pick repr's quote
-        quotes = "".join(c for c in "'\"" if c in entry)
-        pieces = range(0, len(entry), ENTRY_TEXT_CHUNK)
-        size = 2 + sum(len(repr(quotes + entry[i : i + ENTRY_TEXT_CHUNK])) - len(repr(quotes)) for i in pieces)
-        return f"{repr(entry[:ENTRY_TEXT_WIDTH] + quotes)[:ENTRY_TEXT_WIDTH]}... ({size} characters)"
-    text = repr(entry)
-    if len(text) <= ENTRY_TEXT_WIDTH:
+    if isinstance(entry, list):  # item by item, one level down; deeper values are repr'd whole
+        heads = list(map(_item_text, entry[:ENTRY_TEXT_WIDTH]))
+        text = f"[{', '.join(h for h, _ in heads)}]"
+        rest = itertools.islice(entry, ENTRY_TEXT_WIDTH, None)
+        size = sum(n for _, n in heads) + sum(_item_text(item)[1] for item in rest) + 2 * len(entry)
+    else:
+        text, size = _item_text(entry)
+    if size <= ENTRY_TEXT_WIDTH:
         return text
-    return f"{text[:ENTRY_TEXT_WIDTH]}... ({len(text)} characters)"
+    return f"{text[:ENTRY_TEXT_WIDTH]}... ({size} characters)"
 
 
 def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
@@ -232,6 +243,10 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     head = re.match(_JSON_HEAD, text)
     if head is None:
         return None
+    # no string or object past the head, and one "}", the tail's: found before any copy
+    end = head.end()
+    if text.find('"', end) >= 0 or text.find("{", end) >= 0 or text.count("}", end) != 1:
+        return None
     try:
         qs = tuple(map(int, head[1].split(",")))
     except ValueError:  # past the digit limit
@@ -243,7 +258,7 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     if not (re.fullmatch(_JSON_WS, inner) and re.fullmatch(_JSON_TAIL, outer)):
         return None
     # pieces[0] runs up to the end of the "q" list, pieces[1] on to the first row's end
-    pieces[1] = ", " + pieces[1][head.end() - len(pieces[0]) - 1 :]
+    pieces[1] = ", " + pieces[1][end - len(pieces[0]) - 1 :]
     del pieces[0]
     counts = Counter(pieces)
     del pieces
@@ -251,8 +266,6 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     joined = "]".join(texts)
     # one "[" per text: as many as texts, and never two with no "]" between them
     if joined.count("[") != len(texts) or re.search(r"\[[^]]*\[", joined):
-        return None
-    if '"' in joined or "{" in joined or "}" in joined:
         return None
     try:  # the first text's leading comma gives way to the array's "["
         rows = json.loads(f"[{joined[1:]}]]")
@@ -591,7 +604,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     )
     checked = 0
     for spec in oracle.enumerate_instances(arity_pairs, args.max_m, args.max_len):
-        fast = packer.decide_fast(spec)
+        fast = packer.decide(spec)
         locations = packer.construct(spec)
         built = locations is not None
         inst = codes.lengths_to_instance(spec)

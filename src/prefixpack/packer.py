@@ -7,15 +7,20 @@ cap line split one exponent step at a time when the layer descends, and each
 group is packed by one walk up a cap line.  Counts are plain Python ints on
 purpose: they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs
 this path must handle.
-``decide_fast`` and ``construct`` share one group loop over the bank; for
+``decide`` and ``construct`` share one group loop over the bank; for
 ``construct`` the bank also keeps the (x, y) origin of every free container,
 which yields the block locations, while the verdict stays the count ledger's.
 The free-area ledger, an independent check on the counts, is kept only by
 audited banks: its update multiplies two powers per group, about a fifth of
-decide_fast's time on codes whose block sides have over a thousand bits.
+decide's time on codes whose block sides have over a thousand bits.
 
 The bank is tested against the reference packer ``geometry.solve_naive``,
 which no command runs.
+
+Kept only for benchmarks/tracer.py, which looks these names up (ROADMAP
+item 1 deletes them): ``decide_fast``, ``ContainerBank.counts``,
+``cap_i``/``cap_j``, ``__getattr__("solve_naive")``, and ProblemSpec's
+``m``/``l1max``/``l2max`` as properties, whose getters it wraps.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ Locations = tuple[tuple[int, int], ...]
 
 
 def __getattr__(name: str):
-    # Only for benchmarks/tracer.py, which wraps packer.solve_naive at install;
-    # ROADMAP item 1 deletes this forward along with that lookup.
     if name != "solve_naive":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .geometry import solve_naive
@@ -48,24 +51,6 @@ def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) 
 def _split(origins: list, q: int, step: int, u: tuple[int, int]) -> list:
     """The origins of the given containers, each cut into q parts step apart along u."""
     return [p for o in origins for p in _strip(o, u, 0, q * step, step)]
-
-
-class _CountsView:
-    """Read-only counts[i][j] of a bank, as if it were the full table: zero off the cap lines.
-    Its one reader is benchmarks/tracer.py; ROADMAP item 1 deletes it and the counts property."""
-
-    def __init__(self, bank: ContainerBank, i: int | None = None):
-        self.bank, self.i = bank, i
-
-    def __getitem__(self, k):
-        (ci, cj), (row, col) = self.bank.caps, self.bank.lines
-        if self.i == ci:
-            return col[k]  # the cap column, indexed and sliced as a list
-        if isinstance(k, slice):
-            return [self[t] for t in range(*k.indices(len(row if self.i is None else col)))]
-        if self.i is None:
-            return _CountsView(self.bank, k)
-        return row[self.i] if k == cj else 0
 
 
 class ContainerBank:
@@ -125,9 +110,11 @@ class ContainerBank:
         return self.caps[1]
 
     @property
-    def counts(self) -> _CountsView:
-        """The cap lines as a full table, for benchmarks/tracer.py only (see _CountsView)."""
-        return _CountsView(self)
+    def counts(self) -> list:
+        """Rows counts[i][j] of the full table for i <= cap_i: row cap_i is the cap
+        column, and each row below it holds only its cap_j cell, on the cap row."""
+        (ci, cj), (row, col) = self.caps, self.lines
+        return [{cj: row[i]} for i in range(ci)] + [col]
 
     def free_area(self) -> int | None:
         """The audited ledger: the initial area minus the area placed; None unless audit=True."""
@@ -282,8 +269,8 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
     return [blk[3] for blk in blocks]
 
 
-def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
-    """Existence decision on the canonical instance via the bank's counts.
+def decide(spec: ProblemSpec, *, audit: bool = False) -> bool:
+    """True iff a two-channel prefix code with exactly these lengths exists.
 
     Matches the reference geometry.solve_naive's verdict on the single
     initial container [q1**l1max, q2**l2max] while never materializing
@@ -297,16 +284,14 @@ def decide_fast(spec: ProblemSpec, *, audit: bool = False) -> bool:
     return _pack(bank, spec.groups) is not None
 
 
-def decide(spec: ProblemSpec) -> bool:
-    """True iff a two-channel prefix code with exactly these lengths exists."""
-    return decide_fast(spec)
+decide_fast = decide  # the name benchmarks/tracer.py wraps
 
 
 def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
     """Explicit packing of the canonical instance: the origin of each
     codeword's block, in input order, or None when none exists.
 
-    Runs decide_fast's group loop on a located bank, so the verdict is
+    Runs decide's group loop on a located bank, so the verdict is
     decide's; each group's placements go to its codewords in input order.
     The bank holds an origin per free container, so the grid must be
     enumerable, unlike for decide().

@@ -27,7 +27,7 @@ from prefixpack.oracle import (
     brute_sigma_min,
     enumerate_instances,
 )
-from prefixpack.packer import construct, decide, decide_fast
+from prefixpack.packer import construct, decide
 
 from conftest import assert_partition
 
@@ -76,7 +76,7 @@ def random_true_instances(count: int = 1000):
         spec = ProblemSpec(
             q, tuple((rng.randint(1, lh), rng.randint(1, lh)) for _ in range(m))
         )
-        if decide_fast(spec):
+        if decide(spec):
             accepted += 1
             yield spec
 
@@ -110,11 +110,11 @@ def test_criterion_2_two_container_instance():
 
 
 def test_criterion_3_decision_equivalence_sweep():
-    with criterion(3, "decide_fast = construct = solve_naive = brute force, exhaustively"):
+    with criterion(3, "decide = construct = solve_naive = brute force, exhaustively"):
         t0 = time.perf_counter()
         checked = 0
         for spec in sweep_instances():
-            fast = decide_fast(spec)
+            fast = decide(spec)
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
             naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
@@ -231,8 +231,8 @@ def test_criterion_8_fast_path_performance():
         spec1 = make(100_000)
         spec2 = make(200_000)
         assert spec1.l1max == spec1.l2max == 40
-        t1 = min(_timed(lambda: decide_fast(spec1)) for _ in range(3))
-        t2 = min(_timed(lambda: decide_fast(spec2)) for _ in range(3))
+        t1 = min(_timed(lambda: decide(spec1)) for _ in range(3))
+        t2 = min(_timed(lambda: decide(spec2)) for _ in range(3))
         assert t1 < 1.0, f"m=100000 took {t1:.3f}s"
         assert t2 <= 3 * t1 + 0.02, f"doubling m scaled {t2 / t1:.2f}x"
         print(f"  (m=100k: {t1 * 1e3:.0f} ms, m=200k: {t2 * 1e3:.0f} ms)", end=" ")

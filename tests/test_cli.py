@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import unittest.mock
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -341,7 +342,7 @@ class TestSelftest:
         assert str(limit) in err
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
-        monkeypatch.setattr(packer, "decide_fast", lambda spec, **kw: True)
+        monkeypatch.setattr(packer, "decide", lambda spec, **kw: True)
         code = cli.main(
             ["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"]
         )
@@ -352,7 +353,7 @@ class TestSelftest:
 
     def test_overlapping_codebook_detected(self, capsys, monkeypatch):
         def stacked(spec, **kw):  # the right verdict, with every block at the origin
-            if packer.decide_fast(spec):
+            if packer.decide(spec):
                 return ((0, 0),) * spec.m
             return None
 
@@ -829,6 +830,15 @@ class TestParseDifferential:
                 assert capsys.readouterr().out == out_json
 
 
+# Items of a bad "lengths" entry: ints, and strings with runs of x between
+# quotes and escapes, so that a quote can lie past an error message's head.
+ENTRY_ITEMS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.lists(st.sampled_from(["x" * 50, "x", "'", '"', "\\", "\n", "\x7f", "\u00e9", "\U0001f600"]),
+             max_size=12).map("".join),
+)
+
+
 class TestParseFootprint:
     @pytest.mark.parametrize("cmd", ["decide", "kraft"])
     def test_histogram_commands_peak_small(self, tmp_path, capsys, cmd):
@@ -849,20 +859,46 @@ class TestParseFootprint:
         # tuple() of this row alone would hold a pointer per character, 8 bytes
         # each; the file text and the loaded row take about 2 bytes per
         # character, and the message's head and length come from the row's
-        # repr measured piece by piece, never built whole
-        row = "x" * (20 << 20)
-        path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 0], row]})
-        tracemalloc.start()
-        try:
-            assert cli.main(["decide", "--input", path]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        head = repr(row)[: cli.ENTRY_TEXT_WIDTH]
-        err = f"error: length entry {head}... ({len(row) + 2} characters) must be an array of integers\n"
-        assert capsys.readouterr() == ("", err)
-        assert len(err) < 200
-        assert peak < 2.5 * len(row)
+        # repr measured piece by piece, never built whole, also when the
+        # string is an item of a list row
+        string = "x" * (20 << 20)
+        for row in (string, [1, string, 0]):
+            path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 0], row]})
+            tracemalloc.start()
+            try:
+                assert cli.main(["decide", "--input", path]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            text = repr(row)
+            err = f"error: length entry {text[: cli.ENTRY_TEXT_WIDTH]}... ({len(text)} characters) must be an array of integers\n"
+            assert capsys.readouterr() == ("", err)
+            assert len(err) < 200
+            assert peak < 2.5 * len(string)
+
+    def test_deepest_row_the_decoder_loads_is_input_error(self, tmp_path, capsys):
+        # only a list row's own items are measured; a deeper value is repr'd
+        # whole, which must not overflow at any depth json.loads accepts
+        for depth in range(1000, 0, -10):
+            path = tmp_path / "deep.json"
+            path.write_text('{"q": [2, 2], "lengths": [[1, 0], [1, ' + "[" * depth + "]" * depth + "]]}",
+                            encoding="utf-8")
+            assert cli.main(["decide", "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            if "invalid JSON" not in err:
+                break
+        assert depth > 900
+        assert err.startswith("error: length entry [1, [[[[") and err.endswith(" must be an array of integers\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(entry=st.one_of(ENTRY_ITEMS, st.lists(st.one_of(ENTRY_ITEMS, st.lists(ENTRY_ITEMS, max_size=3)), max_size=90)))
+    def test_entry_text_matches_repr(self, entry):
+        # a chunk as short as the width, the least the head allows, so that
+        # strings of a few hundred characters are measured in several pieces
+        text, width = repr(entry), cli.ENTRY_TEXT_WIDTH
+        with unittest.mock.patch.object(cli, "ENTRY_TEXT_CHUNK", width):
+            shown = cli._entry_text(entry)
+        assert shown == (text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)")
 
     def test_entry_text_is_cut_only_past_its_width(self, tmp_path, capsys):
         width = cli.ENTRY_TEXT_WIDTH

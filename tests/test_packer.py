@@ -10,7 +10,7 @@ from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codeboo
 from prefixpack.geometry import Region, Size, contains, overlap, reg, solve_naive, sort_blocks_desc
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
-from prefixpack.packer import ContainerBank, _pack, construct, decide, decide_fast
+from prefixpack.packer import ContainerBank, _pack, construct, decide
 
 from dense_bank import DenseBank
 
@@ -81,16 +81,16 @@ class TestSolveNaive:
 
 class TestDecideFast:
     def test_counterexample(self):
-        assert decide_fast(ProblemSpec(Q22, ((1, 0), (0, 1)))) is False
+        assert decide(ProblemSpec(Q22, ((1, 0), (0, 1)))) is False
 
     def test_small_satisfiable(self):
         spec = ProblemSpec(Q22, ((1, 0), (1, 1), (1, 1)))
-        assert decide_fast(spec) is True
+        assert decide(spec) is True
         inst = lengths_to_instance(spec)
         assert brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS) == "yes"
 
     def test_empty_codebook(self):
-        assert decide_fast(ProblemSpec(Q22, ())) is True
+        assert decide(ProblemSpec(Q22, ())) is True
 
     def test_four_unit_blocks_tile(self):
         assert decide(ProblemSpec(Q22, ((1, 1),) * 4)) is True
@@ -137,12 +137,12 @@ class TestDecideConstructAgreement:
             inst = lengths_to_instance(spec)
             naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], q)
             assert (naive is not None) == present
-            assert decide_fast(spec, audit=True) == present
+            assert decide(spec, audit=True) == present
             if present:
                 assert verify_codebook(solution_to_codebook(spec, sol))
             # swapped channels turn column walks into row walks
             swapped = ProblemSpec(Arities(q.q2, q.q1), tuple((l2, l1) for l1, l2 in lengths))
-            assert decide_fast(swapped, audit=True) == present
+            assert decide(swapped, audit=True) == present
 
 
 class TestTheoremEquivalenceSweep:
@@ -150,7 +150,7 @@ class TestTheoremEquivalenceSweep:
 
     def test_q22_m3(self):
         for spec in enumerate_instances([(2, 2)], 3, 2):
-            fast = decide_fast(spec)
+            fast = decide(spec)
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
             naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
@@ -223,6 +223,9 @@ class LockstepBank(ContainerBank):
         assert all(key[0] == ci or key[1] == cj for key, origins in ref.cells.items() if origins)
         assert self.lines[0][: ci + 1] == [ref.count(t, cj) for t in range(ci + 1)]
         assert self.lines[1][: cj + 1] == [ref.count(ci, t) for t in range(cj + 1)]
+        # the table view benchmarks/tracer.py reads: the cap column, then the cap row
+        assert self.counts[ci][: cj + 1] == [ref.count(ci, t) for t in range(cj + 1)]
+        assert [r[cj] for r in self.counts[: ci + 1]] == [ref.count(t, cj) for t in range(ci + 1)]
         assert self.free_area() == ref.free
         if self.origins is not None:
             assert self.origins[0][: ci + 1] == [ref.cells.get((t, cj), []) for t in range(ci + 1)]
@@ -456,7 +459,7 @@ class TestContainerBank:
             q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
             m = rng.randint(1, 12)
             lengths = tuple((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(m))
-            decide_fast(ProblemSpec(q, lengths), audit=True)
+            decide(ProblemSpec(q, lengths), audit=True)
 
     def test_free_area_equals_container_minus_packed(self):
         spec = ProblemSpec(Q22, ((2, 1), (1, 1), (2, 2)))
