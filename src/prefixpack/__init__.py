@@ -10,20 +10,6 @@ the entropy bound.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arities",
-    "Codeword",
-    "ProblemSpec",
-    "SourceDistribution",
-    "__version__",
-    "construct",
-    "decide",
-    "entropy_bound",
-    "kraft_sum",
-    "solution_to_codebook",
-    "verify_codebook",
-]
-
 # Each export is imported from its module on first access, so that importing
 # a submodule such as prefixpack.cli loads only the modules it needs.
 _HOMES = {
@@ -38,6 +24,7 @@ _HOMES = {
     "solution_to_codebook": "codes",
     "verify_codebook": "codes",
 }
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):

@@ -3,12 +3,15 @@
 Exit codes are a contract: 0 = exists or success, 1 = no such code exists,
 2 = input error, 3 = selftest disagreement.  Output for a given input is
 byte-identical across runs.
+
+main sets two rules for every command: the cyclic collector is paused while
+it runs, and every input error is a ValueError (InputError is one), which
+main turns into its message on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import itertools
 import json
@@ -16,7 +19,7 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .model import Arities, ProblemSpec
 
@@ -25,8 +28,6 @@ if TYPE_CHECKING:
 
 # Each command imports codes and packer itself, as it needs them, and calls
 # them as module attributes, so that a launch compiles only what it runs.
-
-_Parsed = TypeVar("_Parsed")
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -45,7 +46,7 @@ CONSTRUCT_CELL_LIMIT = 1 << 18
 CODE_SPACE_BITS_LIMIT = 14_000
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed instance file or unsupported parameters."""
 
 
@@ -86,29 +87,48 @@ ENTRY_TEXT_WIDTH = 80
 ENTRY_TEXT_CHUNK = 1 << 16
 
 
-def _item_text(item: object) -> tuple[str, int]:
-    """repr(item) and its length; for a long string, the head of its repr and a length summed
-    over pieces that carry the quotes the string holds (they pick repr's quote), never the whole."""
-    if not (isinstance(item, str) and len(item) > ENTRY_TEXT_CHUNK):
-        text = repr(item)
-        return text, len(text)
-    quotes = "".join(c for c in "'\"" if c in item)
-    pieces = range(0, len(item), ENTRY_TEXT_CHUNK)
-    size = 2 + sum(len(repr(quotes + item[i : i + ENTRY_TEXT_CHUNK])) - len(repr(quotes)) for i in pieces)
-    return repr(item[:ENTRY_TEXT_WIDTH] + quotes), size
+def _repr_pieces(value: object) -> Iterator[str]:
+    """repr(value), for a value json.loads returns, as pieces that join to it:
+    lists and dicts item by item on a stack of iterators, so that no depth
+    recurses and each level holds one iterator, and a string longer than
+    ENTRY_TEXT_CHUNK in slices, each repr'd behind the quotes the string
+    holds, which pick repr's quote for the whole, then cut off again."""
+    stack, ends = [iter([("", value)])], [""]
+    while stack:
+        for sep, item in stack[-1]:
+            yield sep
+            if isinstance(item, (list, dict)):
+                opener, closer = "[]" if isinstance(item, list) else "{}"
+                pairs = zip(itertools.chain([""], itertools.repeat(", ")), item)
+                if isinstance(item, dict):  # each key, then ": " and its value
+                    pairs = itertools.chain.from_iterable(zip(pairs, zip(itertools.repeat(": "), item.values())))
+                yield opener
+                stack.append(pairs)
+                ends.append(closer)
+                break
+            if isinstance(item, str) and len(item) > ENTRY_TEXT_CHUNK:
+                quotes = "".join(c for c in "'\"" if c in item)
+                skip = len(repr(quotes)) - 1
+                yield repr(quotes)[0]
+                for i in range(0, len(item), ENTRY_TEXT_CHUNK):
+                    yield repr(quotes + item[i : i + ENTRY_TEXT_CHUNK])[skip:-1]
+                yield repr(quotes)[0]
+            else:
+                yield repr(item)
+        else:
+            stack.pop()
+            yield ends.pop()
 
 
 def _entry_text(entry: object) -> str:
-    if isinstance(entry, list):  # item by item, one level down; deeper values are repr'd whole
-        heads = list(map(_item_text, entry[:ENTRY_TEXT_WIDTH]))
-        text = f"[{', '.join(h for h, _ in heads)}]"
-        rest = itertools.islice(entry, ENTRY_TEXT_WIDTH, None)
-        size = sum(n for _, n in heads) + sum(_item_text(item)[1] for item in rest) + 2 * len(entry)
-    else:
-        text, size = _item_text(entry)
-    if size <= ENTRY_TEXT_WIDTH:
-        return text
-    return f"{text[:ENTRY_TEXT_WIDTH]}... ({size} characters)"
+    """repr(entry) if it fits ENTRY_TEXT_WIDTH, else its head and its length, never built whole."""
+    head, size = [], 0
+    for piece in _repr_pieces(entry):
+        if size < ENTRY_TEXT_WIDTH:
+            head.append(piece)
+        size += len(piece)
+    text = "".join(head)[:ENTRY_TEXT_WIDTH]
+    return text if size <= ENTRY_TEXT_WIDTH else f"{text}... ({size} characters)"
 
 
 def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
@@ -134,26 +154,6 @@ def _rows_hold_ints(rows: list, channels: int) -> bool:
     return set(map(len, rows)) <= {channels} and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
 
 
-def _collector_paused(parse: Callable[[str], _Parsed]) -> Callable[[str], _Parsed]:
-    """Run a JSON parser with the cyclic collector paused, then restored.
-
-    The loaded rows hold no cycles, and the collector's passes over them
-    would make json.loads about half as slow again."""
-
-    @functools.wraps(parse)
-    def run(text: str) -> _Parsed:
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return parse(text)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    return run
-
-
-@_collector_paused
 def parse_instance_json(text: str) -> InstanceFile:
     """Parse and validate a JSON instance file.
 
@@ -222,7 +222,6 @@ _JSON_HEAD = (
 _JSON_TAIL = rf"{_JSON_WS}\}}{_JSON_WS}"
 
 
-@_collector_paused
 def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]]] | None:
     """(qs, groups) of a JSON file {"q": [ints], "lengths": [rows]}, counted
     on the rows' text; None for any text it cannot certify.
@@ -262,22 +261,27 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     del pieces[0]
     counts = Counter(pieces)
     del pieces
-    texts = list(counts)
-    joined = "]".join(texts)
-    # one "[" per text: as many as texts, and never two with no "]" between them
-    if joined.count("[") != len(texts) or re.search(r"\[[^]]*\[", joined):
+    texts, values = list(counts), list(counts.values())
+    del counts
+    if set(map(str.count, texts, itertools.repeat("["))) != {1}:  # one "[" per text
         return None
-    try:  # the first text's leading comma gives way to the array's "["
-        rows = json.loads(f"[{joined[1:]}]]")
+    # the first text's leading comma gives way to the array's "[", and a last "]"
+    # closes it: the distinct texts are copied once, into the one text decoded
+    texts[0] = "[" + texts[0][1:]
+    texts.append("]")
+    joined = "]".join(texts)
+    del texts
+    try:
+        rows = json.loads(joined)
     except ValueError:  # a malformed text, or a number past the digit limit
         return None
-    if len(rows) != len(texts) or not _rows_hold_ints(rows, len(qs)):
+    if len(rows) != len(values) or not _rows_hold_ints(rows, len(qs)):
         return None
     keys = list(map(tuple, rows))
-    groups = Counter(dict(zip(keys, counts.values())))
+    groups = Counter(dict(zip(keys, values)))
     if len(groups) < len(keys):  # texts that decode equal, such as -0 and 0, merge
         groups = Counter()
-        for key, n in zip(keys, counts.values()):
+        for key, n in zip(keys, values):
             groups[key] += n
     return qs, groups
 
@@ -337,19 +341,16 @@ def to_problem_spec(
     distinct pairs.  Single-channel lengths (l,) get a dummy unused second
     channel, (l, 0) (the decision does not depend on it)."""
     _require(len(qs) <= 2, f"packing commands support at most 2 channels, file has {len(qs)}")
-    try:
-        arities = Arities(qs[0], 2) if len(qs) == 1 else Arities(*qs)
-        if isinstance(lengths, Counter):
-            if len(qs) == 1:
-                lengths = {(length, 0): n for (length,), n in lengths.items()}
-            return ProblemSpec.from_groups(arities, lengths)
+    arities = Arities(qs[0], 2) if len(qs) == 1 else Arities(*qs)
+    if isinstance(lengths, Counter):
         if len(qs) == 1:
-            firsts = [row[0] for row in lengths]
-            padded = {length: (length, 0) for length in set(firsts)}  # one pair per distinct length
-            return ProblemSpec(arities, tuple(map(padded.__getitem__, firsts)))
-        return ProblemSpec(arities, tuple(lengths))  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+            lengths = {(length, 0): n for (length,), n in lengths.items()}
+        return ProblemSpec.from_groups(arities, lengths)
+    if len(qs) == 1:
+        firsts = [row[0] for row in lengths]
+        padded = {length: (length, 0) for length in set(firsts)}  # one pair per distinct length
+        return ProblemSpec(arities, tuple(map(padded.__getitem__, firsts)))
+    return ProblemSpec(arities, tuple(lengths))  # type: ignore[arg-type]
 
 
 def _guard_code_space(qs: tuple[int, ...], lmaxes: list[int]) -> None:
@@ -390,8 +391,6 @@ def _entropy_triple(inst: InstanceFile) -> tuple[float, float, float] | None:
     try:
         dist = codes.SourceDistribution(inst.probs, inst.base)
         report = codes.entropy_bound(inst.qs, inst.lengths, dist)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     except OverflowError as exc:  # probs and base are floats already; only a length can overflow
         raise InputError("a codeword length is too large for a float") from exc
     return (report.avg_length, report.entropy, report.slack)
@@ -670,11 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_selftest.add_argument("--max-m", type=int, default=4)
     p_selftest.add_argument("--max-len", type=int, default=2)
+    default = " ".join(f"{q1},{q2}" for q1, q2 in DEFAULT_SELFTEST_ARITIES)
     p_selftest.add_argument(
         "--arities",
         action="append",
         metavar="Q1,Q2",
-        help="arity pair to sweep (repeatable; default 2,2 2,3 3,2 3,3)",
+        help=f"arity pair to sweep (repeatable; default {default})",
     )
     p_selftest.set_defaults(func=cmd_selftest)
     return parser
@@ -683,11 +683,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # No command leaves cyclic garbage that grows with its input, so the
+    # collector's passes over the loaded rows only cost time: the full parse
+    # of the seed-1 100k-codeword `wide` benchmark file took 46 ms paused and
+    # 56 ms not (best of 15, CPython 3.11, 2-CPU Xeon).
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
-    except (InputError, ValueError, OverflowError) as exc:  # OverflowError: a number too large for a float
+    except (ValueError, OverflowError) as exc:  # OverflowError: a number too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

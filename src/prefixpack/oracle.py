@@ -174,6 +174,8 @@ def brute_decide(
         return "yes" if search(0, 0, -1) else "no"
     except BudgetExceeded:
         return "budget_exceeded"
+    finally:  # search holds itself through its cell; unlinked, each call is freed by reference count
+        del search
 
 
 def brute_sigma_min(

@@ -341,6 +341,24 @@ class TestSelftest:
         limit = cli.CONSTRUCT_CELL_LIMIT if max_len == "12" else cli.CODE_SPACE_BITS_LIMIT
         assert str(limit) in err
 
+    def test_sweeps_leave_no_garbage_that_grows(self, capsys):
+        # main pauses the cyclic collector for the whole sweep, so no call
+        # may leave a cycle: the default sweep and a 15-instance one leave
+        # the same garbage, the command's own (argparse's parser)
+        small = ["--max-m", "2", "--max-len", "1", "--arities", "2,2"]
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            left = []
+            for argv in (small, [], small):  # the first run imports and fills caches
+                gc.collect()
+                assert cli.main(["selftest", *argv]) == 0
+                left.append(gc.collect())
+        finally:
+            gc.enable() if was else gc.disable()
+        assert capsys.readouterr().out.count("all procedures agree") == 3
+        assert left[1] == left[2]
+
     def test_injected_fault_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(packer, "decide", lambda spec, **kw: True)
         code = cli.main(
@@ -860,9 +878,9 @@ class TestParseFootprint:
         # each; the file text and the loaded row take about 2 bytes per
         # character, and the message's head and length come from the row's
         # repr measured piece by piece, never built whole, also when the
-        # string is an item of a list row
+        # string is an item of a list row, at any depth or in a dict
         string = "x" * (20 << 20)
-        for row in (string, [1, string, 0]):
+        for row in (string, [1, string, 0], [[string], 0], [[[string]], 0], [{"k": string}, 0]):
             path = write_json(tmp_path, {"q": [2, 2], "lengths": [[1, 0], row]})
             tracemalloc.start()
             try:
@@ -874,11 +892,29 @@ class TestParseFootprint:
             err = f"error: length entry {text[: cli.ENTRY_TEXT_WIDTH]}... ({len(text)} characters) must be an array of integers\n"
             assert capsys.readouterr() == ("", err)
             assert len(err) < 200
-            assert peak < 2.5 * len(string)
+            assert peak < 2.1 * len(string)
+
+    @pytest.mark.parametrize("long_row, bound", [(1, 3.2), (0, 4.2)], ids=["second", "first"])
+    def test_long_row_text_is_copied_few_times(self, tmp_path, capsys, long_row, bound):
+        # the file text, its piece and one decoded text; the first row's piece
+        # is copied twice more to swap its separator for the array's "["
+        rows = ["[1, 1]", "[1, 1]"]
+        rows[long_row] = "[1," + " " * (20 << 20) + "0]"
+        path = tmp_path / "inst.json"
+        path.write_text('{"q": [2, 2], "lengths": [' + ", ".join(rows) + "]}", encoding="utf-8")
+        chars = path.stat().st_size
+        tracemalloc.start()
+        try:
+            assert cli.main(["decide", "--input", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("EXISTS\n", "")
+        assert peak < bound * chars
 
     def test_deepest_row_the_decoder_loads_is_input_error(self, tmp_path, capsys):
-        # only a list row's own items are measured; a deeper value is repr'd
-        # whole, which must not overflow at any depth json.loads accepts
+        # the repr is measured level by level on a stack of iterators, which
+        # must not overflow at any depth json.loads accepts
         for depth in range(1000, 0, -10):
             path = tmp_path / "deep.json"
             path.write_text('{"q": [2, 2], "lengths": [[1, 0], [1, ' + "[" * depth + "]" * depth + "]]}",
@@ -891,12 +927,21 @@ class TestParseFootprint:
         assert err.startswith("error: length entry [1, [[[[") and err.endswith(" must be an array of integers\n")
 
     @settings(max_examples=200, deadline=None)
-    @given(entry=st.one_of(ENTRY_ITEMS, st.lists(st.one_of(ENTRY_ITEMS, st.lists(ENTRY_ITEMS, max_size=3)), max_size=90)))
+    @given(entry=st.one_of(
+        ENTRY_ITEMS,
+        st.lists(st.one_of(ENTRY_ITEMS, st.lists(ENTRY_ITEMS, max_size=3)), max_size=90),
+        st.recursive(
+            st.one_of(ENTRY_ITEMS, st.floats(), st.booleans(), st.none()),
+            lambda items: st.one_of(st.lists(items, max_size=6), st.dictionaries(ENTRY_ITEMS.filter(
+                lambda k: isinstance(k, str)), items, max_size=4)),
+            max_leaves=40,
+        ),
+    ))
     def test_entry_text_matches_repr(self, entry):
-        # a chunk as short as the width, the least the head allows, so that
-        # strings of a few hundred characters are measured in several pieces
+        # a short chunk, so that a string of a few characters at any depth,
+        # a dict key too, is measured in several pieces
         text, width = repr(entry), cli.ENTRY_TEXT_WIDTH
-        with unittest.mock.patch.object(cli, "ENTRY_TEXT_CHUNK", width):
+        with unittest.mock.patch.object(cli, "ENTRY_TEXT_CHUNK", 7):
             shown = cli._entry_text(entry)
         assert shown == (text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)")
 
@@ -926,9 +971,12 @@ class TestParseFootprint:
         was = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
-            for cmd in ("decide", "kraft", "construct"):
-                cli.main([cmd, "--input", path])
+            svg = ["--svg", str(tmp_path / "out.svg")]
+            for argv in (["decide"], ["kraft"], ["construct"], ["entropy"], ["render", *svg]):
+                cli.main([*argv, "--input", path])
                 assert gc.isenabled() is enabled
+            cli.main(["selftest", "--max-m", "1", "--max-len", "1", "--arities", "2,2"])
+            assert gc.isenabled() is enabled
         finally:
             gc.enable() if was else gc.disable()
 

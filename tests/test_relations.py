@@ -1,8 +1,11 @@
-"""Relations between verdicts that hold at any size, checked at decide's scale.
+"""Relations between verdicts that hold at any size, checked at decide's scale
+and on every multiset in the oracle's box.
 
 The exhaustive oracle stops at m <= 4 and lengths <= 2.  These checks need
 no oracle: each rests on a plain prefix-code argument, so they apply to
-codes of up to 10**4 codewords with lengths up to a few hundred.
+codes of up to 10**4 codewords with lengths up to a few hundred.  Inside
+the box they are checked on every multiset, for more arity pairs than the
+oracle's sweep covers.
 
 - removal: a code minus one codeword is still a code;
 - adding: a length multiset with no code has none with one codeword more;
@@ -22,7 +25,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prefixpack.codes import kraft_sum
 from prefixpack.model import Arities, ProblemSpec
-from prefixpack.packer import decide
+from prefixpack.oracle import enumerate_instances
+from prefixpack.packer import construct, decide
 
 LMAX = 300
 ARITIES = st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3, 4]))
@@ -127,3 +131,26 @@ def test_a_code_has_kraft_sum_at_most_one(code):
 def test_two_codewords_clash_iff_both_channels_are_prefixes(q, a, b):
     clash = min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0
     assert verdict(Arities(*q), Counter([a, b])) is not clash
+
+
+# The box of the oracle's sweep, for every pair of arities 2 and 3 and the
+# pairs with 4; the set is closed under swapping, so swaps look verdicts up.
+BOX_ARITIES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)]
+
+
+def test_relations_hold_on_every_multiset_in_the_box():
+    verdicts = {}
+    for spec in enumerate_instances(BOX_ARITIES, 4, 2):
+        q, key = spec.arities, tuple(sorted(spec.lengths))
+        verdicts[q.q1, q.q2, key] = decide(spec)
+        assert (construct(spec) is not None) == verdicts[q.q1, q.q2, key], (q, key)
+    assert len(verdicts) == 715 * len(BOX_ARITIES)
+    for (q1, q2, key), exists in verdicts.items():
+        swapped = tuple(sorted((b, a) for a, b in key))
+        assert verdicts[q2, q1, swapped] == exists, (q1, q2, key)
+        if not exists:
+            continue
+        for k in range(len(key)):
+            assert verdicts[q1, q2, key[:k] + key[k + 1 :]], (q1, q2, key, k)
+        assert decide(ProblemSpec(Arities(q1, q2), tuple((a + 1, b) for a, b in key))), (q1, q2, key)
+        assert kraft_sum((q1, q2), key) <= 1, (q1, q2, key)

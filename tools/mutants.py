@@ -1,4 +1,4 @@
-"""Hand-listed mutants of the packing, Kraft, spec, oracle, parsing and row-counting code, run against tier-1 one at a time.
+"""Hand-listed mutants of the packing, Kraft, spec, oracle, parsing, row-counting and run-policy code, run against tier-1 one at a time.
 
 Usage, from the repository root:
 
@@ -95,7 +95,7 @@ MUTANTS = [
     ("json-probs-count-loose", CLI,
      'len(raw["probs"]) == len(lengths)', 'len(raw["probs"]) <= len(lengths)'),
     ("json-collector-left-off", CLI,
-     "            if gc_was_enabled:\n", "            if not gc_was_enabled:\n"),
+     "        if gc_was_enabled:\n", "        if not gc_was_enabled:\n"),
     ("counter-python-whitespace", CLI,
      '_JSON_WS = r"[ \\t\\n\\r]*"', '_JSON_WS = r"\\s*"'),
     ("counter-python-digits", CLI,
@@ -103,15 +103,17 @@ MUTANTS = [
     ("counter-admits-strings", CLI,
      """text.find('"', end) >= 0 or """, ""),
     ("counter-admits-any-brackets", CLI,
-     """    if joined.count("[") != len(texts) or re.search(r"\\[[^]]*\\[", joined):\n        return None\n""", ""),
+     """    if set(map(str.count, texts, itertools.repeat("["))) != {1}:  # one "[" per text\n        return None\n""", ""),
     ("text-keeps-comments", CLI,
      'line = line.split("#", 1)[0].strip()', "line = line.strip()"),
     ("text-allows-short-lines", CLI,
      "if len(tup) != len(qs):", "if len(tup) > len(qs):"),
     ("entry-text-never-cut", CLI,
-     "if size <= ENTRY_TEXT_WIDTH:", "if True:"),
+     "return text if size <= ENTRY_TEXT_WIDTH else", "return text if True else"),
     ("entry-text-pieces-without-quotes", CLI,
      """quotes = "".join(c for c in "'\\"" if c in item)""", 'quotes = ""'),
+    ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
+     "class InputError(ValueError):", "class InputError(Exception):"),
     ("kraft-table-exponent-off-by-one", CODES,
      "power *= q ** (last - length)", "power *= q ** (last - length + 1)"),
     ("kraft-horner-from-wrong-end", CODES,
@@ -130,6 +132,8 @@ MUTANTS = [
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
      "_layout(s, boxes)", '_layout(s, _layout.__dict__.setdefault("boxes", boxes))'),
+    ("oracle-search-keeps-its-cycle", ORACLE,  # main pauses the collector: each call's cycle would pile up
+     "        del search\n", "        pass\n"),
 ]
 
 
