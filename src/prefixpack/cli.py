@@ -19,7 +19,7 @@ import math
 import re
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
 
 from .model import Arities, ProblemSpec
 
@@ -81,66 +81,17 @@ def _digit_limit_error(what: str) -> InputError:
     return InputError(f"{what} is past Python's {limit:,}-digit limit for reading an integer from text")
 
 
-# The longest entry text an error message repeats whole; a longer one is cut
-# to its head and its length, so that no message grows with the file.
-ENTRY_TEXT_WIDTH = 80
-ENTRY_TEXT_CHUNK = 1 << 16
-
-
-def _repr_pieces(value: object) -> Iterator[str]:
-    """repr(value), for a value json.loads returns, as pieces that join to it:
-    lists and dicts item by item on a stack of iterators, so that no depth
-    recurses and each level holds one iterator, and a string longer than
-    ENTRY_TEXT_CHUNK in slices, each repr'd behind the quotes the string
-    holds, which pick repr's quote for the whole, then cut off again."""
-    stack, ends = [iter([("", value)])], [""]
-    while stack:
-        for sep, item in stack[-1]:
-            yield sep
-            if isinstance(item, (list, dict)):
-                opener, closer = "[]" if isinstance(item, list) else "{}"
-                pairs = zip(itertools.chain([""], itertools.repeat(", ")), item)
-                if isinstance(item, dict):  # each key, then ": " and its value
-                    pairs = itertools.chain.from_iterable(zip(pairs, zip(itertools.repeat(": "), item.values())))
-                yield opener
-                stack.append(pairs)
-                ends.append(closer)
-                break
-            if isinstance(item, str) and len(item) > ENTRY_TEXT_CHUNK:
-                quotes = "".join(c for c in "'\"" if c in item)
-                skip = len(repr(quotes)) - 1
-                yield repr(quotes)[0]
-                for i in range(0, len(item), ENTRY_TEXT_CHUNK):
-                    yield repr(quotes + item[i : i + ENTRY_TEXT_CHUNK])[skip:-1]
-                yield repr(quotes)[0]
-            else:
-                yield repr(item)
-        else:
-            stack.pop()
-            yield ends.pop()
-
-
-def _entry_text(entry: object) -> str:
-    """repr(entry) if it fits ENTRY_TEXT_WIDTH, else its head and its length, never built whole."""
-    head, size = [], 0
-    for piece in _repr_pieces(entry):
-        if size < ENTRY_TEXT_WIDTH:
-            head.append(piece)
-        size += len(piece)
-    text = "".join(head)[:ENTRY_TEXT_WIDTH]
-    return text if size <= ENTRY_TEXT_WIDTH else f"{text}... ({size} characters)"
-
-
 def _reject_first_bad_entry(lengths: list, channels: int) -> NoReturn:
     """The rule for a "lengths" entry, applied entry by entry in file order.
 
     Only runs once a check on the rows found a bad entry, so that the
-    message names the first one."""
-    for entry in lengths:
+    message names the first one, by its position counted from 1.  It never
+    repeats the entry's text, so no message grows with the file."""
+    for n, entry in enumerate(lengths, 1):
         if not (isinstance(entry, list) and all(type(v) is int for v in entry)):
-            raise InputError(f"length entry {_entry_text(entry)} must be an array of integers")
+            raise InputError(f"length entry {n} must be an array of integers")
         if len(entry) != channels:
-            raise InputError(f"length entry {_entry_text(entry)} does not match {channels} channel(s)")
+            raise InputError(f"length entry {n} does not match {channels} channel(s)")
     raise AssertionError("the whole-array checks rejected entries the per-entry rule accepts")
 
 
@@ -257,7 +208,7 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     if not (re.fullmatch(_JSON_WS, inner) and re.fullmatch(_JSON_TAIL, outer)):
         return None
     # pieces[0] runs up to the end of the "q" list, pieces[1] on to the first row's end
-    pieces[1] = ", " + pieces[1][end - len(pieces[0]) - 1 :]
+    pieces[1] = pieces[1].replace(pieces[1][: end - len(pieces[0]) - 1], ", ", 1)
     del pieces[0]
     counts = Counter(pieces)
     del pieces
@@ -267,7 +218,7 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
         return None
     # the first text's leading comma gives way to the array's "[", and a last "]"
     # closes it: the distinct texts are copied once, into the one text decoded
-    texts[0] = "[" + texts[0][1:]
+    texts[0] = texts[0].replace(",", "[", 1)
     texts.append("]")
     joined = "]".join(texts)
     del texts
@@ -287,12 +238,18 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
 
 
 def parse_instance_text(text: str) -> InstanceFile:
-    """Plain-text alternative: "q1 q2" header, then one "l1 l2" line per codeword."""
-    rows = []
-    for line in text.splitlines():
+    """Plain-text alternative: "q1 q2" header, then one "l1 l2" line per codeword.
+
+    The first line whose width differs from the header's is named by its
+    line number in the file, blank and comment lines counted, never by its
+    text; a non-integer token anywhere is reported first."""
+    rows, bad_line = [], 0
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             rows.append(line.split())
+            if not bad_line and len(rows[-1]) != len(rows[0]):
+                bad_line = number
     _require(bool(rows), "text instance needs at least an arity header line")
     try:
         qs = tuple(map(int, rows[0]))
@@ -304,9 +261,7 @@ def parse_instance_text(text: str) -> InstanceFile:
                 if limit and len(token) > limit and token.lstrip("+-").replace("_", "").isdecimal():
                     raise _digit_limit_error("an arity" if n == 0 else "a codeword length") from exc
         raise InputError(f"non-integer token in text instance: {exc}") from exc
-    for tup in tuples:
-        if len(tup) != len(qs):
-            raise InputError(f"length line {tup} does not match {len(qs)} channel(s)")
+    _require(not bad_line, f"length line {bad_line} does not match {len(qs)} channel(s)")
     return InstanceFile(qs, tuples, Counter(tuples), None, None)
 
 

@@ -268,10 +268,10 @@ def brute_sigma_min(
 def enumerate_instances(
     q_choices: Sequence[tuple[int, int]], max_m: int, max_len: int
 ) -> Iterator[ProblemSpec]:
-    """Every length multiset up to the bounds, once per multiset, in a fixed order."""
-    domain = [
-        (l1, l2) for l1 in range(max_len + 1) for l2 in range(max_len + 1)
-    ]
+    """Every length multiset up to the bounds, once per multiset, in a fixed order.
+
+    max_m = 0 lists no length pairs: the empty multiset needs none."""
+    domain = [(l1, l2) for l1 in range(max_len + 1) for l2 in range(max_len + 1)] if max_m >= 1 else []
     for q1, q2 in q_choices:
         ar = Arities(q1, q2)
         for m in range(max_m + 1):

@@ -107,11 +107,13 @@ MUTANTS = [
     ("text-keeps-comments", CLI,
      'line = line.split("#", 1)[0].strip()', "line = line.strip()"),
     ("text-allows-short-lines", CLI,
-     "if len(tup) != len(qs):", "if len(tup) > len(qs):"),
-    ("entry-text-never-cut", CLI,
-     "return text if size <= ENTRY_TEXT_WIDTH else", "return text if True else"),
-    ("entry-text-pieces-without-quotes", CLI,
-     """quotes = "".join(c for c in "'\\"" if c in item)""", 'quotes = ""'),
+     "len(rows[-1]) != len(rows[0])", "len(rows[-1]) > len(rows[0])"),
+    ("text-line-number-of-codeword", CLI,
+     "bad_line = number", "bad_line = len(rows) - 1"),
+    ("entry-position-from-zero", CLI,
+     "enumerate(lengths, 1)", "enumerate(lengths)"),
+    ("selftest-domain-for-zero-m", ORACLE,
+     "if max_m >= 1 else []", "if True else []"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
     ("kraft-table-exponent-off-by-one", CODES,
