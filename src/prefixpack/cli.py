@@ -237,20 +237,53 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     return qs, groups
 
 
+# int()'s message names a bad token by the first 200 characters of its repr,
+# but int() builds the whole repr first: for a 10 MiB token, one more copy of
+# the file.  A longer token that int() would reject is cut before int() sees it.
+_REPR_HEAD = 200
+_NOT_DIGIT = re.compile(r"[^\d_]")
+
+
+def _is_int_literal(token: str) -> bool:
+    """int(token) succeeds, for a token without whitespace, judged without copying it:
+    an optional sign, then decimal digits with single underscores between them."""
+    start = token[:1] in ("+", "-")
+    return (token[start:start + 1].isdecimal() and token[-1:].isdecimal() and "__" not in token
+            and _NOT_DIGIT.search(token, start) is None)
+
+
+def _cut_long_bad_tokens(rows: list[list[str]]) -> None:
+    """Replace each token longer than _REPR_HEAD that int() would reject by a
+    short stand-in that int() rejects as an invalid literal, naming it by the
+    same first _REPR_HEAD characters of repr.
+
+    The stand-in is the token's head, then whichever quote characters the
+    token holds, since they choose the quotes of its repr, then a NUL; the
+    repr's first _REPR_HEAD characters come from the head alone."""
+    for row in rows:
+        for k, token in enumerate(row):
+            if len(token) > _REPR_HEAD and not _is_int_literal(token):
+                row[k] = token[:_REPR_HEAD] + "'" * ("'" in token) + '"' * ('"' in token) + "\0"
+
+
 def parse_instance_text(text: str) -> InstanceFile:
     """Plain-text alternative: "q1 q2" header, then one "l1 l2" line per codeword.
 
     The first line whose width differs from the header's is named by its
     line number in the file, blank and comment lines counted, never by its
-    text; a non-integer token anywhere is reported first."""
-    rows, bad_line = [], 0
+    text; a non-integer token anywhere is reported first, in int()'s words."""
+    rows, bad_line, wide = [], 0, False
     for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             rows.append(line.split())
             if not bad_line and len(rows[-1]) != len(rows[0]):
                 bad_line = number
+            if len(line) > _REPR_HEAD:
+                wide = True
     _require(bool(rows), "text instance needs at least an arity header line")
+    if wide:
+        _cut_long_bad_tokens(rows)
     try:
         qs = tuple(map(int, rows[0]))
         tuples = tuple(tuple(map(int, row)) for row in rows[1:])
@@ -561,8 +594,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         fast = packer.decide(spec)
         locations = packer.construct(spec)
         built = locations is not None
-        inst = codes.lengths_to_instance(spec)
-        brute = oracle.brute_decide(inst.blocks, [inst.container], limits)
+        q, l1max, l2max = spec.arities, spec.l1max, spec.l2max  # the canonical instance, as bare tuples
+        blocks = [(q.q1 ** (l1max - l1), q.q2 ** (l2max - l2)) for l1, l2 in spec.lengths]
+        brute = oracle.brute_decide(blocks, [(0, 0, q.q1**l1max, q.q2**l2max)], limits)
         if brute == "budget_exceeded":
             print(f"selftest: oracle budget exceeded on {_where(spec)}")
             return EXIT_SELFTEST_FAILED

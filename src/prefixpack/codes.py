@@ -9,6 +9,8 @@ strictly two-channel, like the packers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
 from operator import add, mul
@@ -168,7 +170,7 @@ def lengths_to_instance(spec: ProblemSpec) -> CanonicalInstance:
     all blocks go into the container spanning every leaf pair.  A channel
     unused by all codewords degenerates to dimension 1.
     """
-    from .geometry import Size, reg  # the reference packing world; only selftest and tests get here
+    from .geometry import Size, reg  # the reference packing world; no command gets here
 
     q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
@@ -177,16 +179,30 @@ def lengths_to_instance(spec: ProblemSpec) -> CanonicalInstance:
     return CanonicalInstance(blocks, container)
 
 
+@functools.lru_cache(maxsize=None)
+def _chunks(base: int) -> tuple[int, int, tuple[str, ...]]:
+    """(k, base**k, the k-digit strings of 0 .. base**k - 1) for the largest k >= 1
+    with base**k <= 256, so a table costs at most 256 short strings."""
+    k = 1
+    while base ** (k + 1) <= 256:
+        k += 1
+    return k, base**k, tuple(map("".join, itertools.product(_DIGITS[:base], repeat=k)))
+
+
 def _encode(value: int, base: int, width: int) -> str:
+    """The width base-`base` digits of value, most significant first, k digits per divmod."""
     if base > len(_DIGITS):
         raise ValueError(f"digit strings support arities up to {len(_DIGITS)}, got {base}")
-    digits = []
-    for _ in range(width):
-        value, d = divmod(value, base)
-        digits.append(_DIGITS[d])
+    k, size, table = _chunks(base)
+    chunks = []
+    for _ in range(width // k):
+        value, d = divmod(value, size)
+        chunks.append(table[d])
+    value, d = divmod(value, base ** (width % k))
     if value:
         raise ValueError("value does not fit in the requested digit width")
-    return "".join(reversed(digits))
+    chunks.append(table[d][k - width % k:])  # d as width % k digits
+    return "".join(reversed(chunks))
 
 
 def solution_to_codebook(spec: ProblemSpec, locations: Sequence[tuple[int, int]]) -> Codebook:

@@ -15,7 +15,8 @@ reference for the bank in ``packer``, re-cuts every container at hand to the
 componentwise maximum of the remaining block sizes per block, then packs the
 largest block into the lower-left corner of a smallest adequate container.
 
-Only ``selftest`` and the tests load this module.  Values are immutable, functions pure.
+No command loads this module: only the tests and ``oracle.brute_sigma_min``
+do.  Values are immutable, functions pure.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 All values are immutable after construction and every operation here is a pure
 function, so everything in this module is safe to share across threads.  The
 reference packing world (sizes, regions and the two orders on sizes) lives in
-``geometry``, which no command but ``selftest`` loads.
+``geometry``, which no command loads.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ tuple or one shifted mask per spot: a unit block in a 512 x 512 container
 has 262,144 spots, which take 2 MiB as words, about 40 MiB as (x, y)
 tuples, and gigabytes as masks as wide as the container.
 
+The packing oracle takes bare tuples, (w, h) sizes and (x, y, w, h)
+boxes, so selftest builds its input from a spec's lengths in a few lines;
+only brute_sigma_min, which answers in geometry's regions, loads the
+reference packing world ``geometry``, and selftest never does.
+
 Budgets are explicit: exceeding one is reported as its own outcome (or raised),
 never silently turned into a wrong answer.
 """
@@ -27,10 +32,12 @@ import bisect
 import functools
 import itertools
 from array import array
-from typing import Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, Sequence
 
-from .geometry import Region, Size, ilog_exact, reg
 from .model import Arities, ProblemSpec, _set, _Value
+
+if TYPE_CHECKING:
+    from .geometry import Region, Size
 
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
 
@@ -116,12 +123,14 @@ def _layout(size: tuple[int, int], boxes: tuple[Box, ...]) -> tuple[int, array]:
 
 
 def brute_decide(
-    blocks: Sequence[Size],
-    containers: Sequence[Region],
+    blocks: Sequence[tuple[int, int]],
+    boxes: Sequence[Box],
     limits: OracleLimits = OracleLimits(),
 ) -> BruteOutcome:
     """Exhaustive backtracking over all aligned placements of the blocks, given
-    as their sizes, into the containers; yes/no/budget.
+    as bare (w, h) sizes, into the containers, given as bare (x, y, w, h)
+    boxes; yes/no/budget.  Every side must lie in [1, limits.max_dim] and
+    every corner be non-negative.
 
     Blocks are normalized into descending size order internally, so the
     verdict cannot depend on input order.  Runs of identical sizes only try
@@ -135,18 +144,15 @@ def brute_decide(
     """
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
-    for b in blocks:
-        if b.w > limits.max_dim or b.h > limits.max_dim:
-            raise ValueError(f"block {b} exceeds the dimension limit {limits.max_dim}")
-    for c in containers:
-        if c.w > limits.max_dim or c.h > limits.max_dim:
-            raise ValueError(f"container {c} exceeds the dimension limit {limits.max_dim}")
+    boxes = tuple(boxes)
+    sides = [*itertools.chain.from_iterable(blocks), *(side for box in boxes for side in box[2:])]
+    if sides and not 1 <= min(sides) <= max(sides) <= limits.max_dim:
+        raise ValueError(f"block and container sides must lie in [1, {limits.max_dim}]")
 
-    order = sorted(((b.w, b.h) for b in blocks), key=_size_key, reverse=True)
-    if sum(w * h for w, h in order) > sum(c.area for c in containers):
+    order = sorted(blocks, key=_size_key, reverse=True)
+    if sum(w * h for w, h in order) > sum(cw * ch for _, _, cw, ch in boxes):
         return "no"
 
-    boxes = tuple((c.x, c.y, c.w, c.h) for c in containers)
     sizes = set(order)
     if sum(_spot_count(s, boxes) for s in sizes) > limits.max_nodes:
         return "budget_exceeded"
@@ -191,6 +197,8 @@ def brute_sigma_min(
     exists for integer-coordinate containers (unit pieces always fit).
     Raises BudgetExceeded when the subproblem budget runs out.
     """
+    from .geometry import ilog_exact, reg  # the reference packing world, which selftest does not load
+
     if c.w > limits.max_dim or c.h > limits.max_dim:
         raise ValueError(f"container {c} exceeds the dimension limit {limits.max_dim}")
     amax = ilog_exact(s.w, q.q1)

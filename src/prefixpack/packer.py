@@ -6,7 +6,10 @@ are processed grouped by size in descending order; the occupied cells of a
 cap line split one exponent step at a time when the layer descends, and each
 group is packed by one walk up a cap line.  Counts are plain Python ints on
 purpose: they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs
-this path must handle.
+this path must handle.  The tables of powers q**k are shared by every bank,
+one per arity, as long as the longest any bank has needed: a bank costs no
+power products once a bank as deep has run, and a table grows only by a
+longer copy replacing it, so the table a bank holds never changes.
 ``decide`` and ``construct`` share one group loop over the bank; for
 ``construct`` the bank also keeps the (x, y) origin of every free container,
 which yields the block locations, while the verdict stays the count ledger's.
@@ -43,14 +46,28 @@ def __getattr__(name: str):
     return solve_naive
 
 
-def _strip(o: tuple[int, int], u: tuple[int, int], lo: int, hi: int, step: int) -> list:
-    """Origins at offsets lo, lo + step, ... below hi from o along the axis u."""
-    return [(o[0] + s * u[0], o[1] + s * u[1]) for s in range(lo, hi, step)]
+# One table of q**k per arity, shared by every bank: the longest any bank has needed.
+_POWERS: dict[int, list[int]] = {}
 
 
-def _split(origins: list, q: int, step: int, u: tuple[int, int]) -> list:
-    """The origins of the given containers, each cut into q parts step apart along u."""
-    return [p for o in origins for p in _strip(o, u, 0, q * step, step)]
+def _power_table(q: int, top: int) -> list[int]:
+    """The shared table [q**0, q**1, ...] of arity q, at least top + 1 long.
+
+    A table too short is replaced by a longer copy, never extended in place,
+    so a table a bank already holds never changes under it."""
+    table = _POWERS.get(q, [1])
+    if len(table) <= top:
+        more = accumulate(repeat(q, top + 1 - len(table)), mul, initial=table[-1])
+        table = _POWERS[q] = table + list(islice(more, 1, None))
+    return table
+
+
+def _tile(origins: list, a: int, lo: int, hi: int, step: int) -> list:
+    """Each origin moved by lo, lo + step, ... below hi along axis a; origin-major, offsets ascending."""
+    offsets = range(lo, hi, step)
+    if a:
+        return [(x, y + s) for x, y in origins for s in offsets]
+    return [(x + s, y) for x, y in origins for s in offsets]
 
 
 class ContainerBank:
@@ -86,12 +103,11 @@ class ContainerBank:
     """
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
-        self.q = q
-        top = {q.q1: l1max}
-        top[q.q2] = max(top.get(q.q2, 0), l2max)
-        # one table of q**k per distinct arity, by running product, as long as its longest axis
-        powers = {qa: list(accumulate(repeat(qa, n), mul, initial=1)) for qa, n in top.items()}
-        self.pow1, self.pow2 = powers[q.q1], powers[q.q2]
+        self.qs = (q.q1, q.q2)
+        # the shared tables of q**k, which may run past the caps; equal arities share one
+        self.pow1 = _power_table(q.q1, max(l1max, l2max) if q.q1 == q.q2 else l1max)
+        self.pow2 = self.pow1 if q.q1 == q.q2 else _power_table(q.q2, l2max)
+        self.pows = (self.pow1, self.pow2)
         self.caps = [l1max, l2max]
         self.lines = ([0] * l1max + [1], [0] * l2max + [1])
         self.live: list[set[int]] = [set(), set()]  # levels below the corner where lines[a] may be nonzero
@@ -126,8 +142,6 @@ class ContainerBank:
                 + sum(col[j] * self.pow2[j] for j in range(cj)) * self.pow1[ci])
 
     def _check(self) -> None:
-        if not self.audit:
-            return
         (ci, cj), (row, col) = self.caps, self.lines
         if self.counted_area() != self._free:
             raise AssertionError("bank area accounting out of balance")
@@ -143,12 +157,13 @@ class ContainerBank:
         for a, cap in enumerate((ci, cj)):
             while self.caps[a] > cap:
                 self._step(a)
-        self._check()
+        if self.audit:
+            self._check()
 
     def _step(self, a: int) -> None:
         """Lower cap a by one exponent: every free container splits q ways along axis a."""
         d, c = self.caps[a], self.caps[1 - a]
-        q = (self.q.q1, self.q.q2)[a]
+        q = self.qs[a]
         along, across = self.lines[a], self.lines[1 - a]
         live = self.live[1 - a] = {t for t in self.live[1 - a] if across[t]}  # drop levels the walks emptied
         for t in live:
@@ -156,11 +171,11 @@ class ContainerBank:
         across[c] = along[d - 1] = along[d - 1] + along[d] * q
         along[d] = 0
         if self.origins is not None:
-            step, u = (self.pow1, self.pow2)[a][d - 1], (1 - a, a)
+            step = self.pows[a][d - 1]
             along_o, across_o = self.origins[a], self.origins[1 - a]
             for t in live:
-                across_o[t] = _split(across_o[t], q, step, u)
-            along_o[d - 1] += _split(along_o[d], q, step, u)
+                across_o[t] = _tile(across_o[t], a, 0, q * step, step)
+            along_o[d - 1] += _tile(along_o[d], a, 0, q * step, step)
             across_o[c], along_o[d] = along_o[d - 1], []
         self.caps[a] = d - 1
         self.live[a].discard(d - 1)  # now the corner
@@ -180,22 +195,22 @@ class ContainerBank:
         left = self._walk(a, start, need)
         self.lines[1 - a][at] = self.lines[a][self.caps[a]]  # the corner's copy on the other line
         if self.audit:
-            self._free -= (need - left) * (self.pow1, self.pow2)[a][start] * (self.pow1, self.pow2)[1 - a][at]
-        self._check()
+            self._free -= (need - left) * self.pows[a][start] * self.pows[1 - a][at]
+            self._check()
         return left == 0
 
     def _walk(self, a: int, start: int, need: int) -> int:
         """Greedy walk up cap line a; returns how many blocks did not fit.
 
         A container at level k of the line holds per = powers[k - start]
-        blocks stacked along the line's axis (arity q, direction u).  Cells
+        blocks stacked along the line's axis a (arity q).  Cells
         from `start` up to the cap are emptied whole by integer division.  At
         most one container is used in part, by the part < per blocks left;
         its room for per - part more returns as slabs at levels start..k-1,
         which join live[a].  On a located bank, spots holds the line's origin lists.
         """
-        line, live, powers = self.lines[a], self.live[a], (self.pow1, self.pow2)[a]
-        q, cap, u = (self.q.q1, self.q.q2)[a], self.caps[a], (1 - a, a)
+        line, live, powers = self.lines[a], self.live[a], self.pows[a]
+        q, cap = self.qs[a], self.caps[a]
         spots = self.origins[a] if self.origins is not None else None
         step = powers[start]
         k = start
@@ -212,7 +227,7 @@ class ContainerBank:
             if spots is not None:
                 taken = spots[k][-used:]
                 del spots[k][-used:]
-                self.placed += [p for o in taken for p in _strip(o, u, 0, powers[k], step)][:filled]
+                self.placed += _tile(taken, a, 0, powers[k], step)[:filled]
             part = filled - (used - 1) * per  # blocks in the last container taken
             if part < per:
                 # per - 1 has every base-q digit q - 1, so the digits of
@@ -223,7 +238,7 @@ class ContainerBank:
                     rest, d = divmod(rest, q)
                     line[t] += q - 1 - d
                     if spots is not None:
-                        spots[t] += _strip(taken[-1], u, off, off + (q - 1 - d) * powers[t], powers[t])
+                        spots[t] += _tile(taken[-1:], a, off, off + (q - 1 - d) * powers[t], powers[t])
                         off += (q - 1 - d) * powers[t]
         return 0
 

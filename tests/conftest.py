@@ -26,6 +26,11 @@ def assert_partition(c: Region, s: Size, q: Arities, pieces) -> None:
             assert not overlap(seen[i], seen[j]), f"{seen[i]} overlaps {seen[j]}"
 
 
+def bare(blocks, containers) -> tuple[list, list]:
+    """Sizes and regions as the (w, h) and (x, y, w, h) tuples oracle.brute_decide takes."""
+    return [(b.w, b.h) for b in blocks], [(c.x, c.y, c.w, c.h) for c in containers]
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0DEC)

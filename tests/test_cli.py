@@ -861,6 +861,47 @@ class TestParseDifferential:
                 assert capsys.readouterr().out == out_json
 
 
+# decimal digits (ASCII and Arabic-Indic), the int() syntax characters, a letter and both quotes
+TOKEN_CHARS = "019\u0663_+-x'\""
+
+
+def int_outcome(token):
+    try:
+        int(token)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestTextTokens:
+    """A non-integer text token is named in int()'s words, whatever its length."""
+
+    @settings(max_examples=3000)
+    @given(st.text(TOKEN_CHARS, min_size=1, max_size=8))
+    def test_int_literal_rule_matches_int(self, token):
+        assert cli._is_int_literal(token) == (int_outcome(token) is None)
+
+    @settings(max_examples=500)
+    @given(st.text(TOKEN_CHARS, max_size=4), st.sampled_from(["1", "\u0663", "x", "1_"]), st.integers(150, 260),
+           st.text(TOKEN_CHARS, max_size=4))
+    def test_message_is_ints_own(self, head, run, count, tail):
+        token = head + run * count + tail
+        expect = int_outcome(token)
+        try:
+            inst = cli.parse_instance_text(f"2 2\n1 {token}\n")
+        except cli.InputError as exc:
+            assert str(exc) == f"non-integer token in text instance: {expect}"
+        else:
+            assert expect is None and inst.lengths == ((1, int(token)),)
+
+    def test_first_bad_token_is_named(self):
+        # the first bad token in file order is named, whether it is the short or the long one
+        for lines, bad in ((["1 y", "1 " + "x" * 300], "y"), (["1 " + "x" * 300, "1 y"], "x" * 300)):
+            with pytest.raises(cli.InputError) as caught:
+                cli.parse_instance_text("\n".join(["2 2", *lines]))
+            assert str(caught.value) == f"non-integer token in text instance: {int_outcome(bad)}"
+
+
 class TestParseFootprint:
     @pytest.mark.parametrize("cmd", ["decide", "kraft"])
     def test_histogram_commands_peak_small(self, tmp_path, capsys, cmd):
@@ -932,9 +973,10 @@ class TestParseFootprint:
         assert peak < 11 * len(text)
 
     def test_long_text_token_message_is_cut(self, tmp_path, capsys):
-        # int() cuts the token's repr to 200 characters in its message; it
-        # builds that repr whole first, so the text is held four times over:
-        # the file text, its line, the token and the repr
+        # int() cuts the token's repr to 200 characters in its message, but
+        # builds that repr whole first; the parser hands int() a stand-in of
+        # the token's head, so the text is held three times over: the file
+        # text, its line and the token
         text = "2 2\n1 0\n1 " + "x" * (10 << 20) + "\n"
         path = tmp_path / "inst.txt"
         path.write_text(text, encoding="utf-8")
@@ -947,7 +989,7 @@ class TestParseFootprint:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: non-integer token in text instance: invalid literal for int()")
         assert len(err) < 400
-        assert peak < 4.2 * len(text)
+        assert peak < 3.1 * len(text)
 
     def test_deepest_row_the_decoder_loads_is_input_error(self, tmp_path, capsys):
         # the row rule and the per-entry rule look one level into a row, so

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prefixpack.codes import (
     Codeword,
     SourceDistribution,
+    _encode,
     entropy_bound,
     kraft_sum,
     lengths_to_instance,
@@ -19,6 +20,8 @@ from prefixpack.geometry import Region, Size, overlap, reg
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import brute_decide
 from prefixpack.packer import construct, decide
+
+from conftest import bare
 
 Q22 = Arities(2, 2)
 
@@ -263,6 +266,41 @@ class TestSolutionToCodebook:
                 solution_to_codebook(spec, locations)
 
 
+def encode_reference(value, base, width):
+    """The per-digit form of _encode: one divmod per digit."""
+    if base > 36:
+        raise ValueError(f"digit strings support arities up to 36, got {base}")
+    digits = []
+    for _ in range(width):
+        value, d = divmod(value, base)
+        digits.append("0123456789abcdefghijklmnopqrstuvwxyz"[d])
+    if value:
+        raise ValueError("value does not fit in the requested digit width")
+    return "".join(reversed(digits))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEncode:
+    @settings(max_examples=1000)
+    @given(st.integers(2, 40), st.integers(0, 70), st.data())
+    def test_same_digits_as_one_divmod_per_digit(self, base, width, data):
+        top = min(base, 36) ** width
+        value = data.draw(st.one_of(st.integers(0, top - 1), st.integers(-3, top + 3), st.integers(top, 2 * top)))
+        assert outcome(_encode, value, base, width) == outcome(encode_reference, value, base, width)
+
+    def test_every_value_of_a_width(self):
+        for base in range(2, 37):
+            for width in range(4):
+                for value in range(base**width + 1):
+                    assert outcome(_encode, value, base, width) == outcome(encode_reference, value, base, width)
+
+
 class TestPairPrefixFree:
     def test_channel_one_siblings(self):
         assert pair_prefix_free(Codeword("0", ""), Codeword("1", ""))
@@ -302,7 +340,7 @@ class TestVerifyCodebook:
     def test_construct_output_verifies(self):
         spec = ProblemSpec(Q22, ((1, 1), (1, 1), (1, 0)))
         inst = lengths_to_instance(spec)
-        assert brute_decide(inst.blocks, [inst.container]) == "yes"
+        assert brute_decide(*bare(inst.blocks, [inst.container])) == "yes"
         sol = construct(spec)
         assert sol is not None
         assert verify_codebook(solution_to_codebook(spec, sol))

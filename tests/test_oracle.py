@@ -17,44 +17,43 @@ from prefixpack.oracle import (
 from prefixpack.packer import decide
 
 from brute_reference import brute_decide_reference
-from conftest import assert_partition
+from conftest import assert_partition, bare
 
 Q22 = Arities(2, 2)
 
 
 class TestBruteDecide:
     def test_counterexample(self):
-        blocks = [Size(1, 2), Size(2, 1)]
-        assert brute_decide(blocks, [reg(0, 0, 2, 2)]) == "no"
+        assert brute_decide([(1, 2), (2, 1)], [(0, 0, 2, 2)]) == "no"
 
     def test_two_containers(self):
-        blocks = [Size(2, 1), Size(1, 2)]
-        containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
-        assert brute_decide(blocks, containers) == "yes"
+        assert brute_decide([(2, 1), (1, 2)], [(0, 0, 2, 2), (0, 2, 2, 1)]) == "yes"
 
     def test_empty_blocks(self):
-        assert brute_decide([], [reg(0, 0, 2, 2)]) == "yes"
+        assert brute_decide([], [(0, 0, 2, 2)]) == "yes"
         assert brute_decide([], []) == "yes"
 
     def test_area_shortfall_is_no(self):
-        assert brute_decide([Size(4, 4)], [reg(0, 0, 2, 2)]) == "no"
+        assert brute_decide([(4, 4)], [(0, 0, 2, 2)]) == "no"
 
     def test_budget_exceeded_reported(self):
-        blocks = [Size(1, 1)] * 9
-        containers = [reg(0, 0, 4, 4)]
         tight = OracleLimits(max_m=16, max_dim=64, max_nodes=3)
-        assert brute_decide(blocks, containers, tight) == "budget_exceeded"
+        assert brute_decide([(1, 1)] * 9, [(0, 0, 4, 4)], tight) == "budget_exceeded"
 
     def test_candidates_counted_against_the_budget(self):
         # one unit block has 512 * 512 aligned spots: counted, and over budget, before any is listed
         limits = OracleLimits(max_m=1, max_dim=512, max_nodes=1000)
-        assert brute_decide([Size(1, 1)], [reg(0, 0, 512, 512)], limits) == "budget_exceeded"
+        assert brute_decide([(1, 1)], [(0, 0, 512, 512)], limits) == "budget_exceeded"
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):
-            brute_decide([Size(1, 1)] * 3, [], OracleLimits(max_m=2))
+            brute_decide([(1, 1)] * 3, [], OracleLimits(max_m=2))
         with pytest.raises(ValueError):
-            brute_decide([Size(128, 1)], [], OracleLimits(max_dim=64))
+            brute_decide([(128, 1)], [], OracleLimits(max_dim=64))
+        with pytest.raises(ValueError):
+            brute_decide([], [(0, 0, 1, 128)], OracleLimits(max_dim=64))
+        with pytest.raises(ValueError):
+            brute_decide([(0, 1)], [(0, 0, 2, 2)])
         with pytest.raises(ValueError):
             OracleLimits(max_m=0)
 
@@ -62,11 +61,8 @@ class TestBruteDecide:
         for _ in range(150):
             q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
             m = rng.randint(1, 5)
-            blocks = [
-                Size(q.q1 ** rng.randint(0, 2), q.q2 ** rng.randint(0, 2))
-                for _ in range(m)
-            ]
-            containers = [reg(0, 0, q.q1**2, q.q2**2)]
+            blocks = [(q.q1 ** rng.randint(0, 2), q.q2 ** rng.randint(0, 2)) for _ in range(m)]
+            containers = [(0, 0, q.q1**2, q.q2**2)]
             base = brute_decide(blocks, containers)
             for _ in range(3):
                 rng.shuffle(blocks)
@@ -75,10 +71,10 @@ class TestBruteDecide:
     def test_alignment_constraint_enforced(self):
         # two 2x1 blocks in a 4x1 strip offset by 1: only x=2 is aligned,
         # so the second block cannot be placed
-        blocks = [Size(2, 1), Size(2, 1)]
-        assert brute_decide(blocks, [reg(1, 0, 4, 1)]) == "no"
-        assert brute_decide(blocks, [reg(0, 0, 4, 1)]) == "yes"
-        assert brute_decide(blocks, [reg(1, 0, 4, 1)]) == "no"  # the cached spots follow the container
+        blocks = [(2, 1), (2, 1)]
+        assert brute_decide(blocks, [(1, 0, 4, 1)]) == "no"
+        assert brute_decide(blocks, [(0, 0, 4, 1)]) == "yes"
+        assert brute_decide(blocks, [(1, 0, 4, 1)]) == "no"  # the cached spots follow the container
 
     @settings(max_examples=300)
     @given(
@@ -89,28 +85,28 @@ class TestBruteDecide:
     def test_same_outcome_as_the_tuple_reference(self, blocks, containers, max_nodes):
         assume(not any(overlap(a, b) for i, a in enumerate(containers) for b in containers[i + 1:]))
         limits = OracleLimits(max_m=6, max_dim=64, max_nodes=max_nodes)
-        assert brute_decide(blocks, containers, limits) == brute_decide_reference(blocks, containers, limits)
+        assert brute_decide(*bare(blocks, containers), limits) == brute_decide_reference(blocks, containers, limits)
 
     def test_far_apart_containers_cost_no_gap_cells(self):
         # the gap between the containers is left out of the cell numbering
         far = 10**12
         tracemalloc.start()
         try:
-            got = brute_decide([Size(2, 2), Size(1, 1)], [reg(0, 0, 2, 2), reg(far, far, 1, 1)])
+            got = brute_decide([(2, 2), (1, 1)], [(0, 0, 2, 2), (far, far, 1, 1)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got == "yes" and peak < 1 << 20
-        assert brute_decide([Size(1, 1)] * 2, [reg(0, 0, 1, 1), reg(far, 0, 1, 1)]) == "yes"
-        assert brute_decide([Size(1, 1)] * 2, [reg(0, 0, 1, 1), reg(1, 0, 1, 1)]) == "yes"  # touching
-        assert brute_decide([Size(2, 1)], [reg(0, 0, 1, 1), reg(1, 0, 1, 1)]) == "no"  # no block spans two
+        assert brute_decide([(1, 1)] * 2, [(0, 0, 1, 1), (far, 0, 1, 1)]) == "yes"
+        assert brute_decide([(1, 1)] * 2, [(0, 0, 1, 1), (1, 0, 1, 1)]) == "yes"  # touching
+        assert brute_decide([(2, 1)], [(0, 0, 1, 1), (1, 0, 1, 1)]) == "no"  # no block spans two
 
     def test_spots_kept_in_arrays(self):
         # a unit block in 512 x 512 has 262,144 spots: 2 MiB as machine words, about 40 MiB as tuples
         oracle._layout.cache_clear()
         tracemalloc.start()
         try:
-            got = brute_decide([Size(1, 1)], [reg(0, 0, 512, 512)], OracleLimits(max_dim=4096, max_nodes=5_000_000))
+            got = brute_decide([(1, 1)], [(0, 0, 512, 512)], OracleLimits(max_dim=4096, max_nodes=5_000_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -20,7 +20,8 @@ README = REPO / "README.md"
 NOT_LOADED_BY_CLI = ["dataclasses", "fractions", "inspect", "prefixpack.geometry", "prefixpack.oracle"]
 # Loaded by the commands that run them: decide loads packer and not codes.
 NOT_LOADED_BY_CLI_IMPORT = ["prefixpack.codes", "prefixpack.packer"]
-# The reference packing world and the brute-force oracle: only selftest loads them.
+# The reference packing world and the brute-force oracle.  Only selftest loads
+# the oracle, and no command loads geometry: the oracle takes bare tuples.
 REFERENCES = ["prefixpack.geometry", "prefixpack.oracle"]
 
 LIBRARY_API = [
@@ -96,7 +97,7 @@ CONSTRUCTED = {"codebook": [{"c1": "1", "c2": "1"}, {"c1": "0", "c2": ""}], "dec
         (["construct", "--input", "inst.json"], [[1, 1], [1, 0]],
          json.dumps(CONSTRUCTED, sort_keys=True, indent=2) + "\n", []),
         (["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"], [],
-         "selftest: 15 instances, all procedures agree\n", REFERENCES),
+         "selftest: 15 instances, all procedures agree\n", ["prefixpack.oracle"]),
     ],
     ids=["kraft", "construct", "selftest"],
 )

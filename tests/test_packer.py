@@ -1,17 +1,21 @@
 import copy
 import itertools
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prefixpack import packer
 from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
 from prefixpack.geometry import Region, Size, contains, overlap, reg, solve_naive, sort_blocks_desc
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
 from prefixpack.packer import ContainerBank, _pack, construct, decide
 
+from conftest import bare
 from dense_bank import DenseBank
 
 Q22 = Arities(2, 2)
@@ -43,7 +47,7 @@ class TestSolveNaive:
         assert sol == ((0, 2), (0, 0))
         assert_solution_valid(blocks, containers, sol)
         # the independent oracle agrees a packing exists
-        assert brute_decide(blocks, containers, ORACLE_LIMITS) == "yes"
+        assert brute_decide(*bare(blocks, containers), ORACLE_LIMITS) == "yes"
 
     def test_ties_go_to_the_smallest_x_then_y(self):
         # after (0, 0), three equal cells are left; (0, 1) precedes (1, 0)
@@ -87,7 +91,7 @@ class TestDecideFast:
         spec = ProblemSpec(Q22, ((1, 0), (1, 1), (1, 1)))
         assert decide(spec) is True
         inst = lengths_to_instance(spec)
-        assert brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS) == "yes"
+        assert brute_decide(*bare(inst.blocks, [inst.container]), ORACLE_LIMITS) == "yes"
 
     def test_empty_codebook(self):
         assert decide(ProblemSpec(Q22, ())) is True
@@ -154,9 +158,59 @@ class TestTheoremEquivalenceSweep:
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
             naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
-            brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
+            brute = brute_decide(*bare(inst.blocks, [inst.container]), ORACLE_LIMITS)
             assert brute in ("yes", "no")
             assert fast == built == (naive is not None) == (brute == "yes"), f"{spec.lengths}"
+
+
+class TestSharedPowerTables:
+    """packer._POWERS, the one table of q**k per arity that every bank reads."""
+
+    def test_runs_leave_the_tables_as_built(self, rng):
+        for _ in range(300):
+            q = Arities(rng.choice([2, 3, 5]), rng.choice([2, 3, 5]))
+            spec = ProblemSpec(q, tuple((rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(0, 12))))
+            decide(spec, audit=True)
+            if q.q1**spec.l1max * q.q2**spec.l2max <= 1 << 14:
+                construct(spec, audit=True)
+        assert packer._POWERS
+        for q, table in packer._POWERS.items():
+            assert table == [q**k for k in range(len(table))]
+
+    def test_growth_replaces_the_table(self):
+        ContainerBank(Arities(7, 7), 1, 1)
+        top = len(packer._POWERS[7])  # the first exponent the shared table lacks
+        held = ContainerBank(Arities(7, 7), top - 1, 0).pow1
+        before = list(held)
+        assert held is packer._POWERS[7]
+        grown = ContainerBank(Arities(7, 7), 0, top + 5)
+        assert grown.pow1 is grown.pow2 is packer._POWERS[7] and grown.pow1 is not held
+        assert held == before and grown.pow1[:top] == held and len(grown.pow1) > top + 5
+
+    def test_threads_growing_one_table_each_hold_a_whole_one(self, rng):
+        # more threads than cores, switching often, all growing the table of one arity
+        base = len(packer._POWERS.get(11, [1]))
+        depths = [base + rng.randrange(400) for _ in range(200)]
+        wrong = []
+
+        def grow(part):
+            for d in part:
+                table = ContainerBank(Arities(11, 11), d, d // 2).pow1
+                if len(table) <= d or table[d] != 11**d or table[d // 2] != 11 ** (d // 2):
+                    wrong.append(d)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(depths[k::4],)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        assert packer._POWERS[11] == [11**k for k in range(len(packer._POWERS[11]))]
 
 
 class TestSpecFromHistogram:
@@ -440,11 +494,12 @@ class TestContainerBank:
                 bank.descend_caps(1, 2)
 
     def test_one_power_table_per_distinct_arity(self):
+        # every bank shares the tables, so they may run past this bank's caps
         bank = ContainerBank(Arities(2, 3), 3, 2)
-        assert (bank.pow1, bank.pow2) == ([1, 2, 4, 8], [1, 3, 9])
+        assert bank.pow1[:4] == [1, 2, 4, 8] and bank.pow2[:3] == [1, 3, 9]
         bank = ContainerBank(Q22, 7000, 7000)
         assert bank.pow1 is bank.pow2
-        assert bank.pow1[:4] == [1, 2, 4, 8] and bank.pow1[-1] == 2**7000
+        assert bank.pow1[:4] == [1, 2, 4, 8] and bank.pow1[7000] == 2**7000
         tracemalloc.start()
         try:
             assert decide(ProblemSpec(Q22, ((7000, 7000),)))

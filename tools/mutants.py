@@ -1,4 +1,4 @@
-"""Hand-listed mutants of the packing, Kraft, spec, oracle, parsing, row-counting and run-policy code, run against tier-1 one at a time.
+"""Hand-listed mutants of the packing, Kraft, encoding, spec, oracle, parsing, row-counting and run-policy code, run against tier-1 one at a time.
 
 Usage, from the repository root:
 
@@ -61,8 +61,14 @@ MUTANTS = [
     ("sorted-desc-rejects-ties", GEOMETRY,
      "total_key(a) >= total_key(b)", "total_key(a) > total_key(b)"),
     ("folded-origins-in-front", PACKER,
-     "along_o[d - 1] += _split(along_o[d], q, step, u)",
-     "along_o[d - 1] = _split(along_o[d], q, step, u) + along_o[d - 1]"),
+     "along_o[d - 1] += _tile(along_o[d], a, 0, q * step, step)",
+     "along_o[d - 1] = _tile(along_o[d], a, 0, q * step, step) + along_o[d - 1]"),
+    ("tile-offset-major", PACKER,
+     "return [(x + s, y) for x, y in origins for s in offsets]",
+     "return [(x + s, y) for s in offsets for x, y in origins]"),
+    ("power-table-grown-in-place", PACKER,  # a table a bank holds would change under it
+     "table = _POWERS[q] = table + list(islice(more, 1, None))",
+     "table = _POWERS.setdefault(q, table)\n        table += islice(more, 1, None)"),
     ("pack-tie-break-swapped", PACKER,
      "blocks.append((max(w, h), w, h, ll))", "blocks.append((max(w, h), h, w, ll))"),
     ("pack-skips-row-cap-descent", PACKER,
@@ -110,12 +116,16 @@ MUTANTS = [
      "len(rows[-1]) != len(rows[0])", "len(rows[-1]) > len(rows[0])"),
     ("text-line-number-of-codeword", CLI,
      "bad_line = number", "bad_line = len(rows) - 1"),
+    ("text-stand-in-drops-quotes", CLI,  # the stand-in's repr may pick the other quotes
+     """ + "'" * ("'" in token) + '"' * ('"' in token)""", ""),
     ("entry-position-from-zero", CLI,
      "enumerate(lengths, 1)", "enumerate(lengths)"),
     ("selftest-domain-for-zero-m", ORACLE,
      "if max_m >= 1 else []", "if True else []"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
+    ("encode-top-digits-from-the-front", CODES,
+     "table[d][k - width % k:]", "table[d][:width % k]"),
     ("kraft-table-exponent-off-by-one", CODES,
      "power *= q ** (last - length)", "power *= q ** (last - length + 1)"),
     ("kraft-horner-from-wrong-end", CODES,
@@ -130,6 +140,8 @@ MUTANTS = [
      "floor = last if repeat else -1", "floor = last"),
     ("oracle-block-mask-one-row-short", ORACLE,
      "column = (1 << h) - 1", "column = (1 << h - 1) - 1"),
+    ("oracle-box-area-height-squared", ORACLE,
+     "sum(cw * ch for _, _, cw, ch in boxes)", "sum(ch * ch for _, _, cw, ch in boxes)"),
     ("oracle-budget-counts-one-axis", ORACLE,
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
