@@ -54,14 +54,14 @@ class InstanceFile(NamedTuple):
     """A parsed instance file.
 
     lengths holds the codeword length rows in file order: the lists JSON
-    loaded, or tuples for the text format.  groups is their histogram,
-    Counter(tuple(row) for row in lengths), counted once at parse time after
-    every row passed the row rule, so its keys hold len(qs) exact ints each.
-    construct, render and entropy read lengths.  decide and kraft need only
-    qs and groups, and build no InstanceFile for a JSON file the row counter
-    takes (see _load_groups); they parse one only for the files it refuses
-    and for the text format.  probs and base are floats, whether the file
-    wrote them as integers or as floats.
+    loaded, or for the text format one tuple per distinct line, shared by
+    every line of that text.  groups is their histogram, Counter(tuple(row)
+    for row in lengths), counted once at parse time after every row passed
+    the row rule, so its keys hold len(qs) exact ints each.  construct,
+    render and entropy read lengths.  decide and kraft need only qs and
+    groups, and build no InstanceFile for a JSON file the row counter takes
+    (see _load_groups).  probs and base are floats, whether the file wrote
+    them as integers or as floats.
     """
 
     qs: tuple[int, ...]
@@ -228,74 +228,52 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
         return None
     if len(rows) != len(values) or not _rows_hold_ints(rows, len(qs)):
         return None
-    keys = list(map(tuple, rows))
-    groups = Counter(dict(zip(keys, values)))
-    if len(groups) < len(keys):  # texts that decode equal, such as -0 and 0, merge
-        groups = Counter()
-        for key, n in zip(keys, values):
-            groups[key] += n
+    groups: Counter[tuple[int, ...]] = Counter()
+    for key, n in zip(map(tuple, rows), values):  # texts that decode equal, such as -0 and 0, merge
+        groups[key] += n
     return qs, groups
-
-
-# int()'s message names a bad token by the first 200 characters of its repr,
-# but int() builds the whole repr first: for a 10 MiB token, one more copy of
-# the file.  A longer token that int() would reject is cut before int() sees it.
-_REPR_HEAD = 200
-_NOT_DIGIT = re.compile(r"[^\d_]")
-
-
-def _is_int_literal(token: str) -> bool:
-    """int(token) succeeds, for a token without whitespace, judged without copying it:
-    an optional sign, then decimal digits with single underscores between them."""
-    start = token[:1] in ("+", "-")
-    return (token[start:start + 1].isdecimal() and token[-1:].isdecimal() and "__" not in token
-            and _NOT_DIGIT.search(token, start) is None)
-
-
-def _cut_long_bad_tokens(rows: list[list[str]]) -> None:
-    """Replace each token longer than _REPR_HEAD that int() would reject by a
-    short stand-in that int() rejects as an invalid literal, naming it by the
-    same first _REPR_HEAD characters of repr.
-
-    The stand-in is the token's head, then whichever quote characters the
-    token holds, since they choose the quotes of its repr, then a NUL; the
-    repr's first _REPR_HEAD characters come from the head alone."""
-    for row in rows:
-        for k, token in enumerate(row):
-            if len(token) > _REPR_HEAD and not _is_int_literal(token):
-                row[k] = token[:_REPR_HEAD] + "'" * ("'" in token) + '"' * ('"' in token) + "\0"
 
 
 def parse_instance_text(text: str) -> InstanceFile:
     """Plain-text alternative: "q1 q2" header, then one "l1 l2" line per codeword.
 
-    The first line whose width differs from the header's is named by its
-    line number in the file, blank and comment lines counted, never by its
-    text; a non-integer token anywhere is reported first, in int()'s words."""
-    rows, bad_line, wide = [], 0, False
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-            if not bad_line and len(rows[-1]) != len(rows[0]):
-                bad_line = number
-            if len(line) > _REPR_HEAD:
-                wide = True
+    The lines are counted, and each distinct line is decoded once, its "#"
+    comment cut and each token checked to be an integer before int() reads
+    it.  The header is the first line that holds tokens; its text may also be
+    a codeword line, so its count falls by one.  Lines that decode equal merge
+    in groups; lengths holds the decoded tuples in file order, shared.
+
+    A bad line is named by its line number in the file, never by its text:
+    the first line with a non-integer token or a number past the digit
+    limit, then, once every token is a number, the first line whose width
+    differs from the header's."""
+    lines = text.splitlines()
+    counts = Counter(lines)
+    # int()'s literals: an optional sign, then digits with single underscores between;
+    # in a str pattern \d is str.isdecimal, the set of digits int() reads
+    is_int = re.compile(r"[+-]?\d+(?:_\d+)*").fullmatch
+    rows: dict[str, tuple[int, ...]] = {}
+    for line in counts:  # in file order of first appearance
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if not all(map(is_int, tokens)):
+            raise InputError(f"non-integer token on line {lines.index(line) + 1}")
+        try:
+            rows[line] = tuple(map(int, tokens))
+        except ValueError:  # the token rule leaves int() only the digit limit to refuse
+            raise _digit_limit_error(f"a number on line {lines.index(line) + 1}") from None
     _require(bool(rows), "text instance needs at least an arity header line")
-    if wide:
-        _cut_long_bad_tokens(rows)
-    try:
-        qs = tuple(map(int, rows[0]))
-        tuples = tuple(tuple(map(int, row)) for row in rows[1:])
-    except ValueError as exc:
-        limit = sys.get_int_max_str_digits()
-        for n, row in enumerate(rows):
-            for token in row:
-                if limit and len(token) > limit and token.lstrip("+-").replace("_", "").isdecimal():
-                    raise _digit_limit_error("an arity" if n == 0 else "a codeword length") from exc
-        raise InputError(f"non-integer token in text instance: {exc}") from exc
-    _require(not bad_line, f"length line {bad_line} does not match {len(qs)} channel(s)")
-    return InstanceFile(qs, tuples, Counter(tuples), None, None)
+    header = next(iter(rows))
+    qs = rows[header]
+    counts[header] -= 1
+    groups: Counter[tuple[int, ...]] = Counter()
+    for line, row in rows.items():
+        if len(row) != len(qs):
+            raise InputError(f"length line {lines.index(line) + 1} does not match {len(qs)} channel(s)")
+        groups[row] += counts[line]
+    lengths = tuple(itertools.islice(filter(None, map(rows.get, lines)), 1, None))
+    return InstanceFile(qs, lengths, +groups, None, None)  # + drops the header's count if it fell to 0
 
 
 def read_input(path: str) -> str:
@@ -391,9 +369,10 @@ def _load_groups(args: argparse.Namespace) -> tuple[tuple[int, ...], Counter[tup
     A JSON file of the shape {"q": [ints], "lengths": [rows]} is counted on
     its text by count_json_rows, which decodes only its distinct rows.  Any
     other JSON file, and any text the counter cannot certify, goes through
-    parse_instance_json, the source of every error message; the text format
-    through parse_instance_text.  Either way the file's text and rows are
-    freed on return, before anything else is allocated."""
+    parse_instance_json, the source of every error message.  The text format
+    has one reader, parse_instance_text, which counts lines the same way and
+    writes its own errors.  Either way the file's text and rows are freed on
+    return, before anything else is allocated."""
     text = read_input(args.input)
     if args.format == "text":
         inst = parse_instance_text(text)

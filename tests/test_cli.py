@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -501,14 +502,12 @@ class TestSchemaValidation:
                          "an integer in the JSON file is past Python's 4,300-digit limit for reading an integer from text",
                          id="json-digits"),
             pytest.param("text", "2 2\n1 0\n" + "9" * 5001 + " 0\n", "decide",
-                         "a codeword length is past Python's 4,300-digit limit for reading an integer from text",
+                         "a number on line 3 is past Python's 4,300-digit limit for reading an integer from text",
                          id="text-length-digits"),
             pytest.param("text", "9" * 5001 + " 2\n1 0\n", "kraft",
-                         "an arity is past Python's 4,300-digit limit for reading an integer from text",
+                         "a number on line 1 is past Python's 4,300-digit limit for reading an integer from text",
                          id="text-arity-digits"),
-            pytest.param("text", "2 2\n1 x\n", "decide",
-                         "non-integer token in text instance: invalid literal for int() with base 10: 'x'",
-                         id="text-non-integer"),
+            pytest.param("text", "2 2\n1 x\n", "decide", "non-integer token on line 2", id="text-non-integer"),
             # blank and comment lines count toward the line number
             pytest.param("text", "2 2\n\n# codewords\n1 0\n1\n", "kraft", "length line 5 does not match 2 channel(s)",
                          id="text-short-line"),
@@ -752,6 +751,75 @@ def counted_documents(draw):
             + space() + '"lengths"' + space() + ":" + space() + lengths + after + space() + "}" + space())
 
 
+def reference_text(text):
+    """The text format read line by line, written apart from the parser: a
+    token int() refuses is a number past the digit limit when int() reads
+    it with the limit lifted, and a non-integer token otherwise.  Every
+    token error in the file comes before any width error."""
+    rows = []  # (line number, tokens) for each line that holds tokens
+    for number, line in enumerate(text.splitlines(), 1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            rows.append((number, tokens))
+    if not rows:
+        raise cli.InputError("text instance needs at least an arity header line")
+    tuples = []
+    for number, tokens in rows:
+        try:
+            tuples.append(tuple(map(int, tokens)))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                list(map(int, tokens))
+            except ValueError:
+                raise cli.InputError(f"non-integer token on line {number}") from None
+            finally:
+                sys.set_int_max_str_digits(limit)
+            raise cli.InputError(f"a number on line {number} is past Python's {limit:,}-digit limit "
+                                 "for reading an integer from text") from None
+    qs = tuples[0]
+    for (number, _), row in zip(rows, tuples):
+        if len(row) != len(qs):
+            raise cli.InputError(f"length line {number} does not match {len(qs)} channel(s)")
+    return qs, tuple(tuples[1:]), Counter(tuples[1:])
+
+
+# text tokens int() reads (signs, "_", ASCII and Arabic-Indic digits), then any
+# short text of those characters and "x", and a number past the digit limit
+_TEXT_INTS = ["0", "1", "2", "-0", "+1", "1_0", "\u0663", "0\u0663"]
+_text_tokens = st.one_of(
+    st.sampled_from(_TEXT_INTS),
+    st.text("019\u0663_+-x", min_size=1, max_size=4),
+    st.just("9" * 4301),
+)
+
+
+@st.composite
+def text_files(draw):
+    """Instance files in the text format, their lines drawn from a small pool
+    so that lines repeat, the header's text among them.  Half are valid; in
+    the other half a token may be no integer or a number past the digit
+    limit, and a line may have another width.  Tokens are split by spaces,
+    tabs or a form feed (which ends a line for splitlines too), lines end in
+    \\n, \\r\\n, \\r or \\x0c, blank and comment lines fall anywhere, and
+    some files hold no token at all."""
+    valid = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    good = st.lists(st.sampled_from(_TEXT_INTS), min_size=width, max_size=width)
+    tokens = good if valid else st.one_of(good, good, st.lists(_text_tokens, max_size=width + 1))
+    space = st.sampled_from(["", " ", "\t", " \t"])
+
+    def line():
+        words = draw(tokens) if draw(st.integers(0, 4)) else []
+        gap = draw(st.sampled_from([" ", "  ", "\t", " \x0c"]))
+        return draw(space) + gap.join(words) + draw(space) + draw(st.sampled_from(["", "", "# c", " #1 x", "#2 2"]))
+
+    pool = [line() for _ in range(draw(st.integers(1, 4)))]
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c"])
+    return "".join(draw(st.sampled_from(pool)) + draw(ends) for _ in range(draw(st.integers(1, 8))))
+
+
 class TestParseDifferential:
     @settings(max_examples=400, deadline=None)
     @given(instance_payloads())
@@ -846,6 +914,26 @@ class TestParseDifferential:
         check()
         assert 3 * sum(taken) >= len(taken), f"the counter took {sum(taken)} of {len(taken)} texts"
 
+    @settings(max_examples=600, deadline=None)
+    @given(text_files())
+    @example("2 2\n2 2\n")  # the header's text again, as the one codeword
+    @example("2 2\n1 0\n 1\t0 # c\n")  # lines equal up to spacing and comments
+    @example("2 2\n1 x\n" + "9" * 5001 + " 0\n")  # a non-integer token before a number past the limit
+    @example("2 2\n1 1_\n")  # a token that starts as an integer
+    def test_text_reader_matches_per_line_reference(self, text):
+        try:
+            expected = reference_text(text)
+        except cli.InputError as exc:
+            with pytest.raises(cli.InputError) as got:
+                cli.parse_instance_text(text)
+            assert str(got.value) == str(exc)
+            return
+        inst = cli.parse_instance_text(text)
+        qs, lengths, groups = expected
+        # dict(): a Counter equals one that also holds a zero count
+        assert (inst.qs, inst.lengths, dict(inst.groups)) == (qs, lengths, dict(groups))
+        assert inst.probs is None and inst.base is None
+
     def test_text_and_json_give_one_histogram(self, tmp_path, capsys):
         lengths = caterpillar(random.Random(3), 300, window=300)
         for extra in ([], [[1, 0]]):  # EXISTS, then a Kraft excess
@@ -861,57 +949,21 @@ class TestParseDifferential:
                 assert capsys.readouterr().out == out_json
 
 
-# decimal digits (ASCII and Arabic-Indic), the int() syntax characters, a letter and both quotes
-TOKEN_CHARS = "019\u0663_+-x'\""
-
-
-def int_outcome(token):
-    try:
-        int(token)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-class TestTextTokens:
-    """A non-integer text token is named in int()'s words, whatever its length."""
-
-    @settings(max_examples=3000)
-    @given(st.text(TOKEN_CHARS, min_size=1, max_size=8))
-    def test_int_literal_rule_matches_int(self, token):
-        assert cli._is_int_literal(token) == (int_outcome(token) is None)
-
-    @settings(max_examples=500)
-    @given(st.text(TOKEN_CHARS, max_size=4), st.sampled_from(["1", "\u0663", "x", "1_"]), st.integers(150, 260),
-           st.text(TOKEN_CHARS, max_size=4))
-    def test_message_is_ints_own(self, head, run, count, tail):
-        token = head + run * count + tail
-        expect = int_outcome(token)
-        try:
-            inst = cli.parse_instance_text(f"2 2\n1 {token}\n")
-        except cli.InputError as exc:
-            assert str(exc) == f"non-integer token in text instance: {expect}"
-        else:
-            assert expect is None and inst.lengths == ((1, int(token)),)
-
-    def test_first_bad_token_is_named(self):
-        # the first bad token in file order is named, whether it is the short or the long one
-        for lines, bad in ((["1 y", "1 " + "x" * 300], "y"), (["1 " + "x" * 300, "1 y"], "x" * 300)):
-            with pytest.raises(cli.InputError) as caught:
-                cli.parse_instance_text("\n".join(["2 2", *lines]))
-            assert str(caught.value) == f"non-integer token in text instance: {int_outcome(bad)}"
-
-
 class TestParseFootprint:
-    @pytest.mark.parametrize("cmd", ["decide", "kraft"])
-    def test_histogram_commands_peak_small(self, tmp_path, capsys, cmd):
-        # 100k codewords: the file's text, one string per row and their
-        # histogram, but no list or tuple per codeword
+    @pytest.mark.parametrize("cmd, fmt", [("decide", "json"), ("kraft", "json"), ("decide", "text"), ("kraft", "text")],
+                             ids=["decide", "kraft", "decide-text", "kraft-text"])
+    def test_histogram_commands_peak_small(self, tmp_path, capsys, cmd, fmt):
+        # 100k codewords: the file's text, one string per row or line and
+        # their histogram, but no list or tuple per codeword
         lengths = caterpillar(random.Random(9), 100_000, window=100_000)
-        path = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
+        if fmt == "json":
+            path = write_json(tmp_path, {"q": [2, 2], "lengths": lengths})
+        else:
+            path = tmp_path / "inst.txt"
+            path.write_text("2 2\n" + "".join(f"{a} {b}\n" for a, b in lengths), encoding="utf-8")
         tracemalloc.start()
         try:
-            assert cli.main([cmd, "--input", path]) == 0
+            assert cli.main([cmd, "--input", str(path), "--format", fmt]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -973,10 +1025,9 @@ class TestParseFootprint:
         assert peak < 11 * len(text)
 
     def test_long_text_token_message_is_cut(self, tmp_path, capsys):
-        # int() cuts the token's repr to 200 characters in its message, but
-        # builds that repr whole first; the parser hands int() a stand-in of
-        # the token's head, so the text is held three times over: the file
-        # text, its line and the token
+        # the message names the line by its number, and int() never sees the
+        # token, so the text is held three times over: the file text, its
+        # line and the token
         text = "2 2\n1 0\n1 " + "x" * (10 << 20) + "\n"
         path = tmp_path / "inst.txt"
         path.write_text(text, encoding="utf-8")
@@ -986,10 +1037,19 @@ class TestParseFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: non-integer token in text instance: invalid literal for int()")
-        assert len(err) < 400
+        assert capsys.readouterr() == ("", "error: non-integer token on line 3\n")
         assert peak < 3.1 * len(text)
+
+    @pytest.mark.parametrize("run, count", [("1_", 10**6), ("9", 10 << 20)], ids=["underscores", "digits"])
+    def test_long_bad_token_is_refused_in_linear_time(self, run, count):
+        # a token rule that backtracked more than once over each digit would
+        # take quadratic time on these
+        text = "2 2\n1 " + run * count + "x\n"
+        start = time.perf_counter()
+        with pytest.raises(cli.InputError) as caught:
+            cli.parse_instance_text(text)
+        assert time.perf_counter() - start < 2
+        assert str(caught.value) == "non-integer token on line 2"
 
     def test_deepest_row_the_decoder_loads_is_input_error(self, tmp_path, capsys):
         # the row rule and the per-entry rule look one level into a row, so

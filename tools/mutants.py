@@ -110,14 +110,18 @@ MUTANTS = [
      """text.find('"', end) >= 0 or """, ""),
     ("counter-admits-any-brackets", CLI,
      """    if set(map(str.count, texts, itertools.repeat("["))) != {1}:  # one "[" per text\n        return None\n""", ""),
+    ("counter-merge-keeps-last-count", CLI,  # rows that decode equal, such as -0 and 0, must add up
+     "groups[key] += n", "groups[key] = n"),
     ("text-keeps-comments", CLI,
-     'line = line.split("#", 1)[0].strip()', "line = line.strip()"),
+     'tokens = line.split("#", 1)[0].split()', "tokens = line.split()"),
     ("text-allows-short-lines", CLI,
-     "len(rows[-1]) != len(rows[0])", "len(rows[-1]) > len(rows[0])"),
-    ("text-line-number-of-codeword", CLI,
-     "bad_line = number", "bad_line = len(rows) - 1"),
-    ("text-stand-in-drops-quotes", CLI,  # the stand-in's repr may pick the other quotes
-     """ + "'" * ("'" in token) + '"' * ('"' in token)""", ""),
+     "if len(row) != len(qs):", "if len(row) > len(qs):"),
+    ("text-line-number-of-codeword", CLI,  # the position among lines that hold tokens, header 0
+     "length line {lines.index(line) + 1}", "length line {list(rows).index(line)}"),
+    ("text-header-counted-as-codeword", CLI,
+     "    counts[header] -= 1\n", ""),
+    ("text-token-rule-unanchored", CLI,
+     '(?:_\\d+)*").fullmatch', '(?:_\\d+)*").match'),
     ("entry-position-from-zero", CLI,
      "enumerate(lengths, 1)", "enumerate(lengths)"),
     ("selftest-domain-for-zero-m", ORACLE,
