@@ -476,8 +476,7 @@ def render_svg(spec: ProblemSpec, locations: Locations) -> str:
     q = spec.arities
     l1max, l2max = spec.l1max, spec.l2max
     book = codes.solution_to_codebook(spec, locations)
-    width = q.q1**l1max
-    height = q.q2**l2max
+    blocks, (_, _, width, height) = codes.lengths_to_instance(spec)
     cw, ch = 640.0, 480.0
     log_mode = max(l1max, l2max) > 10
     fx = _svg_axis_map(width, cw, log_mode)
@@ -507,9 +506,7 @@ def render_svg(spec: ProblemSpec, locations: Locations) -> str:
                 if t % qa
             )
     palette = ("#e66a6a", "#6a8fe6", "#6ce08b", "#e0c76c", "#b96ce0", "#6cd8e0")
-    for idx, ((x, y), (l1, l2), word) in enumerate(zip(locations, spec.lengths, book)):
-        w = q.q1 ** (l1max - l1)
-        h = q.q2 ** (l2max - l2)
+    for idx, ((x, y), (w, h), word) in enumerate(zip(locations, blocks, book)):
         x0, x1 = fx(x), fx(x + w)
         # SVG y runs downward; flip so larger y sits higher.
         y0, y1 = ch - fy(y + h), ch - fy(y)
@@ -573,9 +570,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         fast = packer.decide(spec)
         locations = packer.construct(spec)
         built = locations is not None
-        q, l1max, l2max = spec.arities, spec.l1max, spec.l2max  # the canonical instance, as bare tuples
-        blocks = [(q.q1 ** (l1max - l1), q.q2 ** (l2max - l2)) for l1, l2 in spec.lengths]
-        brute = oracle.brute_decide(blocks, [(0, 0, q.q1**l1max, q.q2**l2max)], limits)
+        inst = codes.lengths_to_instance(spec)
+        brute = oracle.brute_decide(inst.blocks, [inst.container], limits)
         if brute == "budget_exceeded":
             print(f"selftest: oracle budget exceeded on {_where(spec)}")
             return EXIT_SELFTEST_FAILED

@@ -3,8 +3,10 @@
 Kraft arithmetic is exact rational (the inequality is a sharp threshold at 1);
 entropy arithmetic is floating point with a 1e-9 comparison tolerance since it
 involves transcendental logs.  The Kraft and entropy operations accept any
-number of channels; the geometric transform and codeword extraction are
-strictly two-channel, like the packers.
+number of channels; the length/block transform and codeword extraction are
+strictly two-channel, like the packers.  The transform, lengths_to_instance,
+builds the canonical instance, in bare tuples, for selftest, the codebook
+and the SVG alike.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .model import ProblemSpec, _set, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .geometry import Region, Size
 
 # One character per digit keeps prefix relations plain string prefixes.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -62,8 +62,8 @@ class EntropyReport(NamedTuple):
 
 
 class CanonicalInstance(NamedTuple):
-    blocks: tuple[Size, ...]
-    container: Region
+    blocks: tuple[tuple[int, int], ...]  # one (w, h) per codeword, in the spec's order
+    container: tuple[int, int, int, int]  # (0, 0, W, H)
 
 
 def _validate_channels(qs: Sequence[int], lengths: Sequence[Sequence[int]]) -> None:
@@ -166,17 +166,17 @@ def lengths_to_instance(spec: ProblemSpec) -> CanonicalInstance:
     enclosing container for a length multiset.
 
     A codeword of length (l1, l2) covers q1**(l1max-l1) * q2**(l2max-l2)
-    leaf pairs of the two prefix trees, hence a block of exactly that Size;
-    all blocks go into the container spanning every leaf pair.  A channel
-    unused by all codewords degenerates to dimension 1.
+    leaf pairs of the two prefix trees, hence a block of exactly that size,
+    computed once per distinct pair; all blocks go into the container
+    spanning every leaf pair.  A channel unused by all codewords degenerates
+    to dimension 1.
     """
-    from .geometry import Size, reg  # the reference packing world; no command gets here
-
-    q = spec.arities
+    q1, q2 = spec.arities.q1, spec.arities.q2
     l1max, l2max = spec.l1max, spec.l2max
-    blocks = tuple(Size(q.q1 ** (l1max - l1), q.q2 ** (l2max - l2)) for l1, l2 in spec.lengths)
-    container = reg(0, 0, q.q1**l1max, q.q2**l2max)
-    return CanonicalInstance(blocks, container)
+    sizes = {}  # a loop, not a comprehension, costs less on selftest's thousands of tiny specs
+    for l1, l2 in spec.groups:
+        sizes[l1, l2] = (q1 ** (l1max - l1), q2 ** (l2max - l2))
+    return CanonicalInstance(tuple(map(sizes.__getitem__, spec.lengths)), (0, 0, q1**l1max, q2**l2max))
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,18 +216,15 @@ def solution_to_codebook(spec: ProblemSpec, locations: Sequence[tuple[int, int]]
     """
     if len(locations) != spec.m:
         raise ValueError(f"{len(locations)} locations for {spec.m} codewords")
-    q = spec.arities
-    l1max, l2max = spec.l1max, spec.l2max
-    width, height = q.q1**l1max, q.q2**l2max
+    q1, q2 = spec.arities.q1, spec.arities.q2
+    blocks, (_, _, width, height) = lengths_to_instance(spec)
     words = []
-    for idx, ((l1, l2), (x, y)) in enumerate(zip(spec.lengths, locations)):
-        w = q.q1 ** (l1max - l1)
-        h = q.q2 ** (l2max - l2)
+    for idx, ((l1, l2), (w, h), (x, y)) in enumerate(zip(spec.lengths, blocks, locations)):
         if x % w or y % h:
             raise ValueError(f"location ({x}, {y}) is misaligned for block {idx}")
         if x + w > width or y + h > height:
             raise ValueError(f"location ({x}, {y}) leaves the container for block {idx}")
-        words.append(Codeword(_encode(x // w, q.q1, l1), _encode(y // h, q.q2, l2)))
+        words.append(Codeword(_encode(x // w, q1, l1), _encode(y // h, q2, l2)))
     return tuple(words)
 
 

@@ -7,20 +7,19 @@ sizes, which is the point - they answer small instances by sheer enumeration
 so the real algorithms have something honest to be checked against.
 
 Both search on integer bitmasks, one bit per cell.  The packing oracle
-numbers the cells its containers cover column by column, so a block at a
-spot is its mask at the origin shifted by the spot's offset, and offsets
-order spots as their (x, y) do; one array serves as both the spots and
-their sort keys.  Each (size, containers) pair has its mask and its offsets
-listed once and kept in a bounded cache, which the selftest sweep hits on
-nearly every call.  The offsets are an array of machine words, not one
-tuple or one shifted mask per spot: a unit block in a 512 x 512 container
-has 262,144 spots, which take 2 MiB as words, about 40 MiB as (x, y)
-tuples, and gigabytes as masks as wide as the container.
+numbers the cells of its grid column by column from the origin, so a block
+at a spot is its mask at the origin shifted by the spot's offset, and
+offsets order spots as their (x, y) do.  Its containers must lie in
+[0, max_dim]^2, so no mask is wider than max_dim^2 bits.  A size's mask and
+the offsets of its spots, an array of machine words, are kept in a bounded
+cache, which the selftest sweep hits on nearly every call: a unit block in
+a 512 x 512 container has 262,144 spots, 2 MiB as words and about 40 MiB as
+(x, y) tuples.
 
 The packing oracle takes bare tuples, (w, h) sizes and (x, y, w, h)
-boxes, so selftest builds its input from a spec's lengths in a few lines;
-only brute_sigma_min, which answers in geometry's regions, loads the
-reference packing world ``geometry``, and selftest never does.
+boxes, such as codes.lengths_to_instance builds; only brute_sigma_min,
+which answers in geometry's regions, loads the reference packing world
+``geometry``, and selftest never does.
 
 Budgets are explicit: exceeding one is reported as its own outcome (or raised),
 never silently turned into a wrong answer.
@@ -28,7 +27,6 @@ never silently turned into a wrong answer.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from array import array
@@ -76,48 +74,26 @@ def _spot_count(size: tuple[int, int], boxes: tuple[Box, ...]) -> int:
     return sum(len(_starts(x, cw, w)) * len(_starts(y, ch, h)) for x, y, cw, ch in boxes)
 
 
-def _packed_axis(spans: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Each [lo, hi) span's shift onto the axis with its uncovered stretches
-    removed, and that axis' length.
-
-    Far-apart containers thus cost no bits for the gaps between them, and
-    the shifted axis keeps both the order and the adjacency of covered points.
-    """
-    merged: list[list[int]] = []
-    for lo, hi in sorted(spans):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    los, shifts, length = [], [], 0
-    for lo, hi in merged:
-        los.append(lo)
-        shifts.append(length - lo)
-        length += hi - lo
-    return [shifts[bisect.bisect_right(los, lo) - 1] for lo, _ in spans], length
-
-
 @functools.lru_cache(maxsize=256)
 def _layout(size: tuple[int, int], boxes: tuple[Box, ...]) -> tuple[int, array]:
     """A size's cell mask at the origin and the bit offsets of its aligned
     spots in the containers, in the containers' order, x-major.
 
-    Cells are numbered column by column over the covered columns and rows
-    only, so the offset of (x, y) is x' * height + y' for the shifted x' and
-    y', and offsets compare as their (x, y) do.
+    Cells are numbered column by column from the origin, up to the highest
+    container top, so the offset of (x, y) is x * height + y, and offsets
+    compare as their (x, y) do.
     """
     w, h = size
-    xshift, _ = _packed_axis([(x, x + cw) for x, _, cw, _ in boxes])
-    yshift, height = _packed_axis([(y, y + ch) for _, y, _, ch in boxes])
+    height = max(y + ch for _, y, _, ch in boxes)
     column = (1 << h) - 1
     block = 0
     for dx in range(w):
         block |= column << dx * height
     offsets = array("q")
-    for (x, y, cw, ch), sx, sy in zip(boxes, xshift, yshift):
+    for x, y, cw, ch in boxes:
         ys = _starts(y, ch, h)
         for x0 in _starts(x, cw, w):
-            first = (x0 + sx) * height + ys.start + sy
+            first = x0 * height + ys.start
             offsets.extend(range(first, first + len(ys) * h, h))
     return block, offsets
 
@@ -130,7 +106,7 @@ def brute_decide(
     """Exhaustive backtracking over all aligned placements of the blocks, given
     as bare (w, h) sizes, into the containers, given as bare (x, y, w, h)
     boxes; yes/no/budget.  Every side must lie in [1, limits.max_dim] and
-    every corner be non-negative.
+    every box in [0, limits.max_dim]^2.
 
     Blocks are normalized into descending size order internally, so the
     verdict cannot depend on input order.  Runs of identical sizes only try
@@ -145,9 +121,12 @@ def brute_decide(
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
     boxes = tuple(boxes)
-    sides = [*itertools.chain.from_iterable(blocks), *(side for box in boxes for side in box[2:])]
-    if sides and not 1 <= min(sides) <= max(sides) <= limits.max_dim:
-        raise ValueError(f"block and container sides must lie in [1, {limits.max_dim}]")
+    # sides, and each box's corner plus 1 and far corner, in [1, max_dim]: boxes lie in [0, max_dim]^2
+    bounds = [*itertools.chain.from_iterable(blocks)]
+    for x, y, cw, ch in boxes:
+        bounds += (cw, ch, x + 1, y + 1, x + cw, y + ch)
+    if bounds and not 1 <= min(bounds) <= max(bounds) <= limits.max_dim:
+        raise ValueError(f"sides must lie in [1, {limits.max_dim}] and containers in [0, {limits.max_dim}]^2")
 
     order = sorted(blocks, key=_size_key, reverse=True)
     if sum(w * h for w, h in order) > sum(cw * ch for _, _, cw, ch in boxes):

@@ -10,15 +10,15 @@ this path must handle.  The tables of powers q**k are shared by every bank,
 one per arity, as long as the longest any bank has needed: a bank costs no
 power products once a bank as deep has run, and a table grows only by a
 longer copy replacing it, so the table a bank holds never changes.
-``decide`` and ``construct`` share one group loop over the bank; for
-``construct`` the bank also keeps the (x, y) origin of every free container,
-which yields the block locations, while the verdict stays the count ledger's.
+``decide`` and ``construct`` share one group loop (one branch walks either
+cap line); ``construct``'s bank also keeps the (x, y) origin of every free
+container, which yields the locations, while the verdict stays the counts'.
 The free-area ledger, an independent check on the counts, is kept only by
 audited banks: its update multiplies two powers per group, about a fifth of
 decide's time on codes whose block sides have over a thousand bits.
 
-The bank is tested against the reference packer ``geometry.solve_naive``,
-which no command runs.
+The bank is tested against the reference packer ``geometry.solve_naive`` on
+the canonical instance of ``codes.lengths_to_instance``; no command runs it.
 
 Kept only for benchmarks/tracer.py, which looks these names up (ROADMAP
 item 1 deletes them): ``decide_fast``, ``ContainerBank.counts``,
@@ -243,17 +243,10 @@ class ContainerBank:
         return 0
 
 
-def _floor_exp(value: int, powers: list[int], cap: int) -> int:
-    """Largest exponent e <= cap with powers[e] <= value."""
-    e = cap
-    while powers[e] > value:
-        e -= 1
-    return e
-
-
-def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple[int, int]] | None:
+def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple] | None:
     """Successive assignment of groups {(l1, l2): count} of [q1**(l1max-l1), q2**(l2max-l2)]
-    blocks, largest first; returns the order used, or None at the first that does not fit."""
+    blocks, largest first; returns the groups as (max(w, h), w, h, (l1, l2)) in the order
+    used, or None at the first that does not fit."""
     pow1, pow2 = bank.pow1, bank.pow2
     top1, top2 = bank.caps  # a fresh bank: l1max, l2max (a shared power table may be longer)
     blocks = []
@@ -262,26 +255,23 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
         blocks.append((max(w, h), w, h, ll))
     # the total order on sizes; distinct pairs have distinct sizes, so the pair never decides
     blocks.sort(reverse=True)
-    caps = bank.caps  # descend_caps lowers these in place
-    for _, w, h, ll in blocks:
-        a, b = top1 - ll[0], top2 - ll[1]
-        # The caps descend to the layer max(w, h), so the walk is on a cap line.
-        # For a square block (w == h) the `=` is a free choice: either descent
-        # ends at the corner (a, b), and a walk up the column or the row takes
-        # the same containers from the corner, whose origin list both share.
-        if w >= h:
-            cj = _floor_exp(w, pow2, caps[1])
-            if a != caps[0] or cj != caps[1]:
-                bank.descend_caps(a, cj)
-            ok = bank.consume_column(a, b, groups[ll])
-        else:
-            ci = _floor_exp(h, pow1, caps[0])
-            if ci != caps[0] or b != caps[1]:
-                bank.descend_caps(ci, b)
-            ok = bank.consume_row(b, a, groups[ll])
-        if not ok:
+    caps, pows = bank.caps, bank.pows  # descend_caps lowers caps in place
+    for layer, w, h, ll in blocks:
+        # The caps descend to the layer, so the walk, up the column (axis t = 1)
+        # for w >= h and along the row (t = 0) otherwise, is on a cap line.  For
+        # a square block the `=` is a free choice: either walk starts at the
+        # corner and takes the same containers, whose origin list both share.
+        t = 1 if w >= h else 0
+        target = [top1 - ll[0], top2 - ll[1]]  # the block's exponents, then the caps to descend to
+        start, powers, cap = target[t], pows[t], caps[t]
+        while powers[cap] > layer:  # down to the largest exponent whose power fits the layer
+            cap -= 1
+        target[t] = cap
+        if target != caps:
+            bank.descend_caps(*target)
+        if not (bank.consume_column if t else bank.consume_row)(target[1 - t], start, groups[ll]):
             return None
-    return [blk[3] for blk in blocks]
+    return blocks
 
 
 def decide(spec: ProblemSpec, *, audit: bool = False) -> bool:
@@ -318,5 +308,5 @@ def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
     # bank.placed runs group by group in pack order; each group's placements
     # go out in turn to its codewords
     placed = iter(bank.placed)
-    spots = {ll: iter(tuple(islice(placed, spec.groups[ll]))) for ll in order}
+    spots = {ll: iter(tuple(islice(placed, spec.groups[ll]))) for *_, ll in order}
     return tuple(map(next, map(spots.__getitem__, spec.lengths)))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from prefixpack.geometry import Region, Size, covers, is_aligned, is_regular, overlap
+from prefixpack.geometry import Region, Size, covers, is_aligned, is_regular, overlap, reg
 from prefixpack.model import Arities
 
 
@@ -29,6 +29,12 @@ def assert_partition(c: Region, s: Size, q: Arities, pieces) -> None:
 def bare(blocks, containers) -> tuple[list, list]:
     """Sizes and regions as the (w, h) and (x, y, w, h) tuples oracle.brute_decide takes."""
     return [(b.w, b.h) for b in blocks], [(c.x, c.y, c.w, c.h) for c in containers]
+
+
+def naive_input(inst) -> tuple[list[Size], list[Region]]:
+    """A canonical instance's bare (w, h) blocks and (x, y, w, h) container as the
+    Size blocks and Region containers geometry.solve_naive takes."""
+    return [Size(w, h) for w, h in inst.blocks], [reg(*inst.container)]
 
 
 @pytest.fixture

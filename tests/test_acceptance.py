@@ -29,7 +29,7 @@ from prefixpack.oracle import (
 )
 from prefixpack.packer import construct, decide
 
-from conftest import assert_partition, bare
+from conftest import assert_partition, naive_input
 
 SWEEP_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
 ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=10_000_000)
@@ -117,8 +117,9 @@ def test_criterion_3_decision_equivalence_sweep():
             fast = decide(spec)
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
-            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
-            brute = brute_decide(*bare(inst.blocks, [inst.container]), ORACLE_LIMITS)
+            blocks, containers = naive_input(inst)
+            naive = solve_naive(sort_blocks_desc(blocks), containers, spec.arities)
+            brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no"), f"oracle budget on {spec.lengths}"
             assert fast == built == (naive is not None) == (brute == "yes"), (
                 f"q=({spec.arities.q1},{spec.arities.q2}) lengths={spec.lengths}: "

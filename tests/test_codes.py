@@ -1,3 +1,4 @@
+import enum
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,12 +17,10 @@ from prefixpack.codes import (
     solution_to_codebook,
     verify_codebook,
 )
-from prefixpack.geometry import Region, Size, overlap, reg
+from prefixpack.geometry import Region, Size, overlap
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import brute_decide
 from prefixpack.packer import construct, decide
-
-from conftest import bare
 
 Q22 = Arities(2, 2)
 
@@ -177,39 +176,53 @@ class TestEntropyBound:
             assert report.slack >= -1e-9
 
 
+class Level(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
 class TestLengthsToInstance:
     def test_counterexample_blocks(self):
         inst = lengths_to_instance(ProblemSpec(Q22, ((1, 0), (0, 1))))
-        assert inst.blocks == (Size(1, 2), Size(2, 1))
-        assert inst.container == reg(0, 0, 2, 2)
+        assert inst.blocks == ((1, 2), (2, 1))
+        assert inst.container == (0, 0, 2, 2)
 
     def test_degenerate_root(self):
         inst = lengths_to_instance(ProblemSpec(Q22, ((0, 0),)))
-        assert inst.blocks == (Size(1, 1),)
-        assert inst.container == reg(0, 0, 1, 1)
+        assert inst.blocks == ((1, 1),)
+        assert inst.container == (0, 0, 1, 1)
 
     def test_mixed_arities(self):
         spec = ProblemSpec(Arities(2, 3), ((1, 1), (2, 0)))
         inst = lengths_to_instance(spec)
-        assert inst.blocks == (Size(2, 1), Size(1, 3))
-        assert inst.container == reg(0, 0, 4, 3)
+        assert inst.blocks == ((2, 1), (1, 3))
+        assert inst.container == (0, 0, 4, 3)
         # block-area sum over container area telescopes to the Kraft sum
-        ratio = Fraction(sum(b.area for b in inst.blocks), inst.container.area)
+        ratio = Fraction(sum(w * h for w, h in inst.blocks), 4 * 3)
         assert ratio == kraft_sum((2, 3), spec.lengths)
 
     def test_unused_channel_degenerates(self):
         inst = lengths_to_instance(ProblemSpec(Q22, ((1, 0), (2, 0))))
-        assert inst.container.h == 1
-        assert all(b.h == 1 for b in inst.blocks)
+        assert inst.container == (0, 0, 4, 1)
+        assert all(h == 1 for _, h in inst.blocks)
 
     def test_area_identity_randomized(self, rng):
+        # each multiset also as a histogram whose lengths 0 and 1 may be bools or IntEnum members
+        alike = {0: (0, False, Level.ZERO), 1: (1, True, Level.ONE)}
         for _ in range(300):
             q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
             m = rng.randint(0, 9)
             lengths = tuple((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(m))
-            inst = lengths_to_instance(ProblemSpec(q, lengths))
-            fits = sum(b.area for b in inst.blocks) <= inst.container.area
-            assert fits == (kraft_sum((q.q1, q.q2), lengths) <= 1)
+            groups = Counter(tuple(rng.choice(alike.get(l, (l,))) for l in pair) for pair in lengths)
+            for spec in (ProblemSpec(q, lengths), ProblemSpec.from_groups(q, groups)):
+                inst = lengths_to_instance(spec)
+                width, height = q.q1**spec.l1max, q.q2**spec.l2max
+                assert inst.container == (0, 0, width, height)
+                assert inst.blocks == tuple(
+                    (q.q1 ** (spec.l1max - l1), q.q2 ** (spec.l2max - l2)) for l1, l2 in spec.lengths
+                )
+                fits = sum(w * h for w, h in inst.blocks) <= width * height
+                assert fits == (kraft_sum((q.q1, q.q2), lengths) <= 1)
 
 
 def leaf_span(word: str, base: int, lmax: int) -> tuple[int, int]:
@@ -340,7 +353,7 @@ class TestVerifyCodebook:
     def test_construct_output_verifies(self):
         spec = ProblemSpec(Q22, ((1, 1), (1, 1), (1, 0)))
         inst = lengths_to_instance(spec)
-        assert brute_decide(*bare(inst.blocks, [inst.container])) == "yes"
+        assert brute_decide(inst.blocks, [inst.container]) == "yes"
         sol = construct(spec)
         assert sol is not None
         assert verify_codebook(solution_to_codebook(spec, sol))

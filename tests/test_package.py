@@ -87,6 +87,25 @@ def test_cli_import_and_decide_load_only_what_decide_runs(tmp_path):
     assert "prefixpack.packer" in after_decide and "prefixpack.codes" not in after_decide
 
 
+def test_canonical_instance_and_codebook_leave_geometry_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from prefixpack.codes import lengths_to_instance, solution_to_codebook\n"
+        "from prefixpack.model import Arities, ProblemSpec\n"
+        "spec = ProblemSpec(Arities(2, 3), ((1, 1), (2, 0)))\n"
+        "print(lengths_to_instance(spec))\n"
+        "print(solution_to_codebook(spec, ((0, 0), (2, 0))))\n"
+        "print('prefixpack.geometry' in sys.modules)\n"
+    )
+    done = run_fresh(tmp_path, code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "CanonicalInstance(blocks=((2, 1), (1, 3)), container=(0, 0, 4, 3))",
+        "(Codeword(c1='0', c2='0'), Codeword(c1='10', c2=''))",
+        "False",
+    ]
+
+
 CONSTRUCTED = {"codebook": [{"c1": "1", "c2": "1"}, {"c1": "0", "c2": ""}], "decision": True, "kraft": "3/4"}
 
 

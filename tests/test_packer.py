@@ -15,7 +15,7 @@ from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
 from prefixpack.packer import ContainerBank, _pack, construct, decide
 
-from conftest import bare
+from conftest import bare, naive_input
 from dense_bank import DenseBank
 
 Q22 = Arities(2, 2)
@@ -76,11 +76,11 @@ class TestSolveNaive:
                 (rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m)
             )
             spec = ProblemSpec(q, lengths)
-            inst = lengths_to_instance(spec)
-            blocks = sort_blocks_desc(inst.blocks)
-            sol = solve_naive(blocks, [inst.container], q)
+            blocks, containers = naive_input(lengths_to_instance(spec))
+            blocks = sort_blocks_desc(blocks)
+            sol = solve_naive(blocks, containers, q)
             if sol is not None:
-                assert_solution_valid(blocks, [inst.container], sol)
+                assert_solution_valid(blocks, containers, sol)
 
 
 class TestDecideFast:
@@ -91,7 +91,7 @@ class TestDecideFast:
         spec = ProblemSpec(Q22, ((1, 0), (1, 1), (1, 1)))
         assert decide(spec) is True
         inst = lengths_to_instance(spec)
-        assert brute_decide(*bare(inst.blocks, [inst.container]), ORACLE_LIMITS) == "yes"
+        assert brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS) == "yes"
 
     def test_empty_codebook(self):
         assert decide(ProblemSpec(Q22, ())) is True
@@ -127,8 +127,7 @@ class TestDecideConstructAgreement:
         sol = construct(spec)
         # the 1x2 block packs first, then the two 1x1 blocks go up column 1 in input order
         assert sol == ((1, 0), (0, 0), (1, 1))
-        inst = lengths_to_instance(spec)
-        assert_solution_valid(inst.blocks, [inst.container], sol)
+        assert_solution_valid(*naive_input(lengths_to_instance(spec)), sol)
 
     def test_randomized_agreement(self, rng):
         for _ in range(500):
@@ -138,8 +137,8 @@ class TestDecideConstructAgreement:
             spec = ProblemSpec(q, lengths)
             sol = construct(spec, audit=True)  # audit: origin ledger in step with counts
             present = sol is not None
-            inst = lengths_to_instance(spec)
-            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], q)
+            blocks, containers = naive_input(lengths_to_instance(spec))
+            naive = solve_naive(sort_blocks_desc(blocks), containers, q)
             assert (naive is not None) == present
             assert decide(spec, audit=True) == present
             if present:
@@ -157,8 +156,9 @@ class TestTheoremEquivalenceSweep:
             fast = decide(spec)
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
-            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
-            brute = brute_decide(*bare(inst.blocks, [inst.container]), ORACLE_LIMITS)
+            blocks, containers = naive_input(inst)
+            naive = solve_naive(sort_blocks_desc(blocks), containers, spec.arities)
+            brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no")
             assert fast == built == (naive is not None) == (brute == "yes"), f"{spec.lengths}"
 
@@ -521,8 +521,8 @@ class TestContainerBank:
         q = spec.arities
         bank = ContainerBank(q, spec.l1max, spec.l2max, audit=True)
         packed = 0
-        inst = lengths_to_instance(spec)
-        for block in sort_blocks_desc(inst.blocks):
+        blocks, (container,) = naive_input(lengths_to_instance(spec))
+        for block in sort_blocks_desc(blocks):
             w, h = block.w, block.h
             import math
 
@@ -541,4 +541,4 @@ class TestContainerBank:
             else:
                 assert bank.consume_row(b, i, 1)
             packed += w * h
-            assert bank.free_area() == inst.container.area - packed
+            assert bank.free_area() == container.area - packed

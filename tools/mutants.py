@@ -71,8 +71,8 @@ MUTANTS = [
      "table = _POWERS.setdefault(q, table)\n        table += islice(more, 1, None)"),
     ("pack-tie-break-swapped", PACKER,
      "blocks.append((max(w, h), w, h, ll))", "blocks.append((max(w, h), h, w, ll))"),
-    ("pack-skips-row-cap-descent", PACKER,
-     "if a != caps[0] or cj != caps[1]:", "if a != caps[0]:"),
+    ("pack-skips-row-cap-descent", PACKER,  # a descent that moves only cap_j is skipped
+     "if target != caps:", "if target[0] != caps[0]:"),
     ("ledger-charges-unplaced-blocks", PACKER,
      "self._free -= (need - left) *", "self._free -= need *"),
     ("audit-skips-consume", PACKER,
@@ -130,6 +130,8 @@ MUTANTS = [
      "class InputError(ValueError):", "class InputError(Exception):"),
     ("encode-top-digits-from-the-front", CODES,
      "table[d][k - width % k:]", "table[d][:width % k]"),
+    ("instance-width-from-channel-2", CODES,
+     "sizes[l1, l2] = (q1 ** (l1max - l1),", "sizes[l1, l2] = (q2 ** (l1max - l1),"),
     ("kraft-table-exponent-off-by-one", CODES,
      "power *= q ** (last - length)", "power *= q ** (last - length + 1)"),
     ("kraft-horner-from-wrong-end", CODES,
@@ -146,6 +148,8 @@ MUTANTS = [
      "column = (1 << h) - 1", "column = (1 << h - 1) - 1"),
     ("oracle-box-area-height-squared", ORACLE,
      "sum(cw * ch for _, _, cw, ch in boxes)", "sum(ch * ch for _, _, cw, ch in boxes)"),
+    ("oracle-extent-check-reads-sides-only", ORACLE,  # a box may run past max_dim
+     "bounds += (cw, ch, x + 1, y + 1, x + cw, y + ch)", "bounds += (cw, ch, x + 1, y + 1, cw, ch)"),
     ("oracle-budget-counts-one-axis", ORACLE,
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
