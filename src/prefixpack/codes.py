@@ -228,15 +228,12 @@ def solution_to_codebook(spec: ProblemSpec, locations: Sequence[tuple[int, int]]
     return tuple(words)
 
 
-def _is_prefix(u: str, v: str) -> bool:
-    # Every word is a prefix of itself; the empty word prefixes everything.
-    return v.startswith(u)
-
-
 def pair_prefix_free(a: Codeword, b: Codeword) -> bool:
-    """True when in at least one channel neither word is a prefix of the other."""
-    ch1_related = _is_prefix(a.c1, b.c1) or _is_prefix(b.c1, a.c1)
-    ch2_related = _is_prefix(a.c2, b.c2) or _is_prefix(b.c2, a.c2)
+    """True when in at least one channel neither word is a prefix of the other.
+
+    Every word is a prefix of itself; the empty word prefixes everything."""
+    ch1_related = b.c1.startswith(a.c1) or a.c1.startswith(b.c1)
+    ch2_related = b.c2.startswith(a.c2) or a.c2.startswith(b.c2)
     return not ch1_related or not ch2_related
 
 

@@ -1,29 +1,32 @@
-"""The reference packing world: sizes, regions, the two orders on sizes, the cuts and the naive packer.
+"""The reference packing world: the two orders on sizes, the cuts and the naive packer, on bare tuples.
 
-A block, a rectangle of regular size that still awaits a location, is its
-Size.  Blocks are packed largest first under the total order total_key.  A
-size that covers another (the componentwise partial order) comes first in
+A size is a bare (w, h) pair and a box a bare (x, y, w, h) tuple, the
+half-open rectangle [x, x+w) x [y, y+h), as codes.lengths_to_instance builds
+them.  A block, a rectangle of regular size that still awaits a location, is
+its size.  Blocks are packed largest first under the total order total_key.
+A size that covers another (the componentwise partial order) comes first in
 that order, which makes the processing order sound.  Coordinates are plain
 Python ints: container widths reach q1**l1max (q=10, l=30 needs 100 bits).
 
 ``cut_sigma`` maps a container and a regular size bound to the unique
 smallest partition into regular aligned pieces no larger than the bound, each
-an explicit region (their number can be exponential in the exponents).
+an explicit box (their number can be exponential in the exponents).
 ``corner_cut_regions`` lists the pieces left when a block is removed from the
 lower-left corner of a regular aligned container.  ``solve_naive``, the
 reference for the bank in ``packer``, re-cuts every container at hand to the
 componentwise maximum of the remaining block sizes per block, then packs the
 largest block into the lower-left corner of a smallest adequate container.
 
-No command loads this module: only the tests and ``oracle.brute_sigma_min``
-do.  Values are immutable, functions pure.
+No command loads this module: only the tests do.  Functions are pure.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .model import Arities, _set, _Value
+from .model import Arities
+
+Box = tuple[int, int, int, int]  # (x, y, w, h); a size is a bare (w, h) pair
 
 
 def ilog_exact(n: int, base: int) -> int | None:
@@ -37,97 +40,47 @@ def ilog_exact(n: int, base: int) -> int | None:
     return e if n == 1 else None
 
 
-class Size(_Value):
-    """Width/height pair of a rectangle; both dimensions are >= 1."""
-
-    __slots__ = ("w", "h")
-
-    def __init__(self, w: int, h: int) -> None:
-        if w < 1 or h < 1:
-            raise ValueError(f"size dimensions must be >= 1, got [{w}, {h}]")
-        _set(self, "w", w)
-        _set(self, "h", h)
-
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
-
-class Region(_Value):
-    """Half-open rectangle [x, x+w) x [y, y+h); left/bottom borders closed.
-
-    w and h repeat the size's dimensions, so the overlap tests read one slot.
-    """
-
-    __slots__ = ("x", "y", "size", "w", "h")
-    _fields = ("x", "y", "size")
-
-    def __init__(self, x: int, y: int, size: Size) -> None:
-        if x < 0 or y < 0:
-            raise ValueError(f"region location must be non-negative, got ({x}, {y})")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "size", size)
-        _set(self, "w", size.w)
-        _set(self, "h", size.h)
-
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
-
-def reg(x: int, y: int, w: int, h: int) -> Region:
-    """Shorthand constructor for a region."""
-    return Region(x, y, Size(w, h))
-
-
-def total_key(s: Size) -> tuple[int, int, int]:
+def total_key(s: tuple[int, int]) -> tuple[int, int, int]:
     """Sort key realizing the total order: longest side, then width, then height."""
-    return (max(s.w, s.h), s.w, s.h)
+    w, h = s
+    return (max(w, h), w, h)
 
 
-def covers(s1: Size, s2: Size) -> bool:
+def covers(s1: tuple[int, int], s2: tuple[int, int]) -> bool:
     """True when s1 dominates s2 componentwise (width and height both >=)."""
-    return s1.w >= s2.w and s1.h >= s2.h
+    return s1[0] >= s2[0] and s1[1] >= s2[1]
 
 
-def is_regular(s: Size, q: Arities) -> bool:
+def is_regular(s: tuple[int, int], q: Arities) -> bool:
     """True when the width is a power of q1 and the height a power of q2."""
-    return ilog_exact(s.w, q.q1) is not None and ilog_exact(s.h, q.q2) is not None
+    return ilog_exact(s[0], q.q1) is not None and ilog_exact(s[1], q.q2) is not None
 
 
-def is_aligned(r: Region) -> bool:
-    """True when the location is a multiple of the region's own size."""
-    return r.x % r.w == 0 and r.y % r.h == 0
+def is_aligned(r: Box) -> bool:
+    """True when the location is a multiple of the box's own size."""
+    x, y, w, h = r
+    return x % w == 0 and y % h == 0
 
 
-def sort_blocks_desc(blocks: Iterable[Size]) -> list[Size]:
+def sort_blocks_desc(blocks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Stable descending sort under the total order; equal sizes keep input order."""
     return sorted(blocks, key=total_key, reverse=True)
 
 
-def is_sorted_desc(blocks: Sequence[Size]) -> bool:
+def is_sorted_desc(blocks: Sequence[tuple[int, int]]) -> bool:
     return all(total_key(a) >= total_key(b) for a, b in zip(blocks, blocks[1:]))
 
 
-def overlap(r1: Region, r2: Region) -> bool:
+def overlap(r1: Box, r2: Box) -> bool:
     """True when the half-open rectangles share at least one point."""
-    return (
-        r1.x < r2.x + r2.w
-        and r2.x < r1.x + r1.w
-        and r1.y < r2.y + r2.h
-        and r2.y < r1.y + r1.h
-    )
+    (x1, y1, w1, h1), (x2, y2, w2, h2) = r1, r2
+    return x1 < x2 + w2 and x2 < x1 + w1 and y1 < y2 + h2 and y2 < y1 + h1
 
 
-def contains(outer: Region, inner: Region) -> bool:
+def contains(outer: Box, inner: Box) -> bool:
     """True when inner lies entirely inside outer."""
-    return (
-        outer.x <= inner.x
-        and outer.y <= inner.y
-        and inner.x + inner.w <= outer.x + outer.w
-        and inner.y + inner.h <= outer.y + outer.h
-    )
+    (ox, oy, ow, oh), (ix, iy, iw, ih) = outer, inner
+    return ox <= ix and oy <= iy and ix + iw <= ox + ow and iy + ih <= oy + oh
 
 
 def _cut1d(lo: int, length: int, q: int, bound: int) -> list[tuple[int, int]]:
@@ -146,7 +99,7 @@ def _cut1d(lo: int, length: int, q: int, bound: int) -> list[tuple[int, int]]:
     return out
 
 
-def cut_sigma(c: Region, s: Size, q: Arities) -> tuple[Region, ...]:
+def cut_sigma(c: Box, s: tuple[int, int], q: Arities) -> tuple[Box, ...]:
     """Cut a container into the smallest set of regular aligned pieces bounded by s.
 
     The cut is the product of one greedy 1-D cut per axis, x-major.  It is
@@ -158,30 +111,35 @@ def cut_sigma(c: Region, s: Size, q: Arities) -> tuple[Region, ...]:
     partition that reaches it.
     """
     if not is_regular(s, q):
-        raise ValueError(f"cut bound must be regular, got [{s.w}, {s.h}]")
-    ys = _cut1d(c.y, c.h, q.q2, s.h)
-    return tuple(reg(x, y, w, h) for x, w in _cut1d(c.x, c.w, q.q1, s.w) for y, h in ys)
+        raise ValueError(f"cut bound must be regular, got [{s[0]}, {s[1]}]")
+    x, y, w, h = c
+    ys = _cut1d(y, h, q.q2, s[1])
+    return tuple((px, py, pw, ph) for px, pw in _cut1d(x, w, q.q1, s[0]) for py, ph in ys)
 
 
-def corner_cut_regions(c: Region, block_size: Size, q: Arities) -> list[Region]:
-    """Explicit regions of the corner cut, for the reference packer ``solve_naive``.
+def corner_cut_regions(c: Box, block: tuple[int, int], q: Arities) -> list[Box]:
+    """Explicit boxes of the corner cut, for the reference packer ``solve_naive``.
 
     Requires c regular and aligned with the block at least as small in both
     dimensions; the block is removed from the container's lower-left corner.
     The pieces are the x-cut right of the block at full height, then the
     y-cut above the block at its width.
     """
-    if not (is_regular(c.size, q) and is_regular(block_size, q)):
+    x, y, w, h = c
+    bw, bh = block
+    if not (is_regular((w, h), q) and is_regular(block, q)):
         raise ValueError("corner cut needs regular container and block sizes")
-    if not covers(c.size, block_size):
-        raise ValueError(f"block {block_size} exceeds container {c.size}")
-    bw, bh = block_size.w, block_size.h
-    xs = _cut1d(c.x + bw, c.w - bw, q.q1, c.w)
-    ys = _cut1d(c.y + bh, c.h - bh, q.q2, c.h)
-    return [reg(x, c.y, w, c.h) for x, w in xs] + [reg(c.x, y, bw, h) for y, h in ys]
+    if not covers((w, h), block):
+        raise ValueError(f"block [{bw}, {bh}] exceeds container [{w}, {h}]")
+    xs = _cut1d(x + bw, w - bw, q.q1, w)
+    ys = _cut1d(y + bh, h - bh, q.q2, h)
+    return [(px, y, pw, h) for px, pw in xs] + [(x, py, bw, ph) for py, ph in ys]
 
 
-def _validate_containers(containers: Sequence[Region]) -> None:
+def _validate_containers(containers: Sequence[Box]) -> None:
+    for x, y, w, h in containers:
+        if min(x, y) < 0 or min(w, h) < 1:
+            raise ValueError(f"container {(x, y, w, h)} needs a corner >= 0 and sides >= 1")
     for i in range(len(containers)):
         for j in range(i + 1, len(containers)):
             if overlap(containers[i], containers[j]):
@@ -189,48 +147,42 @@ def _validate_containers(containers: Sequence[Region]) -> None:
 
 
 def solve_naive(
-    blocks: Sequence[Size], containers: Sequence[Region], q: Arities
+    blocks: Sequence[tuple[int, int]], containers: Sequence[Box], q: Arities
 ) -> tuple[tuple[int, int], ...] | None:
-    """Greedy packer: the origin of each block, given as its size, in the
-    given order, or None when no packing exists.
+    """Greedy packer: the origin of each block, given as its (w, h) size, in
+    the given order, into the (x, y, w, h) containers, or None when no
+    packing exists.
 
     Expects blocks pre-sorted descending under the total order (rejected
-    otherwise, as are overlapping containers and non-regular block sizes).
-    Ties among equally small candidate containers are broken by
-    lexicographically smallest (x, y) so outputs are reproducible.
+    otherwise, as are non-regular block sizes and containers that overlap,
+    have a corner below 0 or a side below 1).  Ties among equally small
+    candidate containers are broken by lexicographically smallest (x, y) so
+    outputs are reproducible.
     """
     if not is_sorted_desc(blocks):
         raise ValueError("blocks must be sorted descending under the total order")
-    for b in blocks:
-        if not is_regular(b, q):
-            raise ValueError(f"block size [{b.w}, {b.h}] is not regular")
+    for w, h in blocks:
+        if not is_regular((w, h), q):
+            raise ValueError(f"block size [{w}, {h}] is not regular")
     _validate_containers(containers)
 
-    n = len(blocks)
-    if n == 0:
-        return ()
-    # Suffix componentwise maxima: s*[i] bounds every block from i on.
-    smax: list[Size] = [Size(1, 1)] * n
-    w, h = blocks[n - 1].w, blocks[n - 1].h
-    smax[n - 1] = Size(w, h)
-    for i in range(n - 2, -1, -1):
-        w = max(w, blocks[i].w)
-        h = max(h, blocks[i].h)
-        smax[i] = Size(w, h)
+    # Suffix componentwise maxima: bounds[i] bounds every block from i on.
+    bounds, w, h = [], 1, 1
+    for bw, bh in reversed(blocks):
+        w, h = max(w, bw), max(h, bh)
+        bounds.append((w, h))
+    bounds.reverse()
 
-    pool: list[Region] = list(containers)
+    pool: list[Box] = list(containers)
     locations: list[tuple[int, int]] = []
-    for i, blk in enumerate(blocks):
-        cut_pool: list[Region] = []
-        for r in pool:
-            cut_pool.extend(cut_sigma(r, smax[i], q))
-        pool = cut_pool
-        adequate = [r for r in pool if covers(r.size, blk)]
+    for (bw, bh), bound in zip(blocks, bounds):
+        pool = [piece for r in pool for piece in cut_sigma(r, bound, q)]
+        adequate = [r for r in pool if covers(r[2:], (bw, bh))]
         if not adequate:
             return None
-        target = min(adequate, key=lambda r: (total_key(r.size), r.x, r.y))
-        locations.append((target.x, target.y))
+        target = min(adequate, key=lambda r: (total_key(r[2:]), r[0], r[1]))
+        locations.append(target[:2])
         pool.remove(target)
-        if target.size != blk:
-            pool.extend(corner_cut_regions(target, blk, q))
+        if target[2:] != (bw, bh):
+            pool.extend(corner_cut_regions(target, (bw, bh), q))
     return tuple(locations)

@@ -2,8 +2,9 @@
 
 All values are immutable after construction and every operation here is a pure
 function, so everything in this module is safe to share across threads.  The
-reference packing world (sizes, regions and the two orders on sizes) lives in
-``geometry``, which no command loads.
+reference packing world (the two orders on sizes, the cuts and the naive
+packer, on bare (w, h) and (x, y, w, h) tuples) lives in ``geometry``, which
+no command loads.
 """
 
 from __future__ import annotations

@@ -16,10 +16,9 @@ cache, which the selftest sweep hits on nearly every call: a unit block in
 a 512 x 512 container has 262,144 spots, 2 MiB as words and about 40 MiB as
 (x, y) tuples.
 
-The packing oracle takes bare tuples, (w, h) sizes and (x, y, w, h)
-boxes, such as codes.lengths_to_instance builds; only brute_sigma_min,
-which answers in geometry's regions, loads the reference packing world
-``geometry``, and selftest never does.
+Both oracles take and return bare tuples, (w, h) sizes and (x, y, w, h)
+boxes, such as codes.lengths_to_instance builds.  Neither imports the
+reference packing world ``geometry``, whose σ-cut brute_sigma_min checks.
 
 Budgets are explicit: exceeding one is reported as its own outcome (or raised),
 never silently turned into a wrong answer.
@@ -30,16 +29,13 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from typing import TYPE_CHECKING, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .model import Arities, ProblemSpec, _set, _Value
 
-if TYPE_CHECKING:
-    from .geometry import Region, Size
-
 BruteOutcome = Literal["yes", "no", "budget_exceeded"]
 
-# A container as a bare (x, y, w, h) tuple, the cache key's half that is not the size
+# A container or a piece as a bare (x, y, w, h) tuple
 Box = tuple[int, int, int, int]
 
 
@@ -64,7 +60,8 @@ def _starts(lo: int, extent: int, step: int) -> range:
 
 
 def _size_key(wh: tuple[int, int]) -> tuple[int, int, int]:
-    """geometry.total_key on a bare (w, h) pair."""
+    """The total order on sizes, longest side, then width, then height, on a bare
+    (w, h) pair; the oracle keeps its own copy so that it shares no code with the packers."""
     return (max(wh), wh[0], wh[1])
 
 
@@ -164,9 +161,10 @@ def brute_decide(
 
 
 def brute_sigma_min(
-    c: Region, s: Size, q: Arities, limits: OracleLimits = OracleLimits()
-) -> tuple[int, tuple[Region, ...]]:
-    """Minimum-cardinality partition of c into regular aligned pieces bounded by s.
+    c: Box, s: tuple[int, int], q: Arities, limits: OracleLimits = OracleLimits()
+) -> tuple[int, tuple[Box, ...]]:
+    """Minimum-cardinality partition of the (x, y, w, h) box c into regular
+    aligned pieces, (x, y, w, h) boxes, bounded by the (w, h) size s.
 
     Exhaustive: every partition covers the lowest-leftmost uncovered cell with
     exactly one piece, and an aligned piece of a given size containing a given
@@ -176,38 +174,37 @@ def brute_sigma_min(
     exists for integer-coordinate containers (unit pieces always fit).
     Raises BudgetExceeded when the subproblem budget runs out.
     """
-    from .geometry import ilog_exact, reg  # the reference packing world, which selftest does not load
+    x0, y0, cw, ch = c
+    if min(x0, y0) < 0 or not 1 <= min(cw, ch) <= max(cw, ch) <= limits.max_dim:
+        raise ValueError(f"container {c} needs a corner >= 0 and sides in [1, {limits.max_dim}]")
+    # the bound's exponents: the smallest a, b with q1**a >= s[0] and q2**b >= s[1]
+    a = b = 0
+    while q.q1**a < s[0]:
+        a += 1
+    while q.q2**b < s[1]:
+        b += 1
+    if (q.q1**a, q.q2**b) != tuple(s):
+        raise ValueError(f"cut bound must be regular, got [{s[0]}, {s[1]}]")
 
-    if c.w > limits.max_dim or c.h > limits.max_dim:
-        raise ValueError(f"container {c} exceeds the dimension limit {limits.max_dim}")
-    amax = ilog_exact(s.w, q.q1)
-    bmax = ilog_exact(s.h, q.q2)
-    if amax is None or bmax is None:
-        raise ValueError(f"cut bound must be regular, got [{s.w}, {s.h}]")
-
-    sizes = [
-        (q.q1**a, q.q2**b) for a in range(amax + 1) for b in range(bmax + 1)
-    ]
+    sizes = [(q.q1**i, q.q2**j) for i in range(a + 1) for j in range(b + 1)]
     sizes.sort(key=lambda wh: wh[0] * wh[1], reverse=True)
 
-    cw, ch = c.w, c.h
     full = (1 << (cw * ch)) - 1
 
-    # For each cell, the pieces that may cover it: (bitmask, (x, y, w, h)), biggest
-    # first; a Region is built only for the pieces of the answer.
-    options: list[list[tuple[int, tuple[int, int, int, int]]]] = []
+    # For each cell, the pieces that may cover it: (bitmask, (x, y, w, h)), biggest first.
+    options: list[list[tuple[int, Box]]] = []
     for idx in range(cw * ch):
         cy, cx = divmod(idx, cw)
-        ax, ay = c.x + cx, c.y + cy
+        ax, ay = x0 + cx, y0 + cy
         cell_opts = []
         for w, h in sizes:
             px = ax - ax % w
             py = ay - ay % h
-            if px < c.x or px + w > c.x + cw or py < c.y or py + h > c.y + ch:
+            if px < x0 or px + w > x0 + cw or py < y0 or py + h > y0 + ch:
                 continue
-            row = ((1 << w) - 1) << (px - c.x)
+            row = ((1 << w) - 1) << (px - x0)
             mask = 0
-            for dy in range(py - c.y, py - c.y + h):
+            for dy in range(py - y0, py - y0 + h):
                 mask |= row << (dy * cw)
             cell_opts.append((mask, (px, py, w, h)))
         options.append(cell_opts)
@@ -247,7 +244,7 @@ def brute_sigma_min(
     uncovered = full
     while uncovered:
         _, (mask, piece) = dp[uncovered]
-        parts.append(reg(*piece))
+        parts.append(piece)
         uncovered &= ~mask
     return count, tuple(parts)
 

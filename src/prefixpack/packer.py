@@ -17,8 +17,9 @@ The free-area ledger, an independent check on the counts, is kept only by
 audited banks: its update multiplies two powers per group, about a fifth of
 decide's time on codes whose block sides have over a thousand bits.
 
-The bank is tested against the reference packer ``geometry.solve_naive`` on
-the canonical instance of ``codes.lengths_to_instance``; no command runs it.
+The bank is tested against the reference packer ``geometry.solve_naive``,
+which takes the canonical instance's bare tuples as
+``codes.lengths_to_instance`` builds them; no command runs it.
 
 Kept only for benchmarks/tracer.py, which looks these names up (ROADMAP
 item 1 deletes them): ``decide_fast``, ``ContainerBank.counts``,

@@ -1,8 +1,9 @@
 """The tuple-overlap brute-force packer, kept as a test reference for oracle.brute_decide.
 
-It lists every aligned spot of every size as an (x, y) pair, keeps the
-placed blocks as bare (x, y, x + w, y + h) tuples, and tests a candidate
-against each of them with the half-open interval overlap test.  Its limit
+It takes the same bare (w, h) sizes and (x, y, w, h) boxes, lists every
+aligned spot of every size as an (x, y) pair, keeps the placed blocks as
+bare (x, y, x + w, y + h) tuples, and tests a candidate against each of
+them with the half-open interval overlap test.  Its limit
 checks, area check, budget count, candidate order, repeat rule and node
 count are the ones brute_decide keeps, so the two give the same outcome,
 budget included, on every input.
@@ -16,17 +17,17 @@ def brute_decide_reference(blocks, containers, limits=OracleLimits()):
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
     for b in blocks:
-        if b.w > limits.max_dim or b.h > limits.max_dim:
+        if max(b) > limits.max_dim:
             raise ValueError(f"block {b} exceeds the dimension limit {limits.max_dim}")
     for c in containers:
-        if c.w > limits.max_dim or c.h > limits.max_dim:
+        if max(c[2:]) > limits.max_dim:
             raise ValueError(f"container {c} exceeds the dimension limit {limits.max_dim}")
 
     order = sorted(blocks, key=total_key, reverse=True)
-    if sum(b.area for b in order) > sum(c.area for c in containers):
+    if sum(w * h for w, h in order) > sum(w * h for _, _, w, h in containers):
         return "no"
 
-    grids = {s: [(_starts(c.x, c.w, s.w), _starts(c.y, c.h, s.h)) for c in containers] for s in set(order)}
+    grids = {s: [(_starts(x, w, s[0]), _starts(y, h, s[1])) for x, y, w, h in containers] for s in set(order)}
     if sum(len(xs) * len(ys) for grid in grids.values() for xs, ys in grid) > limits.max_nodes:
         return "budget_exceeded"
     spots = {s: [(x, y) for xs, ys in grid for x in xs for y in ys] for s, grid in grids.items()}
@@ -41,7 +42,7 @@ def brute_decide_reference(blocks, containers, limits=OracleLimits()):
         if nodes > limits.max_nodes:
             raise BudgetExceeded
         s = order[k]
-        w, h = s.w, s.h
+        w, h = s
         repeat = k > 0 and order[k - 1] == s
         for x, y in spots[s]:
             if repeat and (x, y) <= placed[-1][:2]:

@@ -2,39 +2,31 @@ import random
 
 import pytest
 
-from prefixpack.geometry import Region, Size, covers, is_aligned, is_regular, overlap, reg
+from prefixpack.geometry import covers, is_aligned, is_regular, overlap
 from prefixpack.model import Arities
 
 
-def assert_partition(c: Region, s: Size, q: Arities, pieces) -> None:
-    """Pieces tile c exactly and each is regular, aligned, and bounded by s."""
+def assert_partition(c, s, q: Arities, pieces) -> None:
+    """Pieces, (x, y, w, h) boxes, tile the box c exactly and each is regular,
+    aligned, and bounded by the (w, h) size s."""
+    cx, cy, cw, ch = c
     total = 0
     for p in pieces:
-        assert is_regular(p.size, q), f"piece {p} not regular for q=({q.q1},{q.q2})"
+        x, y, w, h = p
+        assert is_regular((w, h), q), f"piece {p} not regular for q=({q.q1},{q.q2})"
         assert is_aligned(p), f"piece {p} not aligned"
-        assert covers(s, p.size), f"piece {p} exceeds bound [{s.w},{s.h}]"
-        assert c.x <= p.x and p.x + p.w <= c.x + c.w, f"piece {p} leaves {c}"
-        assert c.y <= p.y and p.y + p.h <= c.y + c.h, f"piece {p} leaves {c}"
-        total += p.area
-    assert total == c.area, "pieces do not sum to the container area"
+        assert covers(s, (w, h)), f"piece {p} exceeds bound [{s[0]},{s[1]}]"
+        assert cx <= x and x + w <= cx + cw, f"piece {p} leaves {c}"
+        assert cy <= y and y + h <= cy + ch, f"piece {p} leaves {c}"
+        total += w * h
+    assert total == cw * ch, "pieces do not sum to the container area"
     # area + containment + pairwise disjointness => exact tiling
-    seen = sorted(pieces, key=lambda r: (r.x, r.y))
+    seen = sorted(pieces)
     for i in range(len(seen)):
         for j in range(i + 1, len(seen)):
-            if seen[j].x >= seen[i].x + seen[i].w:
+            if seen[j][0] >= seen[i][0] + seen[i][2]:
                 break  # sorted by x; nothing further can overlap seen[i]
             assert not overlap(seen[i], seen[j]), f"{seen[i]} overlaps {seen[j]}"
-
-
-def bare(blocks, containers) -> tuple[list, list]:
-    """Sizes and regions as the (w, h) and (x, y, w, h) tuples oracle.brute_decide takes."""
-    return [(b.w, b.h) for b in blocks], [(c.x, c.y, c.w, c.h) for c in containers]
-
-
-def naive_input(inst) -> tuple[list[Size], list[Region]]:
-    """A canonical instance's bare (w, h) blocks and (x, y, w, h) container as the
-    Size blocks and Region containers geometry.solve_naive takes."""
-    return [Size(w, h) for w, h in inst.blocks], [reg(*inst.container)]
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ blocks takes the newest containers of each level first and frees the rest
 of a partly used one as its largest aligned pieces, lowest offset first.
 """
 
-from prefixpack.geometry import Size, total_key
+from prefixpack.geometry import total_key
 
 
 def _shift(o, axis, offset):
@@ -38,7 +38,7 @@ class DenseBank:
     def order(self, groups, lmax):
         """The groups {(l1, l2): count} as ((i, j), count) block exponents, largest block first."""
         exps = {(lmax[0] - l1, lmax[1] - l2): n for (l1, l2), n in groups.items()}
-        return sorted(exps.items(), key=lambda e: total_key(Size(self.q[0] ** e[0][0], self.q[1] ** e[0][1])),
+        return sorted(exps.items(), key=lambda e: total_key((self.q[0] ** e[0][0], self.q[1] ** e[0][1])),
                       reverse=True)
 
     def pack(self, i, j, need):

@@ -19,7 +19,7 @@ from prefixpack.codes import (
     solution_to_codebook,
     verify_codebook,
 )
-from prefixpack.geometry import Region, Size, cut_sigma, overlap, reg, solve_naive, sort_blocks_desc
+from prefixpack.geometry import cut_sigma, overlap, solve_naive, sort_blocks_desc
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import (
     OracleLimits,
@@ -29,7 +29,7 @@ from prefixpack.oracle import (
 )
 from prefixpack.packer import construct, decide
 
-from conftest import assert_partition, naive_input
+from conftest import assert_partition
 
 SWEEP_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
 ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=10_000_000)
@@ -101,11 +101,11 @@ def _timed(fn) -> float:
 
 def test_criterion_2_two_container_instance():
     with criterion(2, "2x1 and 1x2 blocks pack into containers {2x2, 2x1}"):
-        blocks = [Size(2, 1), Size(1, 2)]
-        containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
+        blocks = [(2, 1), (1, 2)]
+        containers = [(0, 0, 2, 2), (0, 2, 2, 1)]
         sol = solve_naive(blocks, containers, Arities(2, 2))
         assert sol is not None
-        placed = [Region(x, y, b) for (x, y), b in zip(sol, blocks)]
+        placed = [(x, y, *b) for (x, y), b in zip(sol, blocks)]
         assert not overlap(placed[0], placed[1])
 
 
@@ -117,8 +117,7 @@ def test_criterion_3_decision_equivalence_sweep():
             fast = decide(spec)
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
-            blocks, containers = naive_input(inst)
-            naive = solve_naive(sort_blocks_desc(blocks), containers, spec.arities)
+            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
             brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no"), f"oracle budget on {spec.lengths}"
             assert fast == built == (naive is not None) == (brute == "yes"), (
@@ -156,16 +155,16 @@ def test_criterion_4_sigma_matches_minimal_partition():
                     sh_options = sorted({_floor_pow(q2, min(cap, h)) for cap in (1, 2, 3, 4, 8)})
                     for x in range(p1):
                         for y in range(p2):
-                            c = reg(x, y, w, h)
+                            c = (x, y, w, h)
                             for sw in sw_options:
                                 for sh in sh_options:
-                                    s = Size(sw, sh)
+                                    s = (sw, sh)
                                     pieces = cut_sigma(c, s, q)
                                     assert_partition(c, s, q, pieces)
                                     count, parts = brute_sigma_min(c, s, q, limits)
                                     assert_partition(c, s, q, parts)
                                     assert len(pieces) == count, (
-                                        f"q=({q1},{q2}) c={c} s=[{s.w},{s.h}]: "
+                                        f"q=({q1},{q2}) c={c} s=[{sw},{sh}]: "
                                         f"cut={len(pieces)} minimal={count}"
                                     )
                                     cases += 1
@@ -194,7 +193,7 @@ def test_criterion_5_codebook_roundtrip():
                         for y in range(0, q.q2**lmax - h + 1, h):
                             spec = ProblemSpec(q, ((l1, l2), (lmax, lmax)))
                             word = solution_to_codebook(spec, ((x, y), (0, 0)))[0]
-                            placed.append((Region(x, y, Size(w, h)), word))
+                            placed.append(((x, y, w, h), word))
             for (r1, w1), (r2, w2) in itertools.combinations(placed, 2):
                 assert overlap(r1, r2) != pair_prefix_free(w1, w2), (
                     f"duality broke at {r1} vs {r2}"

@@ -381,6 +381,15 @@ class TestSelftest:
             "selftest: DISAGREEMENT on q=(2,2) lengths=[(0, 0), (0, 0)]: fast=True construct=False brute=False\n"
         )
 
+    def test_construct_fault_detected(self, capsys, monkeypatch):
+        # decide and construct share the group loop, so only the oracle's verdict tells a construct fault
+        monkeypatch.setattr(packer, "construct", lambda spec, **kw: None)
+        code = cli.main(["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"])
+        assert code == 3
+        assert capsys.readouterr().out == (
+            "selftest: DISAGREEMENT on q=(2,2) lengths=[]: fast=True construct=False brute=True\n"
+        )
+
     def test_overlapping_codebook_detected(self, capsys, monkeypatch):
         def stacked(spec, **kw):  # the right verdict, with every block at the origin
             if packer.decide(spec):

@@ -17,7 +17,7 @@ from prefixpack.codes import (
     solution_to_codebook,
     verify_codebook,
 )
-from prefixpack.geometry import Region, Size, overlap
+from prefixpack.geometry import overlap
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import brute_decide
 from prefixpack.packer import construct, decide
@@ -396,8 +396,8 @@ class TestOverlapPrefixDuality:
                 x = rng.randrange(0, q.q1**l1max + 1 - w, w)
                 y = rng.randrange(0, q.q2**l2max + 1 - h, h)
                 pair.append((l1, l2))
-                regions.append(Region(x, y, Size(w, h)))
+                regions.append((x, y, w, h))
             lengths = (pair[0], pair[1], (l1max, l2max))
-            locations = ((regions[0].x, regions[0].y), (regions[1].x, regions[1].y), (0, 0))
+            locations = (regions[0][:2], regions[1][:2], (0, 0))
             book = solution_to_codebook(ProblemSpec(q, lengths), locations)
             assert overlap(regions[0], regions[1]) != pair_prefix_free(book[0], book[1])

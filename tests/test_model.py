@@ -8,55 +8,55 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prefixpack.geometry import (
-    Region,
-    Size,
     covers,
     ilog_exact,
     is_aligned,
     is_regular,
     is_sorted_desc,
-    reg,
+    solve_naive,
     sort_blocks_desc,
     total_key,
 )
 from prefixpack.model import Arities, ProblemSpec
+from prefixpack.oracle import brute_sigma_min
 
-sizes_64 = st.builds(Size, st.integers(1, 64), st.integers(1, 64))
+sizes_64 = st.tuples(st.integers(1, 64), st.integers(1, 64))
 
 
-def total_sign(s1: Size, s2: Size) -> int:
+def total_sign(s1, s2) -> int:
     """Sign of the total-order comparison by total_key: +1 greater, -1 less, 0 equal."""
     k1, k2 = total_key(s1), total_key(s2)
     return (k1 > k2) - (k1 < k2)
 
 
-def cmp_by_definition(s1: Size, s2: Size) -> int:
+def cmp_by_definition(s1, s2) -> int:
     # Restatement of the three ordering branches, kept independent of total_key.
-    m1, m2 = max(s1.w, s1.h), max(s2.w, s2.h)
+    (w1, h1), (w2, h2) = s1, s2
+    m1, m2 = max(w1, h1), max(w2, h2)
     if m1 != m2:
         return 1 if m1 > m2 else -1
-    if s1.w != s2.w:
-        return 1 if s1.w > s2.w else -1
-    if s1.h != s2.h:
-        return 1 if s1.h > s2.h else -1
+    if w1 != w2:
+        return 1 if w1 > w2 else -1
+    if h1 != h2:
+        return 1 if h1 > h2 else -1
     return 0
 
 
 class TestCmpTotal:
     def test_examples(self):
-        assert total_sign(Size(8, 8), Size(8, 4)) == 1
-        assert total_sign(Size(4, 2), Size(2, 8)) == -1
-        assert total_sign(Size(4, 2), Size(4, 2)) == 0
+        assert total_sign((8, 8), (8, 4)) == 1
+        assert total_sign((4, 2), (2, 8)) == -1
+        assert total_sign((4, 2), (4, 2)) == 0
 
     def test_descending_chain(self):
-        chain = [Size(8, 8), Size(8, 4), Size(8, 2), Size(4, 8), Size(2, 8), Size(4, 2)]
+        chain = [(8, 8), (8, 4), (8, 2), (4, 8), (2, 8), (4, 2)]
         for a, b in zip(chain, chain[1:]):
             assert total_sign(a, b) == 1
 
     def test_matches_definition_exhaustive_small(self):
         # Full pairwise check at components <= 24; larger components are
         # covered by key injectivity below plus hypothesis sampling.
-        domain = [Size(w, h) for w in range(1, 25) for h in range(1, 25)]
+        domain = [(w, h) for w in range(1, 25) for h in range(1, 25)]
         for s1 in domain:
             for s2 in domain:
                 assert total_sign(s1, s2) == cmp_by_definition(s1, s2)
@@ -68,7 +68,7 @@ class TestCmpTotal:
         keys = {}
         for w in range(1, 65):
             for h in range(1, 65):
-                s = Size(w, h)
+                s = (w, h)
                 k = total_key(s)
                 assert k not in keys, f"{s} collides with {keys[k]}"
                 keys[k] = s
@@ -87,15 +87,15 @@ class TestCmpPartial:
     """The partial order on sizes: covers, componentwise domination."""
 
     def test_examples(self):
-        assert covers(Size(8, 8), Size(8, 4))
-        assert not covers(Size(8, 2), Size(2, 8)) and not covers(Size(2, 8), Size(8, 2))
-        assert covers(Size(2, 2), Size(2, 2))
+        assert covers((8, 8), (8, 4))
+        assert not covers((8, 2), (2, 8)) and not covers((2, 8), (8, 2))
+        assert covers((2, 2), (2, 2))
 
     def test_precedes(self):
-        assert not covers(Size(2, 2), Size(4, 2)) and covers(Size(4, 2), Size(2, 2))
+        assert not covers((2, 2), (4, 2)) and covers((4, 2), (2, 2))
 
     def test_succeeds_implies_total_greater_exhaustive_small(self):
-        domain = [Size(w, h) for w in range(1, 25) for h in range(1, 25)]
+        domain = [(w, h) for w in range(1, 25) for h in range(1, 25)]
         for s1 in domain:
             for s2 in domain:
                 if covers(s1, s2) and s1 != s2:
@@ -110,17 +110,17 @@ class TestCmpPartial:
 class TestPredicates:
     def test_is_regular(self):
         q = Arities(2, 2)
-        assert is_regular(Size(4, 1), q)
-        assert is_regular(Size(8, 2), q)
-        assert not is_regular(Size(3, 2), q)
-        assert not is_regular(Size(2, 6), q)
-        assert is_regular(Size(9, 8), Arities(3, 2))
+        assert is_regular((4, 1), q)
+        assert is_regular((8, 2), q)
+        assert not is_regular((3, 2), q)
+        assert not is_regular((2, 6), q)
+        assert is_regular((9, 8), Arities(3, 2))
 
     def test_is_aligned(self):
-        assert is_aligned(reg(2, 0, 2, 1))
-        assert not is_aligned(reg(1, 0, 2, 1))
-        assert is_aligned(reg(0, 0, 5, 7))
-        assert is_aligned(reg(6, 14, 3, 7))
+        assert is_aligned((2, 0, 2, 1))
+        assert not is_aligned((1, 0, 2, 1))
+        assert is_aligned((0, 0, 5, 7))
+        assert is_aligned((6, 14, 3, 7))
 
     def test_ilog_exact(self):
         assert ilog_exact(1, 2) == 0
@@ -132,23 +132,23 @@ class TestPredicates:
     def test_comparisons_use_raw_values_across_arities(self):
         # Widths are q1-powers and heights q2-powers, but the ordering uses the
         # plain integers: [9, x] beats [8, y] on the longer side.
-        assert total_sign(Size(9, 1), Size(8, 8)) == 1
+        assert total_sign((9, 1), (8, 8)) == 1
 
 
 class TestSorting:
     def test_example_sort(self):
-        ordered = sort_blocks_desc([Size(4, 2), Size(8, 8), Size(2, 8)])
-        assert ordered == [Size(8, 8), Size(2, 8), Size(4, 2)]
+        ordered = sort_blocks_desc([(4, 2), (8, 8), (2, 8)])
+        assert ordered == [(8, 8), (2, 8), (4, 2)]
 
     def test_empty(self):
         assert sort_blocks_desc([]) == []
 
     def test_tie_on_max_width_breaks(self):
-        ordered = sort_blocks_desc([Size(2, 1), Size(1, 2)])
-        assert ordered == [Size(2, 1), Size(1, 2)]
+        ordered = sort_blocks_desc([(2, 1), (1, 2)])
+        assert ordered == [(2, 1), (1, 2)]
 
     def test_stable_for_equal_sizes(self):
-        a, b, c = Size(2, 2), Size(2, 2), Size(4, 4)
+        a, b, c = tuple([2, 2]), tuple([2, 2]), (4, 4)  # two equal sizes, two objects
         assert a is not b
         ordered = sort_blocks_desc([a, b, c])
         assert ordered == [c, a, b]
@@ -171,12 +171,17 @@ class TestValueTypes:
             Arities(2, 0)
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            Size(0, 1)
+        with pytest.raises(ValueError, match=re.escape("block size [0, 1] is not regular")):
+            solve_naive([(0, 1)], [(0, 0, 2, 2)], Arities(2, 2))
 
     def test_region_validation(self):
-        with pytest.raises(ValueError):
-            Region(-1, 0, Size(1, 1))
+        # a box with a corner below 0 or a side below 1 is no container
+        for box in [(-1, 0, 1, 1), (0, -2, 2, 2), (0, 0, 0, 1), (0, 0, 2, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"container {box} needs a corner >= 0")):
+                solve_naive([], [box], Arities(2, 2))
+        for box in [(0, 0, 0, 1), (1, 1, 2, 0)]:
+            with pytest.raises(ValueError, match=re.escape(f"container {box} needs a corner >= 0")):
+                brute_sigma_min(box, (1, 1), Arities(2, 2))
 
     def test_problem_spec_maxima(self):
         spec = ProblemSpec(Arities(2, 3), ((1, 0), (0, 2), (1, 1)))
@@ -203,9 +208,13 @@ class TestValueTypes:
         assert spec.groups == {(1, 0): 2, (0, 2): 1}
 
     def test_immutability(self):
-        s = Size(2, 2)
+        q = Arities(2, 3)
         with pytest.raises(AttributeError):
-            s.w = 4  # type: ignore[misc]
+            q.q1 = 4  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            del q.q2
+        assert q == Arities(2, 3) and hash(q) == hash(Arities(2, 3)) and q != Arities(3, 2)
+        assert q != (2, 3)
 
 
 class Level(enum.IntEnum):
@@ -249,17 +258,11 @@ class TestSpecFromGroups:
             ProblemSpec.from_groups(Arities(2, 2), groups)
 
     def test_value_types_compare_within_their_class(self):
-        assert Size(2, 3) == Size(2, 3) and hash(Size(2, 3)) == hash(Size(2, 3))
-        assert Size(2, 3) != Arities(2, 3) and Size(2, 3) != (2, 3)
-        assert reg(1, 2, 4, 8) == Region(1, 2, Size(4, 8)) and reg(1, 2, 4, 8) != reg(1, 2, 4, 4)
-        assert repr(reg(0, 4, 2, 1)) == "Region(x=0, y=4, size=Size(w=2, h=1))"
         assert repr(ProblemSpec(Arities(2, 2), [(1, 0)])) == "ProblemSpec(arities=Arities(q1=2, q2=2), lengths=((1, 0),))"
-        with pytest.raises(AttributeError):
-            del reg(0, 0, 1, 1).x
 
     def test_value_types_copy_and_pickle(self):
         spec = ProblemSpec.from_groups(Arities(2, 3), {(1, 0): 2})
-        for value in (Size(2, 3), reg(1, 2, 4, 8), spec, ProblemSpec(Arities(3, 2), [(0, 1), (1, 0)])):
+        for value in (spec, ProblemSpec(Arities(3, 2), [(0, 1), (1, 0)])):
             for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
                 assert twin == value and type(twin) is type(value)
 

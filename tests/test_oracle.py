@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prefixpack import oracle
-from prefixpack.geometry import Size, overlap, reg
+from prefixpack.geometry import overlap
 from prefixpack.model import Arities
 from prefixpack.oracle import (
     BudgetExceeded,
@@ -17,7 +17,7 @@ from prefixpack.oracle import (
 from prefixpack.packer import decide
 
 from brute_reference import brute_decide_reference
-from conftest import assert_partition, bare
+from conftest import assert_partition
 
 Q22 = Arities(2, 2)
 
@@ -78,14 +78,14 @@ class TestBruteDecide:
 
     @settings(max_examples=300)
     @given(
-        blocks=st.lists(st.builds(Size, st.integers(1, 4), st.integers(1, 4)), max_size=6),
-        containers=st.lists(st.builds(reg, *[st.integers(1, 12)] * 2, *[st.integers(1, 6)] * 2), min_size=1, max_size=3),
+        blocks=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=6),
+        containers=st.lists(st.tuples(*[st.integers(1, 12)] * 2, *[st.integers(1, 6)] * 2), min_size=1, max_size=3),
         max_nodes=st.sampled_from([1, 3, 10, 50, 10**6]),
     )
     def test_same_outcome_as_the_tuple_reference(self, blocks, containers, max_nodes):
         assume(not any(overlap(a, b) for i, a in enumerate(containers) for b in containers[i + 1:]))
         limits = OracleLimits(max_m=6, max_dim=64, max_nodes=max_nodes)
-        assert brute_decide(*bare(blocks, containers), limits) == brute_decide_reference(blocks, containers, limits)
+        assert brute_decide(blocks, containers, limits) == brute_decide_reference(blocks, containers, limits)
 
     def test_far_apart_containers_cost_no_gap_cells(self):
         # cells are numbered from the origin, so a container that leaves [0, max_dim]^2 is
@@ -113,31 +113,31 @@ class TestBruteDecide:
 
 class TestBruteSigmaMin:
     def test_misaligned_strip(self):
-        count, parts = brute_sigma_min(reg(1, 0, 2, 1), Size(2, 1), Q22)
+        count, parts = brute_sigma_min((1, 0, 2, 1), (2, 1), Q22)
         assert count == 2
-        assert_partition(reg(1, 0, 2, 1), Size(2, 1), Q22, parts)
+        assert_partition((1, 0, 2, 1), (2, 1), Q22, parts)
 
     def test_container_already_conforming(self):
-        count, parts = brute_sigma_min(reg(0, 0, 2, 2), Size(2, 2), Q22)
+        count, parts = brute_sigma_min((0, 0, 2, 2), (2, 2), Q22)
         assert count == 1
-        assert parts == (reg(0, 0, 2, 2),)
+        assert parts == ((0, 0, 2, 2),)
 
     def test_grid_cut(self):
-        count, parts = brute_sigma_min(reg(0, 0, 4, 2), Size(2, 1), Q22)
+        count, parts = brute_sigma_min((0, 0, 4, 2), (2, 1), Q22)
         assert count == 4
-        assert_partition(reg(0, 0, 4, 2), Size(2, 1), Q22, parts)
+        assert_partition((0, 0, 4, 2), (2, 1), Q22, parts)
 
     def test_budget_exceeded_raises(self):
         tight = OracleLimits(max_m=1, max_dim=16, max_nodes=2)
         with pytest.raises(BudgetExceeded):
-            brute_sigma_min(reg(1, 1, 8, 8), Size(8, 8), Q22, tight)
+            brute_sigma_min((1, 1, 8, 8), (8, 8), Q22, tight)
 
     def test_partitions_satisfy_cut_invariants(self, rng):
         for _ in range(150):
             q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
-            c = reg(rng.randrange(0, 8), rng.randrange(0, 8), rng.randrange(1, 7), rng.randrange(1, 7))
-            s = Size(q.q1 ** rng.randint(0, 2), q.q2 ** rng.randint(0, 2))
-            if s.w > 8 or s.h > 8:
+            c = (rng.randrange(0, 8), rng.randrange(0, 8), rng.randrange(1, 7), rng.randrange(1, 7))
+            s = (q.q1 ** rng.randint(0, 2), q.q2 ** rng.randint(0, 2))
+            if max(s) > 8:
                 continue
             count, parts = brute_sigma_min(c, s, q)
             assert count == len(parts)

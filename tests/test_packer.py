@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from prefixpack import packer
 from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
-from prefixpack.geometry import Region, Size, contains, overlap, reg, solve_naive, sort_blocks_desc
+from prefixpack.geometry import contains, overlap, solve_naive, sort_blocks_desc
 from prefixpack.model import Arities, ProblemSpec
-from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
+from prefixpack.oracle import OracleLimits, brute_decide, brute_sigma_min, enumerate_instances
 from prefixpack.packer import ContainerBank, _pack, construct, decide
 
-from conftest import bare, naive_input
 from dense_bank import DenseBank
 
 Q22 = Arities(2, 2)
@@ -23,12 +22,13 @@ ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=5_000_000)
 
 
 def assert_solution_valid(blocks, containers, locations) -> None:
-    """The three constraints a packing, one (x, y) per block, must satisfy."""
+    """The three constraints a packing, one (x, y) per (w, h) block, must
+    satisfy in the (x, y, w, h) containers."""
     assert len(locations) == len(blocks)
     placed = []
-    for (x, y), size in zip(locations, blocks):
-        assert x % size.w == 0 and y % size.h == 0, f"({x}, {y}) misaligned for {size}"
-        placed.append(Region(x, y, size))
+    for (x, y), (w, h) in zip(locations, blocks):
+        assert x % w == 0 and y % h == 0, f"({x}, {y}) misaligned for {(w, h)}"
+        placed.append((x, y, w, h))
     for a, b in itertools.combinations(placed, 2):
         assert not overlap(a, b), f"{a} overlaps {b}"
     for r in placed:
@@ -37,36 +37,45 @@ def assert_solution_valid(blocks, containers, locations) -> None:
 
 class TestSolveNaive:
     def test_counterexample_has_no_packing(self):
-        blocks = sort_blocks_desc([Size(2, 1), Size(1, 2)])
-        assert solve_naive(blocks, [reg(0, 0, 2, 2)], Q22) is None
+        blocks = sort_blocks_desc([(2, 1), (1, 2)])
+        assert solve_naive(blocks, [(0, 0, 2, 2)], Q22) is None
 
     def test_two_container_instance_packs(self):
-        blocks = [Size(2, 1), Size(1, 2)]
-        containers = [reg(0, 0, 2, 2), reg(0, 2, 2, 1)]
+        blocks = [(2, 1), (1, 2)]
+        containers = [(0, 0, 2, 2), (0, 2, 2, 1)]
         sol = solve_naive(blocks, containers, Q22)
         assert sol == ((0, 2), (0, 0))
         assert_solution_valid(blocks, containers, sol)
         # the independent oracle agrees a packing exists
-        assert brute_decide(*bare(blocks, containers), ORACLE_LIMITS) == "yes"
+        assert brute_decide(blocks, containers, ORACLE_LIMITS) == "yes"
 
     def test_ties_go_to_the_smallest_x_then_y(self):
         # after (0, 0), three equal cells are left; (0, 1) precedes (1, 0)
-        assert solve_naive([Size(1, 1)] * 4, [reg(0, 0, 2, 2)], Q22) == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert solve_naive([(1, 1)] * 4, [(0, 0, 2, 2)], Q22) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_empty_blocks(self):
-        assert solve_naive([], [reg(0, 0, 2, 2)], Q22) == ()
+        assert solve_naive([], [(0, 0, 2, 2)], Q22) == ()
 
     def test_rejects_unsorted_blocks(self):
         with pytest.raises(ValueError):
-            solve_naive([Size(1, 2), Size(2, 1)], [reg(0, 0, 2, 2)], Q22)
+            solve_naive([(1, 2), (2, 1)], [(0, 0, 2, 2)], Q22)
 
     def test_rejects_overlapping_containers(self):
         with pytest.raises(ValueError):
-            solve_naive([], [reg(0, 0, 2, 2), reg(1, 1, 2, 2)], Q22)
+            solve_naive([], [(0, 0, 2, 2), (1, 1, 2, 2)], Q22)
 
     def test_rejects_irregular_block(self):
         with pytest.raises(ValueError):
-            solve_naive([Size(3, 1)], [reg(0, 0, 4, 4)], Q22)
+            solve_naive([(3, 1)], [(0, 0, 4, 4)], Q22)
+
+    def test_takes_the_canonical_instance_as_built(self):
+        # the builder's bare tuples go to the reference packer and the σ oracle as they are
+        inst = lengths_to_instance(ProblemSpec(Q22, ((1, 0), (1, 1), (1, 1))))
+        assert inst == (((1, 2), (1, 1), (1, 1)), (0, 0, 2, 2))
+        sol = solve_naive(inst.blocks, [inst.container], Q22)
+        assert sol == ((0, 0), (1, 0), (1, 1))
+        assert_solution_valid(inst.blocks, [inst.container], sol)
+        assert brute_sigma_min((1, 0, 2, 1), (2, 1), Q22) == (2, ((1, 0, 1, 1), (2, 0, 1, 1)))
 
     def test_outputs_always_satisfy_constraints(self, rng):
         for _ in range(300):
@@ -76,11 +85,11 @@ class TestSolveNaive:
                 (rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m)
             )
             spec = ProblemSpec(q, lengths)
-            blocks, containers = naive_input(lengths_to_instance(spec))
-            blocks = sort_blocks_desc(blocks)
-            sol = solve_naive(blocks, containers, q)
+            inst = lengths_to_instance(spec)
+            blocks = sort_blocks_desc(inst.blocks)
+            sol = solve_naive(blocks, [inst.container], q)
             if sol is not None:
-                assert_solution_valid(blocks, containers, sol)
+                assert_solution_valid(blocks, [inst.container], sol)
 
 
 class TestDecideFast:
@@ -127,7 +136,8 @@ class TestDecideConstructAgreement:
         sol = construct(spec)
         # the 1x2 block packs first, then the two 1x1 blocks go up column 1 in input order
         assert sol == ((1, 0), (0, 0), (1, 1))
-        assert_solution_valid(*naive_input(lengths_to_instance(spec)), sol)
+        inst = lengths_to_instance(spec)
+        assert_solution_valid(inst.blocks, [inst.container], sol)
 
     def test_randomized_agreement(self, rng):
         for _ in range(500):
@@ -137,8 +147,8 @@ class TestDecideConstructAgreement:
             spec = ProblemSpec(q, lengths)
             sol = construct(spec, audit=True)  # audit: origin ledger in step with counts
             present = sol is not None
-            blocks, containers = naive_input(lengths_to_instance(spec))
-            naive = solve_naive(sort_blocks_desc(blocks), containers, q)
+            inst = lengths_to_instance(spec)
+            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], q)
             assert (naive is not None) == present
             assert decide(spec, audit=True) == present
             if present:
@@ -156,8 +166,7 @@ class TestTheoremEquivalenceSweep:
             fast = decide(spec)
             built = construct(spec) is not None
             inst = lengths_to_instance(spec)
-            blocks, containers = naive_input(inst)
-            naive = solve_naive(sort_blocks_desc(blocks), containers, spec.arities)
+            naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], spec.arities)
             brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
             assert brute in ("yes", "no")
             assert fast == built == (naive is not None) == (brute == "yes"), f"{spec.lengths}"
@@ -521,9 +530,8 @@ class TestContainerBank:
         q = spec.arities
         bank = ContainerBank(q, spec.l1max, spec.l2max, audit=True)
         packed = 0
-        blocks, (container,) = naive_input(lengths_to_instance(spec))
-        for block in sort_blocks_desc(blocks):
-            w, h = block.w, block.h
+        blocks, (_, _, cw, ch) = lengths_to_instance(spec)
+        for w, h in sort_blocks_desc(blocks):
             import math
 
             i = round(math.log(w, q.q1))
@@ -541,4 +549,4 @@ class TestContainerBank:
             else:
                 assert bank.consume_row(b, i, 1)
             packed += w * h
-            assert bank.free_area() == container.area - packed
+            assert bank.free_area() == cw * ch - packed

@@ -45,21 +45,23 @@ MUTANTS = [
     ("cut1d-overruns-end", GEOMETRY,
      "lo + w * q <= end:", "lo + w * q <= end + 1:"),
     ("corner-x-cut-bounded-by-block", GEOMETRY,
-     "_cut1d(c.x + bw, c.w - bw, q.q1, c.w)", "_cut1d(c.x + bw, c.w - bw, q.q1, bw)"),
+     "_cut1d(x + bw, w - bw, q.q1, w)", "_cut1d(x + bw, w - bw, q.q1, bw)"),
     ("corner-y-cut-full-width", GEOMETRY,
-     "reg(c.x, y, bw, h)", "reg(c.x, y, c.w, h)"),
+     "(x, py, bw, ph)", "(x, py, w, ph)"),
     ("overlap-closed-edge", GEOMETRY,
-     "r1.x < r2.x + r2.w", "r1.x <= r2.x + r2.w"),
+     "x1 < x2 + w2", "x1 <= x2 + w2"),
     ("contains-strict-right", GEOMETRY,
-     "inner.x + inner.w <= outer.x + outer.w", "inner.x + inner.w < outer.x + outer.w"),
+     "ix + iw <= ox + ow", "ix + iw < ox + ow"),
     ("naive-tie-break-y-first", GEOMETRY,
-     "key=lambda r: (total_key(r.size), r.x, r.y)", "key=lambda r: (total_key(r.size), r.y, r.x)"),
+     "key=lambda r: (total_key(r[2:]), r[0], r[1])", "key=lambda r: (total_key(r[2:]), r[1], r[0])"),
     ("covers-strict-height", GEOMETRY,
-     "return s1.w >= s2.w and s1.h >= s2.h", "return s1.w >= s2.w and s1.h > s2.h"),
+     "return s1[0] >= s2[0] and s1[1] >= s2[1]", "return s1[0] >= s2[0] and s1[1] > s2[1]"),
     ("total-key-height-before-width", GEOMETRY,
-     "return (max(s.w, s.h), s.w, s.h)", "return (max(s.w, s.h), s.h, s.w)"),
+     "return (max(w, h), w, h)", "return (max(w, h), h, w)"),
     ("sorted-desc-rejects-ties", GEOMETRY,
      "total_key(a) >= total_key(b)", "total_key(a) > total_key(b)"),
+    ("naive-accepts-negative-container", GEOMETRY,
+     "        if min(x, y) < 0 or min(w, h) < 1:\n            raise", "        if False:\n            raise"),
     ("folded-origins-in-front", PACKER,
      "along_o[d - 1] += _tile(along_o[d], a, 0, q * step, step)",
      "along_o[d - 1] = _tile(along_o[d], a, 0, q * step, step) + along_o[d - 1]"),
@@ -126,6 +128,8 @@ MUTANTS = [
      "enumerate(lengths, 1)", "enumerate(lengths)"),
     ("selftest-domain-for-zero-m", ORACLE,
      "if max_m >= 1 else []", "if True else []"),
+    ("selftest-ignores-construct-verdict", CLI,
+     "if fast != expect or built != expect:", "if fast != expect:"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
     ("encode-top-digits-from-the-front", CODES,
@@ -154,6 +158,8 @@ MUTANTS = [
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
      "_layout(s, boxes)", '_layout(s, _layout.__dict__.setdefault("boxes", boxes))'),
+    ("sigma-oracle-bound-exponent-off-by-one", ORACLE,
+     "for i in range(a + 1)", "for i in range(a)"),
     ("oracle-search-keeps-its-cycle", ORACLE,  # main pauses the collector: each call's cycle would pile up
      "        del search\n", "        pass\n"),
 ]
