@@ -251,7 +251,8 @@ def parse_instance_text(text: str) -> InstanceFile:
     counts = Counter(lines)
     # int()'s literals: an optional sign, then digits with single underscores between;
     # in a str pattern \d is str.isdecimal, the set of digits int() reads
-    is_int = re.compile(r"[+-]?\d+(?:_\d+)*").fullmatch
+    # a lookahead is atomic: it takes each digit run whole, so a refused run never backtracks
+    is_int = re.compile(r"[+-]?(?=(\d+))\1(?:_(?=(\d+))\2)*").fullmatch
     rows: dict[str, tuple[int, ...]] = {}
     for line in counts:  # in file order of first appearance
         tokens = line.split("#", 1)[0].split()

@@ -1,24 +1,24 @@
-"""Independent brute-force references for desk-scale verification.
+"""An independent brute-force packing reference for desk-scale verification.
 
 Nothing here shares logic with the packers: the packing oracle is a plain
-exhaustive backtracking search over aligned candidate locations, and the
-cutting oracle enumerates partitions outright.  Both are hopeless beyond toy
-sizes, which is the point - they answer small instances by sheer enumeration
-so the real algorithms have something honest to be checked against.
+exhaustive backtracking search over aligned candidate locations.  It is
+hopeless beyond toy sizes, which is the point - it answers small instances
+by sheer enumeration so the real algorithms have something honest to be
+checked against.  (The σ oracle, which checks the reference cut, lives with
+the tests in tests/sigma_oracle.py.)
 
-Both search on integer bitmasks, one bit per cell.  The packing oracle
-numbers the cells of its grid column by column from the origin, so a block
-at a spot is its mask at the origin shifted by the spot's offset, and
-offsets order spots as their (x, y) do.  Its containers must lie in
-[0, max_dim]^2, so no mask is wider than max_dim^2 bits.  A size's mask and
-the offsets of its spots, an array of machine words, are kept in a bounded
-cache, which the selftest sweep hits on nearly every call: a unit block in
-a 512 x 512 container has 262,144 spots, 2 MiB as words and about 40 MiB as
-(x, y) tuples.
+It searches on an integer bitmask, one bit per cell, and numbers the cells
+of its grid column by column from the origin, so a block at a spot is its
+mask at the origin shifted by the spot's offset, and offsets order spots as
+their (x, y) do.  Its containers must lie in [0, max_dim]^2, so no mask is
+wider than max_dim^2 bits.  A size's mask and the offsets of its spots, an
+array of machine words, are kept in a bounded cache, which the selftest
+sweep hits on nearly every call: a unit block in a 512 x 512 container has
+262,144 spots, 2 MiB as words and about 40 MiB as (x, y) tuples.
 
-Both oracles take and return bare tuples, (w, h) sizes and (x, y, w, h)
-boxes, such as codes.lengths_to_instance builds.  Neither imports the
-reference packing world ``geometry``, whose σ-cut brute_sigma_min checks.
+It takes bare tuples, (w, h) sizes and (x, y, w, h) boxes, such as
+codes.lengths_to_instance builds, and does not import the reference packing
+world ``geometry``.
 
 Budgets are explicit: exceeding one is reported as its own outcome (or raised),
 never silently turned into a wrong answer.
@@ -158,95 +158,6 @@ def brute_decide(
         return "budget_exceeded"
     finally:  # search holds itself through its cell; unlinked, each call is freed by reference count
         del search
-
-
-def brute_sigma_min(
-    c: Box, s: tuple[int, int], q: Arities, limits: OracleLimits = OracleLimits()
-) -> tuple[int, tuple[Box, ...]]:
-    """Minimum-cardinality partition of the (x, y, w, h) box c into regular
-    aligned pieces, (x, y, w, h) boxes, bounded by the (w, h) size s.
-
-    Exhaustive: every partition covers the lowest-leftmost uncovered cell with
-    exactly one piece, and an aligned piece of a given size containing a given
-    cell is unique, so recursing on the piece size at that cell considers all
-    partitions.  Subproblems are keyed by the uncovered-cell bitmask and
-    memoized; the count per mask is the exact optimum.  A partition always
-    exists for integer-coordinate containers (unit pieces always fit).
-    Raises BudgetExceeded when the subproblem budget runs out.
-    """
-    x0, y0, cw, ch = c
-    if min(x0, y0) < 0 or not 1 <= min(cw, ch) <= max(cw, ch) <= limits.max_dim:
-        raise ValueError(f"container {c} needs a corner >= 0 and sides in [1, {limits.max_dim}]")
-    # the bound's exponents: the smallest a, b with q1**a >= s[0] and q2**b >= s[1]
-    a = b = 0
-    while q.q1**a < s[0]:
-        a += 1
-    while q.q2**b < s[1]:
-        b += 1
-    if (q.q1**a, q.q2**b) != tuple(s):
-        raise ValueError(f"cut bound must be regular, got [{s[0]}, {s[1]}]")
-
-    sizes = [(q.q1**i, q.q2**j) for i in range(a + 1) for j in range(b + 1)]
-    sizes.sort(key=lambda wh: wh[0] * wh[1], reverse=True)
-
-    full = (1 << (cw * ch)) - 1
-
-    # For each cell, the pieces that may cover it: (bitmask, (x, y, w, h)), biggest first.
-    options: list[list[tuple[int, Box]]] = []
-    for idx in range(cw * ch):
-        cy, cx = divmod(idx, cw)
-        ax, ay = x0 + cx, y0 + cy
-        cell_opts = []
-        for w, h in sizes:
-            px = ax - ax % w
-            py = ay - ay % h
-            if px < x0 or px + w > x0 + cw or py < y0 or py + h > y0 + ch:
-                continue
-            row = ((1 << w) - 1) << (px - x0)
-            mask = 0
-            for dy in range(py - y0, py - y0 + h):
-                mask |= row << (dy * cw)
-            cell_opts.append((mask, (px, py, w, h)))
-        options.append(cell_opts)
-
-    # dp[mask] = (optimal piece count for the uncovered set, option at its anchor)
-    dp: dict[int, tuple[int, tuple]] = {}
-    max_piece = sizes[0][0] * sizes[0][1]
-
-    def solve(uncovered: int) -> int:
-        if uncovered == 0:
-            return 0
-        hit = dp.get(uncovered)
-        if hit is not None:
-            return hit[0]
-        if len(dp) >= limits.max_nodes:
-            raise BudgetExceeded
-        idx = (uncovered & -uncovered).bit_length() - 1
-        floor = -(-uncovered.bit_count() // max_piece)  # every piece covers <= max_piece cells
-        best = cw * ch + 1
-        best_option = None
-        for option in options[idx]:
-            mask = option[0]
-            if mask & uncovered != mask:
-                continue
-            sub = 1 + solve(uncovered & ~mask)
-            if sub < best:
-                best = sub
-                best_option = option
-                if best <= floor:
-                    break
-        assert best_option is not None  # the unit piece always applies
-        dp[uncovered] = (best, best_option)
-        return best
-
-    count = solve(full)
-    parts = []
-    uncovered = full
-    while uncovered:
-        _, (mask, piece) = dp[uncovered]
-        parts.append(piece)
-        uncovered &= ~mask
-    return count, tuple(parts)
 
 
 def enumerate_instances(

@@ -6,10 +6,8 @@ are processed grouped by size in descending order; the occupied cells of a
 cap line split one exponent step at a time when the layer descends, and each
 group is packed by one walk up a cap line.  Counts are plain Python ints on
 purpose: they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs
-this path must handle.  The tables of powers q**k are shared by every bank,
-one per arity, as long as the longest any bank has needed: a bank costs no
-power products once a bank as deep has run, and a table grows only by a
-longer copy replacing it, so the table a bank holds never changes.
+this path must handle.  Each bank builds its own tables of powers q**k up to
+its caps, one table for both axes when q1 == q2, and they are freed with it.
 ``decide`` and ``construct`` share one group loop (one branch walks either
 cap line); ``construct``'s bank also keeps the (x, y) origin of every free
 container, which yields the locations, while the verdict stays the counts'.
@@ -47,20 +45,9 @@ def __getattr__(name: str):
     return solve_naive
 
 
-# One table of q**k per arity, shared by every bank: the longest any bank has needed.
-_POWERS: dict[int, list[int]] = {}
-
-
-def _power_table(q: int, top: int) -> list[int]:
-    """The shared table [q**0, q**1, ...] of arity q, at least top + 1 long.
-
-    A table too short is replaced by a longer copy, never extended in place,
-    so a table a bank already holds never changes under it."""
-    table = _POWERS.get(q, [1])
-    if len(table) <= top:
-        more = accumulate(repeat(q, top + 1 - len(table)), mul, initial=table[-1])
-        table = _POWERS[q] = table + list(islice(more, 1, None))
-    return table
+def _powers(q: int, top: int) -> list[int]:
+    """The table [q**0, q**1, ..., q**top], by running product."""
+    return list(accumulate(repeat(q, top), mul, initial=1))
 
 
 def _tile(origins: list, a: int, lo: int, hi: int, step: int) -> list:
@@ -105,9 +92,9 @@ class ContainerBank:
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
         self.qs = (q.q1, q.q2)
-        # the shared tables of q**k, which may run past the caps; equal arities share one
-        self.pow1 = _power_table(q.q1, max(l1max, l2max) if q.q1 == q.q2 else l1max)
-        self.pow2 = self.pow1 if q.q1 == q.q2 else _power_table(q.q2, l2max)
+        # the tables of q**k up to the caps; equal arities share one, as long as the longer cap
+        self.pow1 = _powers(q.q1, max(l1max, l2max) if q.q1 == q.q2 else l1max)
+        self.pow2 = self.pow1 if q.q1 == q.q2 else _powers(q.q2, l2max)
         self.pows = (self.pow1, self.pow2)
         self.caps = [l1max, l2max]
         self.lines = ([0] * l1max + [1], [0] * l2max + [1])
@@ -249,7 +236,7 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
     blocks, largest first; returns the groups as (max(w, h), w, h, (l1, l2)) in the order
     used, or None at the first that does not fit."""
     pow1, pow2 = bank.pow1, bank.pow2
-    top1, top2 = bank.caps  # a fresh bank: l1max, l2max (a shared power table may be longer)
+    top1, top2 = bank.caps  # a fresh bank: l1max, l2max
     blocks = []
     for ll in groups:
         w, h = pow1[top1 - ll[0]], pow2[top2 - ll[1]]

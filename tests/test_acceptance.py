@@ -24,12 +24,12 @@ from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import (
     OracleLimits,
     brute_decide,
-    brute_sigma_min,
     enumerate_instances,
 )
 from prefixpack.packer import construct, decide
 
 from conftest import assert_partition
+from sigma_oracle import brute_sigma_min
 
 SWEEP_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
 ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=10_000_000)

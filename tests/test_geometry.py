@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from prefixpack.geometry import contains, corner_cut_regions, cut_sigma, overlap
 from prefixpack.model import Arities
-from prefixpack.oracle import OracleLimits, brute_sigma_min
+from prefixpack.oracle import OracleLimits
 
 from conftest import assert_partition
+from sigma_oracle import brute_sigma_min
 
 Q22 = Arities(2, 2)
 ARITY_PAIRS = (Arities(2, 2), Arities(2, 3), Arities(3, 2), Arities(3, 3))

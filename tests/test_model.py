@@ -18,7 +18,8 @@ from prefixpack.geometry import (
     total_key,
 )
 from prefixpack.model import Arities, ProblemSpec
-from prefixpack.oracle import brute_sigma_min
+
+from sigma_oracle import brute_sigma_min
 
 sizes_64 = st.tuples(st.integers(1, 64), st.integers(1, 64))
 

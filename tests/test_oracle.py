@@ -11,13 +11,13 @@ from prefixpack.oracle import (
     BudgetExceeded,
     OracleLimits,
     brute_decide,
-    brute_sigma_min,
     enumerate_instances,
 )
 from prefixpack.packer import decide
 
 from brute_reference import brute_decide_reference
 from conftest import assert_partition
+from sigma_oracle import brute_sigma_min
 
 Q22 = Arities(2, 2)
 

@@ -1,21 +1,20 @@
 import copy
+import gc
 import itertools
-import sys
-import threading
 import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prefixpack import packer
 from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
 from prefixpack.geometry import contains, overlap, solve_naive, sort_blocks_desc
 from prefixpack.model import Arities, ProblemSpec
-from prefixpack.oracle import OracleLimits, brute_decide, brute_sigma_min, enumerate_instances
+from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
 from prefixpack.packer import ContainerBank, _pack, construct, decide
 
 from dense_bank import DenseBank
+from sigma_oracle import brute_sigma_min
 
 Q22 = Arities(2, 2)
 ORACLE_LIMITS = OracleLimits(max_m=8, max_dim=4096, max_nodes=5_000_000)
@@ -173,53 +172,35 @@ class TestTheoremEquivalenceSweep:
 
 
 class TestSharedPowerTables:
-    """packer._POWERS, the one table of q**k per arity that every bank reads."""
+    """The tables of q**k each bank builds for itself: one per arity, shared by both axes when q1 == q2."""
 
     def test_runs_leave_the_tables_as_built(self, rng):
         for _ in range(300):
             q = Arities(rng.choice([2, 3, 5]), rng.choice([2, 3, 5]))
             spec = ProblemSpec(q, tuple((rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(0, 12))))
-            decide(spec, audit=True)
-            if q.q1**spec.l1max * q.q2**spec.l2max <= 1 << 14:
-                construct(spec, audit=True)
-        assert packer._POWERS
-        for q, table in packer._POWERS.items():
-            assert table == [q**k for k in range(len(table))]
+            top1, top2 = spec.l1max, spec.l2max
+            if q.q1 == q.q2:  # one table, as long as the longer cap
+                top1 = top2 = max(top1, top2)
+            small = q.q1**spec.l1max * q.q2**spec.l2max <= 1 << 14  # a grid a located bank can list
+            for located in [False, True] if small else [False]:
+                bank = ContainerBank(q, spec.l1max, spec.l2max, audit=True, located=located)
+                _pack(bank, spec.groups)
+                assert bank.pow1 == [q.q1**k for k in range(top1 + 1)]
+                assert bank.pow2 == [q.q2**k for k in range(top2 + 1)]
 
-    def test_growth_replaces_the_table(self):
-        ContainerBank(Arities(7, 7), 1, 1)
-        top = len(packer._POWERS[7])  # the first exponent the shared table lacks
-        held = ContainerBank(Arities(7, 7), top - 1, 0).pow1
-        before = list(held)
-        assert held is packer._POWERS[7]
-        grown = ContainerBank(Arities(7, 7), 0, top + 5)
-        assert grown.pow1 is grown.pow2 is packer._POWERS[7] and grown.pow1 is not held
-        assert held == before and grown.pow1[:top] == held and len(grown.pow1) > top + 5
-
-    def test_threads_growing_one_table_each_hold_a_whole_one(self, rng):
-        # more threads than cores, switching often, all growing the table of one arity
-        base = len(packer._POWERS.get(11, [1]))
-        depths = [base + rng.randrange(400) for _ in range(200)]
-        wrong = []
-
-        def grow(part):
-            for d in part:
-                table = ContainerBank(Arities(11, 11), d, d // 2).pow1
-                if len(table) <= d or table[d] != 11**d or table[d // 2] != 11 ** (d // 2):
-                    wrong.append(d)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=grow, args=(depths[k::4],)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and wrong == []
-        assert packer._POWERS[11] == [11**k for k in range(len(packer._POWERS[11]))]
+    def test_decide_keeps_no_tables(self):
+        # a bank's tables go with it: 7001 powers of up to 7000 (q = 2) or 11,095 (q = 3) bits
+        for q in (Q22, Arities(3, 3)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert decide(ProblemSpec(q, ((7000, 7000),)))
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert kept < 64 << 10, f"{q}: {kept} bytes kept"
 
 
 class TestSpecFromHistogram:
@@ -503,11 +484,13 @@ class TestContainerBank:
                 bank.descend_caps(1, 2)
 
     def test_one_power_table_per_distinct_arity(self):
-        # every bank shares the tables, so they may run past this bank's caps
+        # each bank builds its tables up to its caps; equal arities share one, up to the longer cap
         bank = ContainerBank(Arities(2, 3), 3, 2)
-        assert bank.pow1[:4] == [1, 2, 4, 8] and bank.pow2[:3] == [1, 3, 9]
+        assert bank.pow1 == [1, 2, 4, 8] and bank.pow2 == [1, 3, 9]
+        bank = ContainerBank(Arities(3, 3), 1, 3)
+        assert bank.pow1 is bank.pow2 and bank.pow1 == [1, 3, 9, 27]
         bank = ContainerBank(Q22, 7000, 7000)
-        assert bank.pow1 is bank.pow2
+        assert bank.pow1 is bank.pow2 and len(bank.pow1) == 7001
         assert bank.pow1[:4] == [1, 2, 4, 8] and bank.pow1[7000] == 2**7000
         tracemalloc.start()
         try:

@@ -35,6 +35,7 @@ CLI = "src/prefixpack/cli.py"
 CODES = "src/prefixpack/codes.py"
 MODEL = "src/prefixpack/model.py"
 ORACLE = "src/prefixpack/oracle.py"
+SIGMA_ORACLE = "tests/sigma_oracle.py"
 
 # (name, file, old text, new text); each old text occurs exactly once in its file
 MUTANTS = [
@@ -68,9 +69,8 @@ MUTANTS = [
     ("tile-offset-major", PACKER,
      "return [(x + s, y) for x, y in origins for s in offsets]",
      "return [(x + s, y) for s in offsets for x, y in origins]"),
-    ("power-table-grown-in-place", PACKER,  # a table a bank holds would change under it
-     "table = _POWERS[q] = table + list(islice(more, 1, None))",
-     "table = _POWERS.setdefault(q, table)\n        table += islice(more, 1, None)"),
+    ("equal-arity-table-sized-by-channel-1", PACKER,  # the shared table must reach both caps
+     "max(l1max, l2max) if q.q1 == q.q2 else l1max", "l1max"),
     ("pack-tie-break-swapped", PACKER,
      "blocks.append((max(w, h), w, h, ll))", "blocks.append((max(w, h), h, w, ll))"),
     ("pack-skips-row-cap-descent", PACKER,  # a descent that moves only cap_j is skipped
@@ -123,7 +123,7 @@ MUTANTS = [
     ("text-header-counted-as-codeword", CLI,
      "    counts[header] -= 1\n", ""),
     ("text-token-rule-unanchored", CLI,
-     '(?:_\\d+)*").fullmatch', '(?:_\\d+)*").match'),
+     '(?:_(?=(\\d+))\\2)*").fullmatch', '(?:_(?=(\\d+))\\2)*").match'),
     ("entry-position-from-zero", CLI,
      "enumerate(lengths, 1)", "enumerate(lengths)"),
     ("selftest-domain-for-zero-m", ORACLE,
@@ -158,7 +158,7 @@ MUTANTS = [
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
      "_layout(s, boxes)", '_layout(s, _layout.__dict__.setdefault("boxes", boxes))'),
-    ("sigma-oracle-bound-exponent-off-by-one", ORACLE,
+    ("sigma-oracle-bound-exponent-off-by-one", SIGMA_ORACLE,
      "for i in range(a + 1)", "for i in range(a)"),
     ("oracle-search-keeps-its-cycle", ORACLE,  # main pauses the collector: each call's cycle would pile up
      "        del search\n", "        pass\n"),
