@@ -401,6 +401,30 @@ class TestSelftest:
         assert code == 3
         assert capsys.readouterr().out == "selftest: INVALID CODEBOOK on q=(2,2) lengths=[(0, 1), (0, 1)]\n"
 
+    def test_oracle_sides_follow_the_grid_guard(self, capsys):
+        # 2^4 x 9^4 cells pass the guard; a 6,561-cell side is past a fixed 4,096
+        assert cli.main(["selftest", "--max-m", "1", "--max-len", "4", "--arities", "2,9"]) == 0
+        assert capsys.readouterr() == ("selftest: 26 instances, all procedures agree\n", "")
+
+    def test_default_sweep_checks_every_batch(self, capsys):
+        # 2,860 specs: eleven full batches and a partial one of 44
+        assert cli.main(["selftest"]) == 0
+        assert capsys.readouterr() == ("selftest: 2860 instances, all procedures agree\n", "")
+
+    @pytest.mark.parametrize("flipped", [(300, 400), (2850,)], ids=["one-batch-past-the-first", "last-partial-batch"])
+    def test_fault_reported_at_its_spec(self, capsys, monkeypatch, flipped):
+        from prefixpack import oracle
+
+        real = packer.decide
+        calls = itertools.count(1)
+        monkeypatch.setattr(packer, "decide", lambda spec, **kw: real(spec, **kw) ^ (next(calls) in flipped))
+        assert cli.main(["selftest"]) == 3
+        spec = list(oracle.enumerate_instances(cli.DEFAULT_SELFTEST_ARITIES, 4, 2))[flipped[0] - 1]
+        verdict = real(spec)
+        assert capsys.readouterr().out == (
+            f"selftest: DISAGREEMENT on {cli._where(spec)}: fast={not verdict} construct={verdict} brute={verdict}\n"
+        )
+
     def test_oracle_budget_reported(self, capsys, monkeypatch):
         from prefixpack import oracle
 

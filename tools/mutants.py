@@ -130,6 +130,11 @@ MUTANTS = [
      "if max_m >= 1 else []", "if True else []"),
     ("selftest-ignores-construct-verdict", CLI,
      "if fast != expect or built != expect:", "if fast != expect:"),
+    ("selftest-drops-partial-batch", CLI,
+     "while batch := list(itertools.islice(specs, SELFTEST_BATCH)):",
+     "while len(batch := list(itertools.islice(specs, SELFTEST_BATCH))) == SELFTEST_BATCH:"),
+    ("selftest-walk-reads-next-verdict", CLI,  # the check walk zipped against a stage list shifted by one
+     "zip(batch, verdicts, placements, brutes)", "zip(batch, verdicts[1:] + verdicts[:1], placements, brutes)"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
     ("encode-top-digits-from-the-front", CODES,
