@@ -11,16 +11,13 @@ its caps, one table for both axes when q1 == q2, and they are freed with it.
 ``decide`` and ``construct`` share one group loop (one branch walks either
 cap line); ``construct``'s bank also keeps the (x, y) origin of every free
 container, which yields the locations, while the verdict stays the counts'.
-The free-area ledger, an independent check on the counts, is kept only by
-audited banks: its update multiplies two powers per group, about a fifth of
-decide's time on codes whose block sides have over a thousand bits.
 
 The bank is tested against the reference packer ``geometry.solve_naive``,
 which takes the canonical instance's bare tuples as
 ``codes.lengths_to_instance`` builds them; no command runs it.
 
 Kept only for benchmarks/tracer.py, which looks these names up (ROADMAP
-item 1 deletes them): ``decide_fast``, ``ContainerBank.counts``,
+items 4 and 9 delete them): ``decide_fast``, ``ContainerBank.counts``,
 ``cap_i``/``cap_j``, ``__getattr__("solve_naive")``, and ProblemSpec's
 ``m``/``l1max``/``l2max`` as properties, whose getters it wraps.
 """
@@ -80,17 +77,9 @@ class ContainerBank:
     of the containers lines[a][k] counts (the corner's list is shared),
     moved by every split, take and deposit of the counts, and appends each
     placed block's origin to `placed` in walk order.
-
-    With audit=True the bank also keeps the free-area ledger, the initial
-    area minus the area of the blocks placed, updated once per consume call,
-    and checks after every descend_caps and consume call that the area the
-    lines hold equals the ledger (which shares no arithmetic with the walk),
-    that no count lies past a cap and the corner's copies agree, and that
-    each cell holds as many origins as its count.  Unaudited banks keep no
-    ledger.
     """
 
-    def __init__(self, q: Arities, l1max: int, l2max: int, *, audit: bool = False, located: bool = False):
+    def __init__(self, q: Arities, l1max: int, l2max: int, *, located: bool = False):
         self.qs = (q.q1, q.q2)
         # the tables of q**k up to the caps; equal arities share one, as long as the longer cap
         self.pow1 = _powers(q.q1, max(l1max, l2max) if q.q1 == q.q2 else l1max)
@@ -99,8 +88,6 @@ class ContainerBank:
         self.caps = [l1max, l2max]
         self.lines = ([0] * l1max + [1], [0] * l2max + [1])
         self.live: list[set[int]] = [set(), set()]  # levels below the corner where lines[a] may be nonzero
-        self.audit = audit
-        self._free = self.pow1[l1max] * self.pow2[l2max] if audit else None
         self.placed: list[tuple[int, int]] = []
         corner = [(0, 0)]
         self.origins = tuple([[] for _ in line[1:]] + [corner] for line in self.lines) if located else None
@@ -120,24 +107,6 @@ class ContainerBank:
         (ci, cj), (row, col) = self.caps, self.lines
         return [{cj: row[i]} for i in range(ci)] + [col]
 
-    def free_area(self) -> int | None:
-        """The audited ledger: the initial area minus the area placed; None unless audit=True."""
-        return self._free
-
-    def counted_area(self) -> int:
-        (ci, cj), (row, col) = self.caps, self.lines
-        return (sum(row[i] * self.pow1[i] for i in range(ci + 1)) * self.pow2[cj]
-                + sum(col[j] * self.pow2[j] for j in range(cj)) * self.pow1[ci])
-
-    def _check(self) -> None:
-        (ci, cj), (row, col) = self.caps, self.lines
-        if self.counted_area() != self._free:
-            raise AssertionError("bank area accounting out of balance")
-        if any(row[ci + 1:]) or any(col[cj + 1:]) or row[ci] != col[cj]:
-            raise AssertionError("free container past a cap, or the cap lines disagree at the corner")
-        if self.origins is not None and [list(map(len, o)) for o in self.origins] != list(self.lines):
-            raise AssertionError("origin ledger out of step with the counts")
-
     def descend_caps(self, ci: int, cj: int) -> None:
         """Split every free container so no dimension exceeds the new caps."""
         if not (0 <= ci <= self.caps[0] and 0 <= cj <= self.caps[1]):
@@ -145,8 +114,6 @@ class ContainerBank:
         for a, cap in enumerate((ci, cj)):
             while self.caps[a] > cap:
                 self._step(a)
-        if self.audit:
-            self._check()
 
     def _step(self, a: int) -> None:
         """Lower cap a by one exponent: every free container splits q ways along axis a."""
@@ -182,9 +149,6 @@ class ContainerBank:
             raise ValueError("blocks are packed on the cap lines only")
         left = self._walk(a, start, need)
         self.lines[1 - a][at] = self.lines[a][self.caps[a]]  # the corner's copy on the other line
-        if self.audit:
-            self._free -= (need - left) * self.pows[a][start] * self.pows[1 - a][at]
-            self._check()
         return left == 0
 
     def _walk(self, a: int, start: int, need: int) -> int:
@@ -262,7 +226,7 @@ def _pack(bank: ContainerBank, groups: dict[tuple[int, int], int]) -> list[tuple
     return blocks
 
 
-def decide(spec: ProblemSpec, *, audit: bool = False) -> bool:
+def decide(spec: ProblemSpec) -> bool:
     """True iff a two-channel prefix code with exactly these lengths exists.
 
     Matches the reference geometry.solve_naive's verdict on the single
@@ -273,14 +237,14 @@ def decide(spec: ProblemSpec, *, audit: bool = False) -> bool:
     occupied cap-line cells moved by the at most l1max + l2max cap steps,
     and keeps l1max + l2max + 2 counts.
     """
-    bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, audit=audit)
+    bank = ContainerBank(spec.arities, spec.l1max, spec.l2max)
     return _pack(bank, spec.groups) is not None
 
 
 decide_fast = decide  # the name benchmarks/tracer.py wraps
 
 
-def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
+def construct(spec: ProblemSpec) -> Locations | None:
     """Explicit packing of the canonical instance: the origin of each
     codeword's block, in input order, or None when none exists.
 
@@ -289,7 +253,7 @@ def construct(spec: ProblemSpec, *, audit: bool = False) -> Locations | None:
     The bank holds an origin per free container, so the grid must be
     enumerable, unlike for decide().
     """
-    bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, audit=audit, located=True)
+    bank = ContainerBank(spec.arities, spec.l1max, spec.l2max, located=True)
     order = _pack(bank, spec.groups)
     if order is None:
         return None

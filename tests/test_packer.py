@@ -7,12 +7,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prefixpack import packer
 from prefixpack.codes import kraft_sum, lengths_to_instance, solution_to_codebook, verify_codebook
 from prefixpack.geometry import contains, overlap, solve_naive, sort_blocks_desc
 from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import OracleLimits, brute_decide, enumerate_instances
 from prefixpack.packer import ContainerBank, _pack, construct, decide
 
+from audited_bank import AuditedBank
 from dense_bank import DenseBank
 from sigma_oracle import brute_sigma_min
 
@@ -138,23 +140,24 @@ class TestDecideConstructAgreement:
         inst = lengths_to_instance(spec)
         assert_solution_valid(inst.blocks, [inst.container], sol)
 
-    def test_randomized_agreement(self, rng):
+    def test_randomized_agreement(self, rng, monkeypatch):
+        monkeypatch.setattr(packer, "ContainerBank", AuditedBank)  # origin ledger in step with counts
         for _ in range(500):
             q = Arities(rng.choice([2, 3, 4, 5]), rng.choice([2, 3, 4, 5]))
             m = rng.randint(0, 10)
             lengths = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(m))
             spec = ProblemSpec(q, lengths)
-            sol = construct(spec, audit=True)  # audit: origin ledger in step with counts
+            sol = construct(spec)
             present = sol is not None
             inst = lengths_to_instance(spec)
             naive = solve_naive(sort_blocks_desc(inst.blocks), [inst.container], q)
             assert (naive is not None) == present
-            assert decide(spec, audit=True) == present
+            assert decide(spec) == present
             if present:
                 assert verify_codebook(solution_to_codebook(spec, sol))
             # swapped channels turn column walks into row walks
             swapped = ProblemSpec(Arities(q.q2, q.q1), tuple((l2, l1) for l1, l2 in lengths))
-            assert decide(swapped, audit=True) == present
+            assert decide(swapped) == present
 
 
 class TestTheoremEquivalenceSweep:
@@ -170,6 +173,18 @@ class TestTheoremEquivalenceSweep:
             assert brute in ("yes", "no")
             assert fast == built == (naive is not None) == (brute == "yes"), f"{spec.lengths}"
 
+    def test_q22_m6_len3_audited(self, monkeypatch):
+        # 74,613 specs, 26 times the default selftest sweep; solve_naive stays on the box above
+        monkeypatch.setattr(packer, "ContainerBank", AuditedBank)
+        swept = 0
+        for spec in enumerate_instances([(2, 2)], 6, 3):
+            inst = lengths_to_instance(spec)
+            brute = brute_decide(inst.blocks, [inst.container], ORACLE_LIMITS)
+            assert brute in ("yes", "no")
+            assert decide(spec) == (brute == "yes"), f"{spec.lengths}"
+            swept += 1
+        assert swept == 74_613
+
 
 class TestSharedPowerTables:
     """The tables of q**k each bank builds for itself: one per arity, shared by both axes when q1 == q2."""
@@ -183,7 +198,7 @@ class TestSharedPowerTables:
                 top1 = top2 = max(top1, top2)
             small = q.q1**spec.l1max * q.q2**spec.l2max <= 1 << 14  # a grid a located bank can list
             for located in [False, True] if small else [False]:
-                bank = ContainerBank(q, spec.l1max, spec.l2max, audit=True, located=located)
+                bank = AuditedBank(q, spec.l1max, spec.l2max, located=located)
                 _pack(bank, spec.groups)
                 assert bank.pow1 == [q.q1**k for k in range(top1 + 1)]
                 assert bank.pow2 == [q.q2**k for k in range(top2 + 1)]
@@ -241,12 +256,12 @@ def grown_codes(draw):
     return Arities(*q), Counter(kept + extra)
 
 
-class LockstepBank(ContainerBank):
+class LockstepBank(AuditedBank):
     """An audited bank that, after each group _pack hands it, packs the dense
     reference's own next group and compares the two banks cell for cell."""
 
     def __init__(self, spec, located):
-        super().__init__(spec.arities, spec.l1max, spec.l2max, audit=True, located=located)
+        super().__init__(spec.arities, spec.l1max, spec.l2max, located=located)
         self.ref = DenseBank(spec.arities, spec.l1max, spec.l2max)
         self.todo = self.ref.order(spec.groups, (spec.l1max, spec.l2max))
         self.groups_done = 0
@@ -315,13 +330,13 @@ def square_codes(draw):
     return Arities(*q), Counter(kept + extra)
 
 
-class TwinWalkBank(ContainerBank):
+class TwinWalkBank(AuditedBank):
     """A located, audited bank that packs each group of square blocks twice,
     up the cap column on itself and up the cap row on a deep copy, and checks
     that both walks leave the same bank."""
 
     def __init__(self, spec):
-        super().__init__(spec.arities, spec.l1max, spec.l2max, audit=True, located=True)
+        super().__init__(spec.arities, spec.l1max, spec.l2max, located=True)
         self.squares = 0
 
     def consume_column(self, i, b, need):
@@ -337,8 +352,8 @@ class TwinWalkBank(ContainerBank):
     def _both_walks(self, a, b, need):
         assert self.caps == [a, b], "the descent for a square block ends at the corner"
         twin = copy.deepcopy(self)
-        ok = ContainerBank.consume_column(self, a, b, need)
-        assert ContainerBank.consume_row(twin, b, a, need) == ok
+        ok = AuditedBank.consume_column(self, a, b, need)
+        assert AuditedBank.consume_row(twin, b, a, need) == ok
         assert (twin.lines, twin.caps, twin.live, twin.free_area()) == (self.lines, self.caps, self.live, self.free_area())
         assert (twin.origins, twin.placed) == (self.origins, self.placed)
         self.squares += 1
@@ -403,19 +418,19 @@ class TestDecisionProperties:
 
 class TestContainerBank:
     def test_initial_state(self):
-        bank = ContainerBank(Q22, 3, 2, audit=True)
+        bank = AuditedBank(Q22, 3, 2)
         assert bank.caps == [3, 2] and bank.lines[0][3] == 1  # the corner, on the cap row
         assert bank.free_area() == 8 * 4
         assert bank.counted_area() == bank.free_area()
 
     def test_descend_splits_counts(self):
-        bank = ContainerBank(Q22, 3, 2, audit=True)
+        bank = AuditedBank(Q22, 3, 2)
         bank.descend_caps(1, 1)
         assert bank.caps == [1, 1] and bank.lines[0][1] == 4 * 2
         assert bank.counted_area() == 32
 
     def test_descend_rejects_raising_caps(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank = AuditedBank(Q22, 2, 2)
         bank.descend_caps(1, 1)
         with pytest.raises(ValueError):
             bank.descend_caps(2, 1)
@@ -425,7 +440,7 @@ class TestContainerBank:
         assert (bank.cap_i, bank.cap_j) == (1, 1)
 
     def test_consume_rejects_lines_off_the_caps(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank = AuditedBank(Q22, 2, 2)
         bank.descend_caps(1, 1)
         for i in (0, 2, -1):
             with pytest.raises(ValueError):
@@ -435,14 +450,14 @@ class TestContainerBank:
         assert bank.free_area() == bank.counted_area() == 16
 
     def test_consume_exact_fit(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank = AuditedBank(Q22, 2, 2)
         bank.descend_caps(1, 1)  # four 2x2 containers
         assert bank.consume_column(1, 1, 3) is True
         assert bank.caps == [1, 1] and bank.lines[0][1] == 1
         assert bank.free_area() == 4
 
     def test_consume_with_partial_leftover(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank = AuditedBank(Q22, 2, 2)
         # one 4x4 container; pack three 4x1 rows
         assert bank.consume_column(2, 0, 3) is True
         # leftover: one 4x1 slab
@@ -450,23 +465,23 @@ class TestContainerBank:
         assert bank.free_area() == 4
 
     def test_descent_moves_a_slab_left_by_a_column_walk(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank = AuditedBank(Q22, 2, 2)
         assert bank.consume_column(2, 0, 3) is True  # one 4x1 slab left on the cap column
         bank.descend_caps(1, 2)
         assert bank.caps == [1, 2] and bank.lines[1][0] == 2
 
     def test_descent_moves_a_slab_left_by_a_row_walk(self):
-        bank = ContainerBank(Q22, 2, 2, audit=True)
+        bank = AuditedBank(Q22, 2, 2)
         assert bank.consume_row(2, 0, 3) is True  # one 1x4 slab left on the cap row
         bank.descend_caps(2, 1)
         assert bank.caps == [2, 1] and bank.lines[0][0] == 2
 
     def test_consume_reports_shortage(self):
-        bank = ContainerBank(Q22, 1, 1, audit=True)
+        bank = AuditedBank(Q22, 1, 1)
         assert bank.consume_column(1, 0, 3) is False
 
     def test_ledger_balances_after_failed_consume(self):
-        bank = ContainerBank(Arities(3, 2), 1, 2, audit=True)
+        bank = AuditedBank(Arities(3, 2), 1, 2)
         bank.descend_caps(1, 1)  # two 3x2 containers
         # five 1x2 blocks: three fill one container, two half-fill the other
         assert bank.consume_row(1, 0, 5) is True
@@ -477,11 +492,40 @@ class TestContainerBank:
         # The bank stores only the cap row lines[0] and the cap column lines[1];
         # neither poke changes the area the lines hold below the caps.
         for line, k, cnt in ((0, 2, 1), (1, 2, 3)):  # a count past cap_i; the column's corner copy off
-            bank = ContainerBank(Q22, 2, 2, audit=True)
+            bank = AuditedBank(Q22, 2, 2)
             bank.descend_caps(1, 2)  # two 2x4 containers at the corner (1, 2)
             bank.lines[line][k] = cnt
             with pytest.raises(AssertionError, match="cap"):
                 bank.descend_caps(1, 2)
+
+    # Each check below fires from the consume call that broke the bank, with no descent after it.
+
+    def test_audit_consume_catches_area_out_of_balance(self):
+        bank = AuditedBank(Q22, 2, 2)
+        walk = bank._walk
+
+        def leaky_walk(a, start, need):
+            left = walk(a, start, need)
+            bank.lines[a][0] += 1  # one container below the cap that no split made
+            return left
+
+        bank._walk = leaky_walk
+        with pytest.raises(AssertionError, match="out of balance"):
+            bank.consume_column(2, 0, 1)
+
+    def test_audit_consume_catches_count_past_a_cap(self):
+        bank = AuditedBank(Q22, 2, 2)
+        bank.descend_caps(1, 2)  # two 2x4 containers at the corner (1, 2)
+        bank.lines[0][2] = 1  # a count on the cap row past cap_i, which the area leaves out
+        with pytest.raises(AssertionError, match="past a cap"):
+            bank.consume_column(1, 0, 1)
+
+    def test_audit_consume_catches_origin_ledger_out_of_step(self):
+        bank = AuditedBank(Q22, 2, 2, located=True)
+        assert bank.consume_column(2, 0, 1)  # one 4x1 block: a 4x1 and a 4x2 slab stay on the cap column
+        bank.origins[1][1].pop()  # the 4x2 slab's origin, on a level the next walk does not reach
+        with pytest.raises(AssertionError, match="origin ledger out of step"):
+            bank.consume_column(2, 0, 1)
 
     def test_one_power_table_per_distinct_arity(self):
         # each bank builds its tables up to its caps; equal arities share one, up to the longer cap
@@ -500,18 +544,19 @@ class TestContainerBank:
             tracemalloc.stop()
         assert peak < 5 << 20
 
-    def test_area_accounting_after_every_mutation(self, rng):
-        # audit=True re-checks the invariant inside every bank mutation
+    def test_area_accounting_after_every_mutation(self, rng, monkeypatch):
+        # the audited bank re-checks the invariant inside every bank mutation
+        monkeypatch.setattr(packer, "ContainerBank", AuditedBank)
         for _ in range(300):
             q = Arities(rng.choice([2, 3]), rng.choice([2, 3]))
             m = rng.randint(1, 12)
             lengths = tuple((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(m))
-            decide(ProblemSpec(q, lengths), audit=True)
+            decide(ProblemSpec(q, lengths))
 
     def test_free_area_equals_container_minus_packed(self):
         spec = ProblemSpec(Q22, ((2, 1), (1, 1), (2, 2)))
         q = spec.arities
-        bank = ContainerBank(q, spec.l1max, spec.l2max, audit=True)
+        bank = AuditedBank(q, spec.l1max, spec.l2max)
         packed = 0
         blocks, (_, _, cw, ch) = lengths_to_instance(spec)
         for w, h in sort_blocks_desc(blocks):

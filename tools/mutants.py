@@ -36,6 +36,7 @@ CODES = "src/prefixpack/codes.py"
 MODEL = "src/prefixpack/model.py"
 ORACLE = "src/prefixpack/oracle.py"
 SIGMA_ORACLE = "tests/sigma_oracle.py"
+AUDITED_BANK = "tests/audited_bank.py"
 
 # (name, file, old text, new text); each old text occurs exactly once in its file
 MUTANTS = [
@@ -75,10 +76,6 @@ MUTANTS = [
      "blocks.append((max(w, h), w, h, ll))", "blocks.append((max(w, h), h, w, ll))"),
     ("pack-skips-row-cap-descent", PACKER,  # a descent that moves only cap_j is skipped
      "if target != caps:", "if target[0] != caps[0]:"),
-    ("ledger-charges-unplaced-blocks", PACKER,
-     "self._free -= (need - left) *", "self._free -= need *"),
-    ("audit-skips-consume", PACKER,
-     "        if self.audit:\n            self._free", "        if False:\n            self._free"),
     ("walk-skips-first-level", PACKER,
      "        k = start\n", "        k = start + 1\n"),
     ("walk-takes-newest-first", PACKER,
@@ -163,6 +160,12 @@ MUTANTS = [
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
      "_layout(s, boxes)", '_layout(s, _layout.__dict__.setdefault("boxes", boxes))'),
+    ("ledger-charges-unplaced-blocks", AUDITED_BANK,
+     "self._free -= (need - self._left) *", "self._free -= need *"),
+    ("audit-skips-consume", AUDITED_BANK,  # consume calls go unaudited: no charge, no check
+     "def _consume(self", "def _unaudited_consume(self"),
+    ("audit-skips-check-after-consume", AUDITED_BANK,
+     "        self._check()\n        return ok\n", "        return ok\n"),
     ("sigma-oracle-bound-exponent-off-by-one", SIGMA_ORACLE,
      "for i in range(a + 1)", "for i in range(a)"),
     ("oracle-search-keeps-its-cycle", ORACLE,  # main pauses the collector: each call's cycle would pile up
