@@ -2,9 +2,9 @@
 
 ``ContainerBank`` counts the free containers of each size [q1**i, q2**j]
 on the only two lines that hold any, one cap column and one cap row.  Blocks
-are processed grouped by size in descending order; the occupied cells of a
-cap line split one exponent step at a time when the layer descends, and each
-group is packed by one walk up a cap line.  Counts are plain Python ints on
+are processed grouped by size in descending order; a cap step folds only
+the corner, the other cells of a cap line split when a walk reads them, and
+each group is packed by one walk up a cap line.  Counts are plain Python ints on
 purpose: they reach q1**l1max * q2**l2max, far beyond 64 bits for inputs
 this path must handle.  Each bank builds its own tables of powers q**k up to
 its caps, one table for both axes when q1 == q2, and they are freed with it.
@@ -63,15 +63,15 @@ class ContainerBank:
     (i = cap_i).  lines[0][i] counts the cap row and lines[1][j] the cap
     column; both hold the corner (cap_i, cap_j), kept equal, and cells past
     a cap are zero.  Line a runs along axis a, so a cap step on axis a
-    splits every container q ways along it: the other line's cells multiply
-    by q in place, and the corner folds into the next cell of line a.
+    splits every container q ways along it: the corner folds into the next
+    cell of line a, and the other line's cells split lazily.  stamps[a][t] is
+    the other axis b's cap when cell t of line a was last brought up to date
+    (_fresh), so its true count is lines[a][t] * q_b**(stamps[a][t] - caps[b]);
+    a cap step stamps only the corner's copy.
 
     A group of equal blocks is packed by one walk up a cap line: the column
     for blocks as wide as its containers (consume_column), the row for
-    blocks as high as its containers (consume_row).  Below the corner, each
-    nonzero cell of line a is at a level in live[a]: a walk adds each level
-    it deposits at, and a cap step drops the emptied levels, so it costs the
-    occupied cells of the line that moves, not the line's length.
+    blocks as high as its containers (consume_row).
 
     With located=True the bank also keeps origins[a][k], the (x, y) origins
     of the containers lines[a][k] counts (the corner's list is shared),
@@ -87,7 +87,7 @@ class ContainerBank:
         self.pows = (self.pow1, self.pow2)
         self.caps = [l1max, l2max]
         self.lines = ([0] * l1max + [1], [0] * l2max + [1])
-        self.live: list[set[int]] = [set(), set()]  # levels below the corner where lines[a] may be nonzero
+        self.stamps = ([l2max] * (l1max + 1), [l1max] * (l2max + 1))
         self.placed: list[tuple[int, int]] = []
         corner = [(0, 0)]
         self.origins = tuple([[] for _ in line[1:]] + [corner] for line in self.lines) if located else None
@@ -102,10 +102,11 @@ class ContainerBank:
 
     @property
     def counts(self) -> list:
-        """Rows counts[i][j] of the full table for i <= cap_i: row cap_i is the cap
-        column, and each row below it holds only its cap_j cell, on the cap row."""
-        (ci, cj), (row, col) = self.caps, self.lines
-        return [{cj: row[i]} for i in range(ci)] + [col]
+        """True counts[i][j] of the full table for i <= cap_i, scaled by the stamps: row cap_i
+        is the cap column, and each row below it holds only its cap_j cell, on the cap row."""
+        (ci, cj), (row, col), (srow, scol) = self.caps, self.lines, self.stamps
+        col = [n * self.pow1[s - ci] for n, s in zip(col, scol)]
+        return [{cj: row[i] * self.pow2[srow[i] - cj]} for i in range(ci)] + [col]
 
     def descend_caps(self, ci: int, cj: int) -> None:
         """Split every free container so no dimension exceeds the new caps."""
@@ -116,24 +117,30 @@ class ContainerBank:
                 self._step(a)
 
     def _step(self, a: int) -> None:
-        """Lower cap a by one exponent: every free container splits q ways along axis a."""
-        d, c = self.caps[a], self.caps[1 - a]
-        q = self.qs[a]
+        """Lower cap a by one exponent: the corner folds, and the other line's cells fall a step behind."""
+        d, c, q = self.caps[a], self.caps[1 - a], self.qs[a]
         along, across = self.lines[a], self.lines[1 - a]
-        live = self.live[1 - a] = {t for t in self.live[1 - a] if across[t]}  # drop levels the walks emptied
-        for t in live:
-            across[t] *= q
+        self._fresh(a, d - 1)
         across[c] = along[d - 1] = along[d - 1] + along[d] * q
         along[d] = 0
+        self.stamps[1 - a][c] = d - 1  # the corner's copy is up to date
         if self.origins is not None:
             step = self.pows[a][d - 1]
-            along_o, across_o = self.origins[a], self.origins[1 - a]
-            for t in live:
-                across_o[t] = _tile(across_o[t], a, 0, q * step, step)
+            along_o = self.origins[a]
             along_o[d - 1] += _tile(along_o[d], a, 0, q * step, step)
-            across_o[c], along_o[d] = along_o[d - 1], []
+            self.origins[1 - a][c], along_o[d] = along_o[d - 1], []
         self.caps[a] = d - 1
-        self.live[a].discard(d - 1)  # now the corner
+
+    def _fresh(self, a: int, t: int) -> None:
+        """Bring cell t of line a up to date: split it by the other axis b's cap steps since its stamp."""
+        b = 1 - a
+        was, now = self.stamps[a][t], self.caps[b]
+        if was != now:
+            self.lines[a][t] *= self.pows[b][was - now]
+            if self.origins is not None:
+                spots = self.origins[a]  # in the order of was - now single-step tilings
+                spots[t] = _tile(spots[t], b, 0, self.pows[b][was], self.pows[b][now])
+            self.stamps[a][t] = now
 
     def consume_column(self, i: int, b: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**i, q2**b] into column i, from row b up."""
@@ -158,10 +165,11 @@ class ContainerBank:
         blocks stacked along the line's axis a (arity q).  Cells
         from `start` up to the cap are emptied whole by integer division.  At
         most one container is used in part, by the part < per blocks left;
-        its room for per - part more returns as slabs at levels start..k-1,
-        which join live[a].  On a located bank, spots holds the line's origin lists.
+        its room for per - part more returns as slabs at levels start..k-1.
+        Each cell the walk takes from or adds to, an empty one too, is brought
+        up to date first.  On a located bank, spots holds the line's origin lists.
         """
-        line, live, powers = self.lines[a], self.live[a], self.pows[a]
+        line, powers = self.lines[a], self.pows[a]
         q, cap = self.qs[a], self.caps[a]
         spots = self.origins[a] if self.origins is not None else None
         step = powers[start]
@@ -171,6 +179,7 @@ class ContainerBank:
                 k += 1
             if k > cap:
                 return need
+            self._fresh(a, k)
             per = powers[k - start]
             used = min(line[k], -(-need // per))  # containers this level gives
             line[k] -= used
@@ -185,9 +194,9 @@ class ContainerBank:
                 # per - 1 has every base-q digit q - 1, so the digits of
                 # per - part are q - 1 minus those of part - 1, with no borrow.
                 rest, off = part - 1, part * step
-                live.update(range(start, k))
                 for t in range(start, k):
                     rest, d = divmod(rest, q)
+                    self._fresh(a, t)
                     line[t] += q - 1 - d
                     if spots is not None:
                         spots[t] += _tile(taken[-1:], a, off, off + (q - 1 - d) * powers[t], powers[t])
@@ -233,8 +242,7 @@ def decide(spec: ProblemSpec) -> bool:
     initial container [q1**l1max, q2**l2max] while never materializing
     locations.  It reads only the spec's histogram of g distinct pairs (which
     ProblemSpec.from_groups builds in O(g)) and runs O(g log g + g *
-    max(l1max, l2max) + s) big-integer operations, where s is the number of
-    occupied cap-line cells moved by the at most l1max + l2max cap steps,
+    max(l1max, l2max)) big-integer operations, a cap step folding one cell,
     and keeps l1max + l2max + 2 counts.
     """
     bank = ContainerBank(spec.arities, spec.l1max, spec.l2max)

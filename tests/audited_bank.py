@@ -1,13 +1,13 @@
 """The free-area ledger: packer.ContainerBank with its counts audited, kept as a test check on the bank.
 
 An AuditedBank also keeps the free-area ledger, the initial area minus the
-area of the blocks placed, updated once per consume call, and checks after
-every descend_caps and consume call that the area the lines hold equals the
-ledger (which shares no arithmetic with the walk), that no count lies past a
-cap and the corner's copies agree, and that each cell holds as many origins
-as its count.  The shipped bank keeps no ledger: its update multiplies two
-powers per group, about a fifth of decide's time on codes whose block sides
-have over a thousand bits.
+area of the blocks placed, updated once per consume call.  After every
+descend_caps and consume call it brings every cell up to date and checks
+that the area the lines hold equals the ledger (which shares no arithmetic
+with the walk), that no count lies past a cap and the corner's copies agree,
+and that each cell holds as many origins as its count.  The shipped bank
+keeps no ledger: its update multiplies two powers per group, about a fifth
+of decide's time on codes whose block sides have over a thousand bits.
 
 To run decide and construct audited, a test patches packer.ContainerBank
 with AuditedBank (monkeypatch.setattr(packer, "ContainerBank", AuditedBank)).
@@ -32,6 +32,9 @@ class AuditedBank(ContainerBank):
                 + sum(col[j] * self.pow2[j] for j in range(cj)) * self.pow1[ci])
 
     def _check(self) -> None:
+        for a, line in enumerate(self.lines):  # bring every cell up to date before reading the lines
+            for t in range(len(line)):
+                self._fresh(a, t)
         (ci, cj), (row, col) = self.caps, self.lines
         if self.counted_area() != self._free:
             raise AssertionError("bank area accounting out of balance")

@@ -1,7 +1,7 @@
 """The dense-table container bank, kept as a test reference for packer.ContainerBank.
 
 It keeps the origins of the free containers of every size [q1**i, q2**j] in
-one table keyed by (i, j), with no cap lines, live levels or shared corner,
+one table keyed by (i, j), with no cap lines, stamps or shared corner,
 and packs one group of equal blocks at a time: caps descend to the group's
 layer, then a walk up the line of containers as wide (or as high) as the
 blocks takes the newest containers of each level first and frees the rest

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 
@@ -307,6 +308,56 @@ class TestDenseLockstep:
             assert bank.groups_done == len(bank.todo)
 
 
+class CountsViewBank(ContainerBank):
+    """A plain bank, which nothing brings up to date, that after each group
+    _pack hands it packs the dense reference's own next group and compares
+    the `counts` view (what benchmarks/tracer.py reads) with the reference."""
+
+    def __init__(self, spec):
+        super().__init__(spec.arities, spec.l1max, spec.l2max)
+        self.ref = DenseBank(spec.arities, spec.l1max, spec.l2max)
+        self.todo = self.ref.order(spec.groups, (spec.l1max, spec.l2max))
+        self.groups_done = self.stale_views = 0
+
+    def consume_column(self, i, b, need):
+        return self._compare(super().consume_column(i, b, need))
+
+    def consume_row(self, j, a, need):
+        return self._compare(super().consume_row(j, a, need))
+
+    def _compare(self, ok):
+        (i, j), need = self.todo[self.groups_done]
+        self.groups_done += 1
+        ref = self.ref
+        assert ref.pack(i, j, need) == ok, "the walks disagree"
+        ci, cj = self.caps
+        stale = [n for a in (0, 1) for n, s in zip(self.lines[a], self.stamps[a]) if s != self.caps[1 - a]]
+        self.stale_views += any(stale)
+        counts = self.counts
+        assert counts[ci][: cj + 1] == [ref.count(ci, t) for t in range(cj + 1)]
+        assert [r[cj] for r in counts[: ci + 1]] == [ref.count(t, cj) for t in range(ci + 1)]
+        return ok
+
+
+class TestCountsView:
+    """The counts view reports true counts on a bank whose cells lag behind the caps."""
+
+    def test_plain_bank_counts_after_every_group(self):
+        stale = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(code=grown_codes())
+        def check(code):
+            q, groups = code
+            spec = ProblemSpec.from_groups(q, groups)
+            bank = CountsViewBank(spec)
+            _pack(bank, spec.groups)
+            stale.append(bank.stale_views)
+
+        check()
+        assert sum(map(bool, stale)) * 4 >= len(stale), "too few codes leave an occupied cell stale"
+
+
 # Arities with square blocks off the diagonal (4**1 == 2**2, 9**1 == 3**2),
 # each with length caps that keep a located bank's grid at most 2**12 cells
 SQUARE_ARITIES = {(2, 2): (4, 4), (3, 3): (3, 3), (4, 2): (3, 4), (2, 4): (4, 3), (9, 3): (2, 3), (3, 9): (3, 2)}
@@ -354,7 +405,7 @@ class TwinWalkBank(AuditedBank):
         twin = copy.deepcopy(self)
         ok = AuditedBank.consume_column(self, a, b, need)
         assert AuditedBank.consume_row(twin, b, a, need) == ok
-        assert (twin.lines, twin.caps, twin.live, twin.free_area()) == (self.lines, self.caps, self.live, self.free_area())
+        assert (twin.lines, twin.caps, twin.free_area()) == (self.lines, self.caps, self.free_area())
         assert (twin.origins, twin.placed) == (self.origins, self.placed)
         self.squares += 1
         return ok
@@ -379,6 +430,29 @@ class TestSquareBlocks:
 
         check()
         assert sum(map(bool, squares)) * 2 >= len(squares), "too few codes hold a square block"
+
+
+# Inputs inside the CLI's code-space guard whose first groups leave thousands of
+# occupied cells on one cap line before thousands of cap steps on the other axis:
+# with a cap step that multiplied every occupied cell of the other line, each took 3-6 s.
+CAP_STEP_WORST_CASES = {
+    "q23-column-and-row": (Arities(2, 3), Counter({(10500, 0): 1, (0, 2208): 1}), False),
+    "q22-anti-diagonal": (Q22, Counter({(i, 7000 - i): 1 for i in range(1, 7000)}), True),
+    "q23-column-and-rungs": (Arities(2, 3), Counter({(10500, 0): 1} | {(0, j): 1 for j in range(1, 2209)}), False),
+}
+
+
+class TestCapStepWorstCases:
+    @pytest.mark.parametrize("name", sorted(CAP_STEP_WORST_CASES))
+    def test_decides_within_half_a_second(self, name):
+        q, groups, verdict = CAP_STEP_WORST_CASES[name]
+        spec = ProblemSpec.from_groups(q, groups)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert decide(spec) is verdict
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.5, f"{name}: {best:.3f} s"
 
 
 class TestDecisionProperties:
@@ -526,6 +600,24 @@ class TestContainerBank:
         bank.origins[1][1].pop()  # the 4x2 slab's origin, on a level the next walk does not reach
         with pytest.raises(AssertionError, match="origin ledger out of step"):
             bank.consume_column(2, 0, 1)
+
+    def test_cap_step_folds_only_the_corner(self):
+        for located in (False, True):
+            bank = ContainerBank(Q22, 8, 8, located=located)
+            bank.descend_caps(8, 7)  # two 256x128 containers at the corner
+            assert bank.consume_column(8, 0, 1)  # one 256x1 block: slabs 256x1 up to 256x64 stay below it
+            lines, origins = copy.deepcopy(bank.lines), copy.deepcopy(bank.origins)
+            assert lines[1] == [1] * 8 + [0]
+            bank.descend_caps(5, 7)  # three cap_i steps
+            # the cap column's cells below the corner are stored as the walk left them
+            assert bank.lines[1][:7] == [1] * 7 and bank.stamps[1][:7] == [8] * 7
+            moved = {(a, t) for a in (0, 1) for t, (was, now) in enumerate(zip(lines[a], bank.lines[a])) if was != now}
+            assert moved == {(0, 8), (0, 5), (1, 7)}  # the old corner, the fold's last cell, the corner's copy
+            assert bank.lines[0][5] == bank.lines[1][7] == 8
+            assert bank.counts[5] == [8] * 8 + [0]  # the true counts: each slab split in 8
+            if located:
+                assert bank.origins[1][:7] == origins[1][:7]
+                assert bank.origins[1][7] is bank.origins[0][5] and len(bank.origins[0][5]) == 8
 
     def test_one_power_table_per_distinct_arity(self):
         # each bank builds its tables up to its caps; equal arities share one, up to the longer cap

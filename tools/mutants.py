@@ -82,6 +82,22 @@ MUTANTS = [
      "taken = spots[k][-used:]", "taken = spots[k][:used]"),
     ("counts-view-drops-a-row", PACKER,
      "range(ci)", "range(ci - 1)"),
+    ("lag-off-by-one", PACKER,
+     "self.pows[b][was - now]", "self.pows[b][was - now - 1]"),
+    ("corner-copy-unstamped", PACKER,
+     "        self.stamps[1 - a][c] = d - 1  # the corner's copy is up to date\n", ""),
+    ("fold-reads-stale-cell", PACKER,
+     "        self._fresh(a, d - 1)\n", ""),
+    ("take-from-stale-cell", PACKER,
+     "            self._fresh(a, k)\n", ""),
+    ("deposit-on-stale-cell", PACKER,
+     "                    self._fresh(a, t)\n", ""),
+    ("stale-origins-untiled", PACKER,
+     "                spots[t] = _tile(spots[t], b, 0, self.pows[b][was], self.pows[b][now])\n", ""),
+    ("counts-view-ignores-stamps", PACKER,
+     "        col = [n * self.pow1[s - ci] for n, s in zip(col, scol)]\n"
+     "        return [{cj: row[i] * self.pow2[srow[i] - cj]} for i in range(ci)] + [col]\n",
+     "        return [{cj: row[i]} for i in range(ci)] + [col]\n"),
     ("construct-owners-reversed", PACKER,
      "iter(tuple(islice(placed, spec.groups[ll])))", "iter(tuple(islice(placed, spec.groups[ll]))[::-1])"),
     ("json-admits-bool-lengths", CLI,
