@@ -194,6 +194,8 @@ def _encode(value: int, base: int, width: int) -> str:
     if base > len(_DIGITS):
         raise ValueError(f"digit strings support arities up to {len(_DIGITS)}, got {base}")
     k, size, table = _chunks(base)
+    if width <= k and 0 <= value < base**width:  # one chunk, a suffix of value's table entry
+        return table[value][k - width:]
     chunks = []
     for _ in range(width // k):
         value, d = divmod(value, size)
@@ -239,8 +241,4 @@ def pair_prefix_free(a: Codeword, b: Codeword) -> bool:
 
 def verify_codebook(cb: Sequence[Codeword]) -> bool:
     """Pairwise prefix-freeness over all unordered codeword pairs."""
-    for i in range(len(cb)):
-        for j in range(i + 1, len(cb)):
-            if not pair_prefix_free(cb[i], cb[j]):
-                return False
-    return True
+    return all(itertools.starmap(pair_prefix_free, itertools.combinations(cb, 2)))

@@ -113,27 +113,34 @@ class ProblemSpec(_Value):
             groups = Counter(lengths)
         else:
             groups = Counter(groups)
-            if not all(type(n) is int and n >= 1 for n in groups.values()):
+            if not ({*map(type, groups.values())} <= {int} and min(groups.values(), default=1) >= 1):
                 raise ValueError("codeword counts must be integers >= 1")
-        for l1, l2 in groups:
-            try:
-                low = min(operator.index(l1), operator.index(l2))
-            except TypeError:
-                raise ValueError(f"codeword lengths must be integers, got ({l1!r}, {l2!r})") from None
-            if low < 0:
-                raise ValueError(f"codeword lengths must be >= 0, got ({l1}, {l2})")
-        if any(type(l) is not int for pair in groups for l in pair):  # bools and the like become ints
-            exact = Counter()
-            for (l1, l2), n in groups.items():
-                exact[operator.index(l1), operator.index(l2)] += n
-            groups = exact
-            if lengths is not None:
-                lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
+        try:  # the pairs as a whole, one column per channel; the loop below names a bad pair
+            l1s, l2s = zip(*groups, strict=True) if groups else ((0,), (0,))
+            plain = {*map(type, both := l1s + l2s)} == {int} and min(both) >= 0
+        except (TypeError, ValueError):  # a pair that is not two items
+            plain = False
+        if not plain:
+            for l1, l2 in groups:
+                try:
+                    low = min(operator.index(l1), operator.index(l2))
+                except TypeError:
+                    raise ValueError(f"codeword lengths must be integers, got ({l1!r}, {l2!r})") from None
+                if low < 0:
+                    raise ValueError(f"codeword lengths must be >= 0, got ({l1}, {l2})")
+            if any(type(l) is not int for pair in groups for l in pair):  # bools and the like become ints
+                exact = Counter()
+                for (l1, l2), n in groups.items():
+                    exact[operator.index(l1), operator.index(l2)] += n
+                groups = exact
+                if lengths is not None:
+                    lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
+            l1s, l2s = zip(*groups)
         _set(self, "_lengths", lengths)
         _set(self, "groups", groups)
         _set(self, "_m", sum(groups.values()))
-        _set(self, "_l1max", max((l1 for l1, _ in groups), default=0))
-        _set(self, "_l2max", max((l2 for _, l2 in groups), default=0))
+        _set(self, "_l1max", max(l1s))
+        _set(self, "_l2max", max(l2s))
 
     @property
     def lengths(self) -> tuple[LengthTuple, ...]:

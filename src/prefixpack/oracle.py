@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from array import array
 from typing import Iterator, Literal, Sequence
 
@@ -57,18 +58,6 @@ class OracleLimits(_Value):
 def _starts(lo: int, extent: int, step: int) -> range:
     """Aligned starts of a step-long interval inside [lo, lo + extent)."""
     return range(-(-lo // step) * step, lo + extent - step + 1, step)
-
-
-def _size_key(wh: tuple[int, int]) -> tuple[int, int, int]:
-    """The total order on sizes, longest side, then width, then height, on a bare
-    (w, h) pair; the oracle keeps its own copy so that it shares no code with the packers."""
-    return (max(wh), wh[0], wh[1])
-
-
-def _spot_count(size: tuple[int, int], boxes: tuple[Box, ...]) -> int:
-    """Number of aligned spots of a size in the containers, counted without listing them."""
-    w, h = size
-    return sum(len(_starts(x, cw, w)) * len(_starts(y, ch, h)) for x, y, cw, ch in boxes)
 
 
 @functools.lru_cache(maxsize=256)
@@ -125,12 +114,17 @@ def brute_decide(
     if bounds and not 1 <= min(bounds) <= max(bounds) <= limits.max_dim:
         raise ValueError(f"sides must lie in [1, {limits.max_dim}] and containers in [0, {limits.max_dim}]^2")
 
-    order = sorted(blocks, key=_size_key, reverse=True)
-    if sum(w * h for w, h in order) > sum(cw * ch for _, _, cw, ch in boxes):
+    # the total order on sizes, longest side, then width, then height: the
+    # oracle's own sort, (w, h) descending and then stably by the longest side
+    order = sorted(blocks, reverse=True)
+    order.sort(key=max, reverse=True)
+    if sum(itertools.starmap(operator.mul, order)) > sum(cw * ch for _, _, cw, ch in boxes):
         return "no"
 
+    # the aligned spots of every size, counted without listing them
     sizes = set(order)
-    if sum(_spot_count(s, boxes) for s in sizes) > limits.max_nodes:
+    spots = (len(_starts(x, cw, w)) * len(_starts(y, ch, h)) for w, h in sizes for x, y, cw, ch in boxes)
+    if sum(spots) > limits.max_nodes:
         return "budget_exceeded"
     layouts = {s: _layout(s, boxes) for s in sizes}
     # per block: its mask, its spots, and whether it repeats the block before it

@@ -49,6 +49,8 @@ def _powers(q: int, top: int) -> list[int]:
 
 def _tile(origins: list, a: int, lo: int, hi: int, step: int) -> list:
     """Each origin moved by lo, lo + step, ... below hi along axis a; origin-major, offsets ascending."""
+    if not origins or (lo, hi) == (0, step):
+        return origins  # nothing moves: the list itself, not a copy
     offsets = range(lo, hi, step)
     if a:
         return [(x, y + s) for x, y in origins for s in offsets]
@@ -80,17 +82,18 @@ class ContainerBank:
     """
 
     def __init__(self, q: Arities, l1max: int, l2max: int, *, located: bool = False):
-        self.qs = (q.q1, q.q2)
+        q1, q2 = self.qs = (q.q1, q.q2)
         # the tables of q**k up to the caps; equal arities share one, as long as the longer cap
-        self.pow1 = _powers(q.q1, max(l1max, l2max) if q.q1 == q.q2 else l1max)
-        self.pow2 = self.pow1 if q.q1 == q.q2 else _powers(q.q2, l2max)
+        self.pow1 = _powers(q1, max(l1max, l2max) if q1 == q2 else l1max)
+        self.pow2 = self.pow1 if q1 == q2 else _powers(q2, l2max)
         self.pows = (self.pow1, self.pow2)
         self.caps = [l1max, l2max]
         self.lines = ([0] * l1max + [1], [0] * l2max + [1])
         self.stamps = ([l2max] * (l1max + 1), [l1max] * (l2max + 1))
         self.placed: list[tuple[int, int]] = []
-        corner = [(0, 0)]
-        self.origins = tuple([[] for _ in line[1:]] + [corner] for line in self.lines) if located else None
+        corner = [(0, 0)]  # one origin list, shared by both lines' copies of the corner
+        self.origins = ([[] for _ in range(l1max)] + [corner],
+                        [[] for _ in range(l2max)] + [corner]) if located else None
 
     @property
     def cap_i(self) -> int:
@@ -112,15 +115,17 @@ class ContainerBank:
         """Split every free container so no dimension exceeds the new caps."""
         if not (0 <= ci <= self.caps[0] and 0 <= cj <= self.caps[1]):
             raise ValueError("caps may only descend, and not below 0")
-        for a, cap in enumerate((ci, cj)):
-            while self.caps[a] > cap:
-                self._step(a)
+        while self.caps[0] > ci:
+            self._step(0)
+        while self.caps[1] > cj:
+            self._step(1)
 
     def _step(self, a: int) -> None:
         """Lower cap a by one exponent: the corner folds, and the other line's cells fall a step behind."""
         d, c, q = self.caps[a], self.caps[1 - a], self.qs[a]
         along, across = self.lines[a], self.lines[1 - a]
-        self._fresh(a, d - 1)
+        if self.stamps[a][d - 1] != c:
+            self._fresh(a, d - 1)
         across[c] = along[d - 1] = along[d - 1] + along[d] * q
         along[d] = 0
         self.stamps[1 - a][c] = d - 1  # the corner's copy is up to date
@@ -132,15 +137,14 @@ class ContainerBank:
         self.caps[a] = d - 1
 
     def _fresh(self, a: int, t: int) -> None:
-        """Bring cell t of line a up to date: split it by the other axis b's cap steps since its stamp."""
+        """Bring stale cell t of line a up to date: split it by the other axis b's cap steps since its stamp."""
         b = 1 - a
         was, now = self.stamps[a][t], self.caps[b]
-        if was != now:
-            self.lines[a][t] *= self.pows[b][was - now]
-            if self.origins is not None:
-                spots = self.origins[a]  # in the order of was - now single-step tilings
-                spots[t] = _tile(spots[t], b, 0, self.pows[b][was], self.pows[b][now])
-            self.stamps[a][t] = now
+        self.lines[a][t] *= self.pows[b][was - now]
+        if self.origins is not None:
+            spots = self.origins[a]  # in the order of was - now single-step tilings
+            spots[t] = _tile(spots[t], b, 0, self.pows[b][was], self.pows[b][now])
+        self.stamps[a][t] = now
 
     def consume_column(self, i: int, b: int, need: int) -> bool:
         """Pack `need` blocks of size [q1**i, q2**b] into column i, from row b up."""
@@ -169,8 +173,8 @@ class ContainerBank:
         Each cell the walk takes from or adds to, an empty one too, is brought
         up to date first.  On a located bank, spots holds the line's origin lists.
         """
-        line, powers = self.lines[a], self.pows[a]
-        q, cap = self.qs[a], self.caps[a]
+        line, powers, stamps = self.lines[a], self.pows[a], self.stamps[a]
+        q, cap, now = self.qs[a], self.caps[a], self.caps[1 - a]
         spots = self.origins[a] if self.origins is not None else None
         step = powers[start]
         k = start
@@ -179,7 +183,8 @@ class ContainerBank:
                 k += 1
             if k > cap:
                 return need
-            self._fresh(a, k)
+            if stamps[k] != now:
+                self._fresh(a, k)
             per = powers[k - start]
             used = min(line[k], -(-need // per))  # containers this level gives
             line[k] -= used
@@ -196,7 +201,8 @@ class ContainerBank:
                 rest, off = part - 1, part * step
                 for t in range(start, k):
                     rest, d = divmod(rest, q)
-                    self._fresh(a, t)
+                    if stamps[t] != now:
+                        self._fresh(a, t)
                     line[t] += q - 1 - d
                     if spots is not None:
                         spots[t] += _tile(taken[-1:], a, off, off + (q - 1 - d) * powers[t], powers[t])
@@ -267,6 +273,7 @@ def construct(spec: ProblemSpec) -> Locations | None:
         return None
     # bank.placed runs group by group in pack order; each group's placements
     # go out in turn to its codewords
-    placed = iter(bank.placed)
-    spots = {ll: iter(tuple(islice(placed, spec.groups[ll]))) for *_, ll in order}
+    placed, groups, spots = iter(bank.placed), spec.groups, {}
+    for _, _, _, ll in order:
+        spots[ll] = iter(tuple(islice(placed, groups[ll])))
     return tuple(map(next, map(spots.__getitem__, spec.lengths)))

@@ -411,6 +411,34 @@ class TestSelftest:
         assert cli.main(["selftest"]) == 0
         assert capsys.readouterr() == ("selftest: 2860 instances, all procedures agree\n", "")
 
+    def test_default_sweep_makes_every_call(self, capsys, monkeypatch):
+        # each procedure on each of the 2,860 specs (two banks, two canonical
+        # instances for a spec that packs), and a codebook for each of the 1,186 that pack
+        from prefixpack import codes, oracle
+
+        calls = Counter()
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        for name in ("decide", "construct", "ContainerBank"):
+            counted(packer, name)
+        for name in ("lengths_to_instance", "solution_to_codebook", "verify_codebook"):
+            counted(codes, name)
+        counted(oracle, "brute_decide")
+        assert cli.main(["selftest"]) == 0
+        assert capsys.readouterr().out == "selftest: 2860 instances, all procedures agree\n"
+        assert calls == {
+            "decide": 2860, "construct": 2860, "brute_decide": 2860, "ContainerBank": 5720,
+            "lengths_to_instance": 4046, "solution_to_codebook": 1186, "verify_codebook": 1186,
+        }
+
     @pytest.mark.parametrize("flipped", [(300, 400), (2850,)], ids=["one-batch-past-the-first", "last-partial-batch"])
     def test_fault_reported_at_its_spec(self, capsys, monkeypatch, flipped):
         from prefixpack import oracle

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from prefixpack.codes import (
     Codeword,
     SourceDistribution,
+    _chunks,
     _encode,
     entropy_bound,
     kraft_sum,
@@ -306,6 +307,17 @@ class TestEncode:
         top = min(base, 36) ** width
         value = data.draw(st.one_of(st.integers(0, top - 1), st.integers(-3, top + 3), st.integers(top, 2 * top)))
         assert outcome(_encode, value, base, width) == outcome(encode_reference, value, base, width)
+
+    @pytest.mark.parametrize("base", [2, 3, 16, 36])
+    def test_values_out_of_range_at_the_chunk_widths(self, base):
+        # below one chunk, at one chunk and above it: -1 and base**width do not fit, 0 and base**width - 1 do
+        k = _chunks(base)[0]
+        for width in (k - 1, k, k + 1):
+            for value in (-1, base**width):
+                with pytest.raises(ValueError, match="value does not fit in the requested digit width"):
+                    _encode(value, base, width)
+            assert _encode(0, base, width) == "0" * width
+            assert _encode(base**width - 1, base, width) == "0123456789abcdefghijklmnopqrstuvwxyz"[base - 1] * width
 
     def test_every_value_of_a_width(self):
         for base in range(2, 37):

@@ -268,6 +268,55 @@ class TestSpecFromGroups:
                 assert twin == value and type(twin) is type(value)
 
 
+def unpack_message(pair) -> str:
+    """What the interpreter says when a pair of another width is unpacked into (l1, l2)."""
+    try:
+        l1, l2 = pair
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{pair!r} unpacks")
+
+
+# (name, length pairs, outcome): an error's (type, message), or the groups of the spec built
+PAIR_CASES = [
+    ("negative", [(1, 0), (0, -1)], (ValueError, "codeword lengths must be >= 0, got (0, -1)")),
+    ("float", [(0, 1), (1.0, 0)], (ValueError, "codeword lengths must be integers, got (1.0, 0)")),
+    ("string", [(0, "1")], (ValueError, "codeword lengths must be integers, got (0, '1')")),
+    ("none", [(None, 0)], (ValueError, "codeword lengths must be integers, got (None, 0)")),
+    ("first-bad-pair-named", [(2, 2), (0, -1), (1.0, 0)], (ValueError, "codeword lengths must be >= 0, got (0, -1)")),
+    ("width-1", [(1, 0), (1,)], (ValueError, unpack_message((1,)))),
+    ("width-3", [(1, 0), (1, 0, 0)], (ValueError, unpack_message((1, 0, 0)))),
+    ("bool", [(True, 0), (0, False), (1, 0)], {(1, 0): 2, (0, 0): 1}),
+    ("int-enum", [(Level.ONE, 0), (0, Level.TWO), (1, 1)], {(1, 0): 1, (0, 2): 1, (1, 1): 1}),
+]
+
+
+def spec_check_cases():
+    for name, pairs, outcome in PAIR_CASES:
+        yield pytest.param(ProblemSpec, pairs, outcome, id=f"{name}-lengths")
+        yield pytest.param(ProblemSpec.from_groups, Counter(pairs), outcome, id=f"{name}-groups")
+    for count in (0, True, 1.0):
+        groups = {(1, 0): 1, (0, 1): count}
+        yield pytest.param(ProblemSpec.from_groups, groups, (ValueError, "codeword counts must be integers >= 1"),
+                           id=f"count-{count!r}")
+
+
+@pytest.mark.parametrize("build, pairs, outcome", spec_check_cases())
+def test_spec_checks_and_conversions(build, pairs, outcome):
+    """Each rejection names the first bad pair, with the type and message the per-pair checks gave,
+    and bools and IntEnums are stored as exact ints, under both constructors."""
+    if isinstance(outcome, dict):
+        spec = build(Arities(2, 3), pairs)
+        assert spec.groups == outcome and Counter(spec.lengths) == outcome
+        assert {type(v) for pair in (*spec.groups, *spec.lengths) for v in pair} == {int}
+        assert (spec.m, spec.l1max, spec.l2max) == (sum(outcome.values()), *map(max, zip(*outcome)))
+    else:
+        kind, message = outcome
+        with pytest.raises(Exception) as info:
+            build(Arities(2, 3), pairs)
+        assert (type(info.value), str(info.value)) == (kind, message)
+
+
 pairs = st.tuples(st.integers(0, 6) | st.booleans(), st.integers(0, 6) | st.booleans())
 
 

@@ -2,7 +2,8 @@
 
 Usage, from the repository root:
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py                     # every mutant
+    python3 tools/mutants.py NAME [NAME ...]     # only the named mutants
 
 Each mutant is one text replacement in one source file.  For each, the
 script copies src/, tests/, benchmarks/ and README.md (which tests read)
@@ -67,11 +68,13 @@ MUTANTS = [
     ("folded-origins-in-front", PACKER,
      "along_o[d - 1] += _tile(along_o[d], a, 0, q * step, step)",
      "along_o[d - 1] = _tile(along_o[d], a, 0, q * step, step) + along_o[d - 1]"),
+    ("tile-moves-nothing-at-an-offset", PACKER,  # one offset that is not 0 still moves the origins
+     "(lo, hi) == (0, step)", "hi - lo == step"),
     ("tile-offset-major", PACKER,
      "return [(x + s, y) for x, y in origins for s in offsets]",
      "return [(x + s, y) for s in offsets for x, y in origins]"),
     ("equal-arity-table-sized-by-channel-1", PACKER,  # the shared table must reach both caps
-     "max(l1max, l2max) if q.q1 == q.q2 else l1max", "l1max"),
+     "max(l1max, l2max) if q1 == q2 else l1max", "l1max"),
     ("pack-tie-break-swapped", PACKER,
      "blocks.append((max(w, h), w, h, ll))", "blocks.append((max(w, h), h, w, ll))"),
     ("pack-skips-row-cap-descent", PACKER,  # a descent that moves only cap_j is skipped
@@ -87,19 +90,21 @@ MUTANTS = [
     ("corner-copy-unstamped", PACKER,
      "        self.stamps[1 - a][c] = d - 1  # the corner's copy is up to date\n", ""),
     ("fold-reads-stale-cell", PACKER,
-     "        self._fresh(a, d - 1)\n", ""),
+     "        if self.stamps[a][d - 1] != c:\n            self._fresh(a, d - 1)\n", ""),
     ("take-from-stale-cell", PACKER,
-     "            self._fresh(a, k)\n", ""),
+     "            if stamps[k] != now:\n                self._fresh(a, k)\n", ""),
+    ("take-freshens-only-fresh-cells", PACKER,  # the walk's stamp test inverted
+     "if stamps[k] != now:", "if stamps[k] == now:"),
     ("deposit-on-stale-cell", PACKER,
-     "                    self._fresh(a, t)\n", ""),
+     "                    if stamps[t] != now:\n                        self._fresh(a, t)\n", ""),
     ("stale-origins-untiled", PACKER,
-     "                spots[t] = _tile(spots[t], b, 0, self.pows[b][was], self.pows[b][now])\n", ""),
+     "            spots[t] = _tile(spots[t], b, 0, self.pows[b][was], self.pows[b][now])\n", ""),
     ("counts-view-ignores-stamps", PACKER,
      "        col = [n * self.pow1[s - ci] for n, s in zip(col, scol)]\n"
      "        return [{cj: row[i] * self.pow2[srow[i] - cj]} for i in range(ci)] + [col]\n",
      "        return [{cj: row[i]} for i in range(ci)] + [col]\n"),
     ("construct-owners-reversed", PACKER,
-     "iter(tuple(islice(placed, spec.groups[ll])))", "iter(tuple(islice(placed, spec.groups[ll]))[::-1])"),
+     "iter(tuple(islice(placed, groups[ll])))", "iter(tuple(islice(placed, groups[ll]))[::-1])"),
     ("json-admits-bool-lengths", CLI,
      "chain.from_iterable(rows))) <= {int}", "chain.from_iterable(rows))) <= {int, bool}"),
     ("json-skips-arity-check", CLI,
@@ -150,6 +155,8 @@ MUTANTS = [
      "zip(batch, verdicts, placements, brutes)", "zip(batch, verdicts[1:] + verdicts[:1], placements, brutes)"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
+    ("encode-one-chunk-admits-negative", CODES,  # table[-1] would read the last digit string
+     "0 <= value < base**width", "value < base**width"),
     ("encode-top-digits-from-the-front", CODES,
      "table[d][k - width % k:]", "table[d][:width % k]"),
     ("instance-width-from-channel-2", CODES,
@@ -163,7 +170,13 @@ MUTANTS = [
     ("kraft-equal-arities-not-merged", CODES,
      "top[qi] = top.get(qi, 0) + max(column)", "top[qi] = max(column)"),
     ("spec-l1max-reads-channel-2", MODEL,
-     "max((l1 for l1, _ in groups), default=0)", "max((l2 for _, l2 in groups), default=0)"),
+     '_set(self, "_l1max", max(l1s))', '_set(self, "_l1max", max(l2s))'),
+    ("spec-pairs-of-any-width", MODEL,  # zip stops at the shortest pair
+     "zip(*groups, strict=True)", "zip(*groups)"),
+    ("spec-plain-check-admits-bools", MODEL,
+     "{*map(type, both := l1s + l2s)} == {int}", "{*map(type, both := l1s + l2s)} <= {int, bool}"),
+    ("spec-plain-check-admits-negatives", MODEL,
+     " and min(both) >= 0", ""),
     ("oracle-repeat-rule-for-every-block", ORACLE,
      "floor = last if repeat else -1", "floor = last"),
     ("oracle-block-mask-one-row-short", ORACLE,
@@ -220,19 +233,23 @@ def check_targets() -> None:
             raise SystemExit(f"{name}: {file} holds the text to replace {count} times: {old!r}")
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     check_targets()
+    unknown = sorted(set(names) - {name for name, *_ in MUTANTS})
+    if unknown:
+        raise SystemExit(f"no mutant named {', '.join(unknown)}")
+    chosen = [mutant for mutant in MUTANTS if not names or mutant[0] in names]
     survivors = []
-    for name, file, old, new in MUTANTS:
+    for name, file, old, new in chosen:
         start = time.monotonic()
         survived, summary = run_mutant(file, old, new)
         verdict = "SURVIVED" if survived else "caught"
         print(f"{verdict:8} {name:32} {time.monotonic() - start:6.1f} s  {summary}", flush=True)
         if survived:
             survivors.append(name)
-    print(f"{len(survivors)} of {len(MUTANTS)} mutants survived" + (": " + ", ".join(survivors) if survivors else ""))
+    print(f"{len(survivors)} of {len(chosen)} mutants survived" + (": " + ", ".join(survivors) if survivors else ""))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
