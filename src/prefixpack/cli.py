@@ -27,7 +27,8 @@ if TYPE_CHECKING:
     from .packer import Locations
 
 # Each command imports codes and packer itself, as it needs them, and calls
-# them as module attributes, so that a launch compiles only what it runs.
+# them as module attributes, so that a launch compiles only what it runs; for
+# the same reason render and the selftest sweep have modules of their own.
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -35,11 +36,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_SELFTEST_FAILED = 3
 
 DEFAULT_SELFTEST_ARITIES = ((2, 2), (2, 3), (3, 2), (3, 3))
-# Specs per selftest batch.  Each procedure runs over a whole batch before the
-# next starts, which keeps its working set hot: run spec by spec, decide and
-# the oracle each took about twice their time alone.  Batches of 64 to 4,096
-# specs ran the default sweep in about the same time (CPython 3.11, 2-CPU Xeon).
-SELFTEST_BATCH = 256
 
 # construct/render keep an origin per free container, up to one per grid cell;
 # refuse grids past this size rather than letting a valid-looking file take the
@@ -424,8 +420,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         # for a single-channel file the padded channel-2 words are all empty
         book = codes.solution_to_codebook(spec, locations)
         payload["codebook"] = [{"c1": word.c1, "c2": word.c2} for word in book]
-    frac = codes.kraft_sum(inst.qs, inst.groups)
-    payload["kraft"] = f"{frac.numerator}/{frac.denominator}"
+    numerator, denominator = codes.kraft_ratio(inst.qs, inst.groups)
+    payload["kraft"] = f"{numerator}/{denominator}"
     triple = _entropy_triple(inst)
     if triple is not None:
         avg, ent, slack = triple
@@ -443,9 +439,9 @@ def cmd_kraft(args: argparse.Namespace) -> int:
     from . import codes
 
     _guard_code_space(qs, [max(column) for column in zip(*groups)])
-    frac = codes.kraft_sum(qs, groups)  # its ValueError exits 2 through main
-    verdict = "SATISFIED" if frac <= 1 else "VIOLATED"
-    print(f"{frac.numerator}/{frac.denominator} {verdict}")
+    numerator, denominator = codes.kraft_ratio(qs, groups)  # its ValueError exits 2 through main
+    verdict = "SATISFIED" if numerator <= denominator else "VIOLATED"
+    print(f"{numerator}/{denominator} {verdict}")
     return EXIT_EXISTS
 
 
@@ -462,140 +458,21 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return EXIT_EXISTS
 
 
-def _svg_axis_map(total: int, canvas: float, log_mode: bool):
-    if log_mode:
-        denom = math.log1p(total)
-        return lambda v: canvas * math.log1p(v) / denom
-    return lambda v: canvas * v / total
-
-
-def render_svg(spec: ProblemSpec, locations: Locations) -> str:
-    """SVG diagram over a q-power grid: one labeled rectangle per codeword's
-    block, at its (x, y) from locations, which follow the spec's order.
-
-    Axes switch to logarithmic scaling once a channel exceeds 10 symbols of
-    maximum length (true scale would be astronomically wide); labels stay
-    exact either way.
-    """
-    from . import codes
-
-    q = spec.arities
-    l1max, l2max = spec.l1max, spec.l2max
-    book = codes.solution_to_codebook(spec, locations)
-    blocks, (_, _, width, height) = codes.lengths_to_instance(spec)
-    cw, ch = 640.0, 480.0
-    log_mode = max(l1max, l2max) > 10
-    fx = _svg_axis_map(width, cw, log_mode)
-    fy = _svg_axis_map(height, ch, log_mode)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cw:.0f}" height="{ch:.0f}" '
-        f'viewBox="0 0 {cw:.0f} {ch:.0f}" version="1.1">',
-        f'<rect class="container" x="0" y="0" width="{cw:.2f}" height="{ch:.2f}" '
-        'fill="white" stroke="black"/>',
-    ]
-    # Grid lines at q-power boundaries, vertical then horizontal, coarse levels
-    # first, finest level capped to keep files sane.  Each level draws only the
-    # lines off the coarser level's (t % q != 0), so every line appears once.
-    max_lines = 64
-    for qa, lmax, extent, ends in (
-        (q.q1, l1max, width, lambda x: f'x1="{fx(x):.2f}" y1="0" x2="{fx(x):.2f}" y2="{ch:.2f}"'),
-        (q.q2, l2max, height, lambda y: f'x1="0" y1="{ch - fy(y):.2f}" x2="{cw:.2f}" y2="{ch - fy(y):.2f}"'),
-    ):
-        for k in range(lmax, -1, -1):
-            step = qa**k
-            if extent // step > max_lines:
-                break
-            parts += (
-                f'<line class="grid" {ends(t * step)} stroke="#cccccc" stroke-width="0.5"/>'
-                for t in range(1, extent // step)
-                if t % qa
-            )
-    palette = ("#e66a6a", "#6a8fe6", "#6ce08b", "#e0c76c", "#b96ce0", "#6cd8e0")
-    for idx, ((x, y), (w, h), word) in enumerate(zip(locations, blocks, book)):
-        x0, x1 = fx(x), fx(x + w)
-        # SVG y runs downward; flip so larger y sits higher.
-        y0, y1 = ch - fy(y + h), ch - fy(y)
-        color = palette[idx % len(palette)]
-        label = f"{word.c1 or 'ε'},{word.c2 or 'ε'}"
-        parts.append(
-            f'<rect class="block" x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-            f'height="{y1 - y0:.2f}" fill="{color}" fill-opacity="0.6" stroke="black"/>'
-        )
-        parts.append(
-            f'<text class="label" x="{(x0 + x1) / 2:.2f}" y="{(y0 + y1) / 2:.2f}" '
-            f'font-size="12" text-anchor="middle">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     _, spec, locations = _load_and_construct(args)
     if locations is None:
         print("NOT-EXISTS")
         return EXIT_NOT_EXISTS
+    from .render import render_svg
+
     write_output(args.svg, render_svg(spec, locations))
     return EXIT_EXISTS
 
 
-def _parse_arity_flag(values: list[str] | None) -> tuple[tuple[int, int], ...]:
-    if not values:
-        return DEFAULT_SELFTEST_ARITIES
-    pairs = []
-    for value in values:
-        bits = value.split(",")
-        _require(len(bits) == 2, f"--arities wants Q1,Q2 pairs, got {value!r}")
-        try:
-            pairs.append((int(bits[0]), int(bits[1])))
-        except ValueError as exc:
-            raise InputError(f"--arities wants integers, got {value!r}") from exc
-    return tuple(pairs)
-
-
-def _where(spec: ProblemSpec) -> str:
-    """The instance a selftest failure names."""
-    return f"q=({spec.arities.q1},{spec.arities.q2}) lengths={list(spec.lengths)}"
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from . import codes, oracle, packer  # oracle: only the sweep needs the brute-force references
+    from . import selftest
 
-    arity_pairs = _parse_arity_flag(args.arities)
-    for flag, value in (("--max-m", args.max_m), ("--max-len", args.max_len)):
-        _require(value >= 0, f"{flag} must be >= 0, got {value}")
-    max_dim = 1  # the empty multiset's container is 1 x 1
-    if args.max_m >= 1:
-        # the sweep constructs every spec; a lone (max_len, max_len) codeword has the largest grid
-        for q1, q2 in arity_pairs:
-            _guard_construct_size(ProblemSpec(Arities(q1, q2), ((args.max_len, args.max_len),)))
-        max_dim = max(max(q1, q2) ** args.max_len for q1, q2 in arity_pairs)
-    limits = oracle.OracleLimits(
-        max_m=max(args.max_m, 1), max_dim=max_dim, max_nodes=5_000_000
-    )
-    checked = 0
-    specs = oracle.enumerate_instances(arity_pairs, args.max_m, args.max_len)
-    # the checks walk each batch in enumeration order, so a failure names the first spec that fails
-    while batch := list(itertools.islice(specs, SELFTEST_BATCH)):
-        verdicts = [packer.decide(spec) for spec in batch]
-        placements = [packer.construct(spec) for spec in batch]
-        instances = [codes.lengths_to_instance(spec) for spec in batch]
-        brutes = [oracle.brute_decide(inst.blocks, [inst.container], limits) for inst in instances]
-        for spec, fast, locations, brute in zip(batch, verdicts, placements, brutes):
-            built = locations is not None
-            if brute == "budget_exceeded":
-                print(f"selftest: oracle budget exceeded on {_where(spec)}")
-                return EXIT_SELFTEST_FAILED
-            expect = brute == "yes"
-            if fast != expect or built != expect:
-                print(f"selftest: DISAGREEMENT on {_where(spec)}: fast={fast} construct={built} brute={expect}")
-                return EXIT_SELFTEST_FAILED
-            if built and not codes.verify_codebook(codes.solution_to_codebook(spec, locations)):
-                print(f"selftest: INVALID CODEBOOK on {_where(spec)}")
-                return EXIT_SELFTEST_FAILED
-            checked += 1
-    print(f"selftest: {checked} instances, all procedures agree")
-    return EXIT_EXISTS
+    return selftest.run(args.arities, args.max_m, args.max_len)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -91,8 +91,18 @@ def _descending_powers(q: int, top: int, spent: Sequence[int]) -> dict[int, int]
 def kraft_sum(
     qs: Sequence[int], lengths: Sequence[Sequence[int]] | Counter[tuple[int, ...]]
 ) -> Fraction:
-    """Exact sum over codewords of the product of q_i**(-l_i), any channel count, as
-    one numerator over the product of q_i**lmax_i with equal tuples counted once.
+    """Exact sum over codewords of the product of q_i**(-l_i), any channel count:
+    kraft_ratio as a Fraction."""
+    from fractions import Fraction  # loaded by library callers only; no command prints a Fraction
+
+    return Fraction(*kraft_ratio(qs, lengths))
+
+
+def kraft_ratio(
+    qs: Sequence[int], lengths: Sequence[Sequence[int]] | Counter[tuple[int, ...]]
+) -> tuple[int, int]:
+    """The Kraft sum in lowest terms, (numerator, denominator), built as one
+    numerator over the product of q_i**lmax_i with equal tuples counted once.
 
     lengths is the codewords' length tuples, or their histogram as a Counter.
 
@@ -103,13 +113,11 @@ def kraft_sum(
     folded into the numerator by one Horner pass over those lengths, so no
     group costs a product of big powers.
     """
-    from fractions import Fraction  # loaded by the commands that print a Kraft sum, not by decide
-
     groups = lengths if isinstance(lengths, Counter) else Counter(map(tuple, lengths))
     _validate_channels(qs, groups)
     columns = list(zip(*groups))  # one tuple of lengths per channel, in group order
     if not columns:  # no codewords, or no channels: every term is the empty product
-        return Fraction(sum(groups.values()))
+        return sum(groups.values()), 1
     top: dict[int, int] = {}
     spent: dict[int, Sequence[int]] = {}
     for qi, column in zip(qs, columns):
@@ -128,7 +136,9 @@ def kraft_sum(
         numerator = numerator * q ** (length - last) + by_length[length]
         last = length
     numerator *= q ** (top[q] - last)
-    return Fraction(numerator, math.prod(qi**t for qi, t in top.items()))
+    denominator = math.prod(qi**t for qi, t in top.items())
+    common = math.gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 def entropy_bound(

@@ -82,8 +82,8 @@ class ProblemSpec(_Value):
     histogram's order, and are built only when read (construct and the
     codebook read them; decide does not).
 
-    Either way each distinct pair is checked once, and pairs of other
-    integral types (bools) are stored as exact ints.
+    Either way each given pair is checked, and pairs of other integral
+    types (bools) are stored as exact ints.
     """
 
     __slots__ = ("arities", "_lengths", "groups", "_m", "_l1max", "_l2max")
@@ -105,37 +105,43 @@ class ProblemSpec(_Value):
         return spec
 
     def __post_init__(self) -> None:
-        """Count the lengths, or copy the histogram, check each distinct pair
-        once, and keep m, l1max and l2max."""
+        """Check the given pairs, count the lengths or copy the histogram, and
+        keep m, l1max and l2max.
+
+        The check reads the lengths as given, not their counted keys: Counter
+        merges (1.0, 0) and (True, 0) into an earlier (1, 0), and would hide
+        them from a check on the keys."""
         lengths, groups = self._lengths, self.groups
         if groups is None:
-            lengths = tuple(map(tuple, lengths))
-            groups = Counter(lengths)
+            pairs = lengths = tuple(map(tuple, lengths))
         else:
-            groups = Counter(groups)
+            pairs = groups = Counter(groups)
             if not ({*map(type, groups.values())} <= {int} and min(groups.values(), default=1) >= 1):
                 raise ValueError("codeword counts must be integers >= 1")
         try:  # the pairs as a whole, one column per channel; the loop below names a bad pair
-            l1s, l2s = zip(*groups, strict=True) if groups else ((0,), (0,))
+            l1s, l2s = zip(*pairs, strict=True) if pairs else ((0,), (0,))
             plain = {*map(type, both := l1s + l2s)} == {int} and min(both) >= 0
         except (TypeError, ValueError):  # a pair that is not two items
             plain = False
         if not plain:
-            for l1, l2 in groups:
+            for l1, l2 in pairs:
                 try:
                     low = min(operator.index(l1), operator.index(l2))
                 except TypeError:
                     raise ValueError(f"codeword lengths must be integers, got ({l1!r}, {l2!r})") from None
                 if low < 0:
                     raise ValueError(f"codeword lengths must be >= 0, got ({l1}, {l2})")
-            if any(type(l) is not int for pair in groups for l in pair):  # bools and the like become ints
+            # every value is a non-negative integer, and one is not of type int (a bool, say): all become ints
+            if lengths is None:
                 exact = Counter()
                 for (l1, l2), n in groups.items():
                     exact[operator.index(l1), operator.index(l2)] += n
-                groups = exact
-                if lengths is not None:
-                    lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
-            l1s, l2s = zip(*groups)
+                pairs = groups = exact
+            else:
+                pairs = lengths = tuple((operator.index(l1), operator.index(l2)) for l1, l2 in lengths)
+            l1s, l2s = zip(*pairs)
+        if groups is None:
+            groups = Counter(lengths)
         _set(self, "_lengths", lengths)
         _set(self, "groups", groups)
         _set(self, "_m", sum(groups.values()))

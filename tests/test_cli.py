@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prefixpack import cli, packer
-from prefixpack.codes import Codeword, verify_codebook
+from prefixpack.codes import Codeword, kraft_sum, verify_codebook
 from prefixpack.model import Arities, ProblemSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -179,7 +179,47 @@ class TestConstruct:
         assert "cannot write" in capsys.readouterr().err
 
 
+@st.composite
+def kraft_cases(draw):
+    """(qs, lengths) over 1 to 3 channels of arity 2 or 3, lengths up to 4:
+    any list of length tuples (empty included; a low top length makes sums
+    above 1 likely), or a complete code, whose Kraft sum is exactly 1, grown
+    by splitting a leaf on one channel."""
+    channels = draw(st.integers(1, 3))
+    qs = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=channels, max_size=channels)))
+    if not draw(st.booleans()):
+        top = draw(st.integers(0, 4))
+        return qs, draw(st.lists(st.tuples(*[st.integers(0, top)] * channels), max_size=8))
+    lengths = [(0,) * channels]
+    for _ in range(draw(st.integers(0, 4))):
+        leaf = lengths.pop(draw(st.integers(0, len(lengths) - 1)))
+        c = draw(st.integers(0, channels - 1))
+        lengths += [(*leaf[:c], leaf[c] + 1, *leaf[c + 1:])] * qs[c]
+    return qs, lengths
+
+
 class TestKraft:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kraft_cases())
+    @example(((2, 3), []))
+    @example(((2, 2, 3), []))
+    @example(((2,), [(2,), (1,)]))  # below 1
+    @example(((2, 3), [(1, 1), (0, 2)]))  # below 1
+    @example(((3,), [(1,)] * 3))  # at 1
+    @example(((2, 2), [(1, 0), (0, 1), (2, 2)]))  # above 1
+    def test_kraft_string_is_kraft_sums_fraction(self, tmp_path, capsys, case):
+        # kraft and construct print the sum in lowest terms, as kraft_sum's Fraction reads
+        qs, lengths = case
+        total = kraft_sum(qs, lengths)
+        want = f"{total.numerator}/{total.denominator}"
+        path = write_json(tmp_path, {"q": list(qs), "lengths": lengths})
+        assert cli.main(["kraft", "--input", path]) == 0
+        assert capsys.readouterr() == (f"{want} {'SATISFIED' if total <= 1 else 'VIOLATED'}\n", "")
+        if len(qs) <= 2:  # the packing commands take at most two channels
+            assert cli.main(["construct", "--input", path]) in (0, 1)
+            assert json.loads(capsys.readouterr().out)["kraft"] == want
+
     def test_counterexample_satisfied(self, tmp_path, capsys):
         path = write_json(tmp_path, COUNTEREXAMPLE)
         assert cli.main(["kraft", "--input", path]) == 0
@@ -441,7 +481,7 @@ class TestSelftest:
 
     @pytest.mark.parametrize("flipped", [(300, 400), (2850,)], ids=["one-batch-past-the-first", "last-partial-batch"])
     def test_fault_reported_at_its_spec(self, capsys, monkeypatch, flipped):
-        from prefixpack import oracle
+        from prefixpack import oracle, selftest
 
         real = packer.decide
         calls = itertools.count(1)
@@ -450,7 +490,7 @@ class TestSelftest:
         spec = list(oracle.enumerate_instances(cli.DEFAULT_SELFTEST_ARITIES, 4, 2))[flipped[0] - 1]
         verdict = real(spec)
         assert capsys.readouterr().out == (
-            f"selftest: DISAGREEMENT on {cli._where(spec)}: fast={not verdict} construct={verdict} brute={verdict}\n"
+            f"selftest: DISAGREEMENT on {selftest._where(spec)}: fast={not verdict} construct={verdict} brute={verdict}\n"
         )
 
     def test_oracle_budget_reported(self, capsys, monkeypatch):

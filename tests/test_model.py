@@ -289,12 +289,20 @@ PAIR_CASES = [
     ("bool", [(True, 0), (0, False), (1, 0)], {(1, 0): 2, (0, 0): 1}),
     ("int-enum", [(Level.ONE, 0), (0, Level.TWO), (1, 1)], {(1, 0): 1, (0, 2): 1, (1, 1): 1}),
 ]
+# Pairs that Counter merges into an int pair listed before them, so that their
+# histogram holds only ints: the lengths as given must still be checked.
+MERGED_PAIR_CASES = [
+    ("float-after-its-int-twin", [(1, 0), (1.0, 0)], (ValueError, "codeword lengths must be integers, got (1.0, 0)")),
+    ("bool-after-its-int-twin", [(1, 0), (True, 0)], {(1, 0): 2}),
+]
 
 
 def spec_check_cases():
     for name, pairs, outcome in PAIR_CASES:
         yield pytest.param(ProblemSpec, pairs, outcome, id=f"{name}-lengths")
         yield pytest.param(ProblemSpec.from_groups, Counter(pairs), outcome, id=f"{name}-groups")
+    for name, pairs, outcome in MERGED_PAIR_CASES:
+        yield pytest.param(ProblemSpec, pairs, outcome, id=f"{name}-lengths")
     for count in (0, True, 1.0):
         groups = {(1, 0): 1, (0, 1): count}
         yield pytest.param(ProblemSpec.from_groups, groups, (ValueError, "codeword counts must be integers >= 1"),

@@ -17,12 +17,18 @@ README = REPO / "README.md"
 
 # Modules that decide and kraft do not run; each costs its import (and its
 # compile, when no bytecode is cached) on every launch that loads it.
-NOT_LOADED_BY_CLI = ["dataclasses", "fractions", "inspect", "prefixpack.geometry", "prefixpack.oracle"]
+# fractions would bring decimal and numbers: no command prints a Fraction.
+NOT_LOADED_BY_CLI = [
+    "dataclasses", "decimal", "fractions", "inspect", "numbers",
+    "prefixpack.geometry", "prefixpack.oracle", "prefixpack.render", "prefixpack.selftest",
+]
 # Loaded by the commands that run them: decide loads packer and not codes.
 NOT_LOADED_BY_CLI_IMPORT = ["prefixpack.codes", "prefixpack.packer"]
-# The reference packing world and the brute-force oracle.  Only selftest loads
-# the oracle, and no command loads geometry: the oracle takes bare tuples.
-REFERENCES = ["prefixpack.geometry", "prefixpack.oracle"]
+# Modules that only some commands load.  Only selftest loads the sweep and the
+# oracle, only render loads render, and no command loads geometry (the oracle
+# takes bare tuples) or fractions and the modules it imports.
+LOADED_BY_SOME = ["decimal", "fractions", "numbers", "prefixpack.geometry", "prefixpack.oracle",
+                  "prefixpack.render", "prefixpack.selftest"]
 
 LIBRARY_API = [
     "Arities",
@@ -110,20 +116,21 @@ CONSTRUCTED = {"codebook": [{"c1": "1", "c2": "1"}, {"c1": "0", "c2": ""}], "dec
 
 
 @pytest.mark.parametrize(
-    "argv, lengths, out, references",
+    "argv, lengths, out, loaded",
     [
         (["kraft", "--input", "inst.json"], [[1, 0], [0, 1], [2, 2]], "17/16 VIOLATED\n", []),
         (["construct", "--input", "inst.json"], [[1, 1], [1, 0]],
          json.dumps(CONSTRUCTED, sort_keys=True, indent=2) + "\n", []),
+        (["render", "--input", "inst.json", "--svg", "out.svg"], [[1, 1], [1, 0]], "", ["prefixpack.render"]),
         (["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"], [],
-         "selftest: 15 instances, all procedures agree\n", ["prefixpack.oracle"]),
+         "selftest: 15 instances, all procedures agree\n", ["prefixpack.oracle", "prefixpack.selftest"]),
     ],
-    ids=["kraft", "construct", "selftest"],
+    ids=["kraft", "construct", "render", "selftest"],
 )
-def test_lazily_loaded_commands_run_from_a_fresh_process(tmp_path, argv, lengths, out, references):
-    # stderr lists the reference modules the command loaded
+def test_lazily_loaded_commands_run_from_a_fresh_process(tmp_path, argv, lengths, out, loaded):
+    # stderr lists the modules of LOADED_BY_SOME that the command loaded
     code = ("import sys\nfrom prefixpack.cli import main\nexit_code = main(sys.argv[1:])\n"
-            f"print(*[name for name in {REFERENCES!r} if name in sys.modules], file=sys.stderr)\n"
+            f"print(*[name for name in {LOADED_BY_SOME!r} if name in sys.modules], file=sys.stderr)\n"
             "sys.exit(exit_code)\n")
     done = run_fresh(tmp_path, code, *argv, lengths=lengths)
-    assert (done.returncode, done.stdout, done.stderr) == (0, out, " ".join(references) + "\n")
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, " ".join(loaded) + "\n")

@@ -36,6 +36,7 @@ CLI = "src/prefixpack/cli.py"
 CODES = "src/prefixpack/codes.py"
 MODEL = "src/prefixpack/model.py"
 ORACLE = "src/prefixpack/oracle.py"
+SELFTEST = "src/prefixpack/selftest.py"
 SIGMA_ORACLE = "tests/sigma_oracle.py"
 AUDITED_BANK = "tests/audited_bank.py"
 
@@ -146,12 +147,12 @@ MUTANTS = [
      "enumerate(lengths, 1)", "enumerate(lengths)"),
     ("selftest-domain-for-zero-m", ORACLE,
      "if max_m >= 1 else []", "if True else []"),
-    ("selftest-ignores-construct-verdict", CLI,
+    ("selftest-ignores-construct-verdict", SELFTEST,
      "if fast != expect or built != expect:", "if fast != expect:"),
-    ("selftest-drops-partial-batch", CLI,
+    ("selftest-drops-partial-batch", SELFTEST,
      "while batch := list(itertools.islice(specs, SELFTEST_BATCH)):",
      "while len(batch := list(itertools.islice(specs, SELFTEST_BATCH))) == SELFTEST_BATCH:"),
-    ("selftest-walk-reads-next-verdict", CLI,  # the check walk zipped against a stage list shifted by one
+    ("selftest-walk-reads-next-verdict", SELFTEST,  # the check walk zipped against a stage list shifted by one
      "zip(batch, verdicts, placements, brutes)", "zip(batch, verdicts[1:] + verdicts[:1], placements, brutes)"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
@@ -169,10 +170,15 @@ MUTANTS = [
      "numerator * q ** (length - last) +", "numerator * q ** (length - last + 1) +"),
     ("kraft-equal-arities-not-merged", CODES,
      "top[qi] = top.get(qi, 0) + max(column)", "top[qi] = max(column)"),
+    ("kraft-ratio-unreduced", CODES,  # kraft_sum's Fraction reduces it again; the printed string does not
+     "common = math.gcd(numerator, denominator)", "common = 1"),
     ("spec-l1max-reads-channel-2", MODEL,
      '_set(self, "_l1max", max(l1s))', '_set(self, "_l1max", max(l2s))'),
     ("spec-pairs-of-any-width", MODEL,  # zip stops at the shortest pair
-     "zip(*groups, strict=True)", "zip(*groups)"),
+     "zip(*pairs, strict=True)", "zip(*pairs)"),
+    ("spec-checks-counted-keys", MODEL,  # Counter merges (1.0, 0) into an earlier (1, 0)
+     "            pairs = lengths = tuple(map(tuple, lengths))\n",
+     "            lengths = tuple(map(tuple, lengths))\n            pairs = Counter(lengths)\n"),
     ("spec-plain-check-admits-bools", MODEL,
      "{*map(type, both := l1s + l2s)} == {int}", "{*map(type, both := l1s + l2s)} <= {int, bool}"),
     ("spec-plain-check-admits-negatives", MODEL,
