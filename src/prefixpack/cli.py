@@ -469,10 +469,31 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_EXISTS
 
 
+def _parse_arity_flag(values: list[str] | None) -> tuple[tuple[int, int], ...]:
+    if not values:
+        return DEFAULT_SELFTEST_ARITIES
+    pairs = []
+    for value in values:
+        bits = value.split(",")
+        _require(len(bits) == 2, f"--arities wants Q1,Q2 pairs, got {value!r}")
+        try:
+            pairs.append((int(bits[0]), int(bits[1])))
+        except ValueError as exc:
+            raise InputError(f"--arities wants integers, got {value!r}") from exc
+    return tuple(pairs)
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
+    arity_pairs = _parse_arity_flag(args.arities)
+    for flag, value in (("--max-m", args.max_m), ("--max-len", args.max_len)):
+        _require(value >= 0, f"{flag} must be >= 0, got {value}")
+    if args.max_m >= 1:
+        # the sweep constructs every spec; a lone (max_len, max_len) codeword has the largest grid
+        for q1, q2 in arity_pairs:
+            _guard_construct_size(ProblemSpec(Arities(q1, q2), ((args.max_len, args.max_len),)))
     from . import selftest
 
-    return selftest.run(args.arities, args.max_m, args.max_len)
+    return EXIT_EXISTS if selftest.run(arity_pairs, args.max_m, args.max_len) else EXIT_SELFTEST_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_selftest = sub.add_parser(
         "selftest", help="sweep small instances against the brute-force oracle"
     )
-    p_selftest.add_argument("--max-m", type=int, default=4)
+    p_selftest.add_argument("--max-m", type=int, default=5)
     p_selftest.add_argument("--max-len", type=int, default=2)
     default = " ".join(f"{q1},{q2}" for q1, q2 in DEFAULT_SELFTEST_ARITIES)
     p_selftest.add_argument(

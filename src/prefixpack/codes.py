@@ -217,9 +217,14 @@ def _encode(value: int, base: int, width: int) -> str:
     return "".join(reversed(chunks))
 
 
-def solution_to_codebook(spec: ProblemSpec, locations: Sequence[tuple[int, int]]) -> Codebook:
+def solution_to_codebook(
+    spec: ProblemSpec, locations: Sequence[tuple[int, int]], instance: CanonicalInstance | None = None
+) -> Codebook:
     """Codewords read off the canonical instance's block locations, one
-    (x, y) per codeword in the spec's order.
+    (x, y) per codeword in the spec's order.  instance is the spec's
+    canonical instance, lengths_to_instance(spec), when the caller has built
+    it already (the selftest sweep builds it for the oracle); otherwise it
+    is built here.
 
     A block of width w at x covers leaves [x, x+w), i.e. the subtree of the
     prefix x // w; its base-q1 digits, most significant first, are the
@@ -229,7 +234,7 @@ def solution_to_codebook(spec: ProblemSpec, locations: Sequence[tuple[int, int]]
     if len(locations) != spec.m:
         raise ValueError(f"{len(locations)} locations for {spec.m} codewords")
     q1, q2 = spec.arities.q1, spec.arities.q2
-    blocks, (_, _, width, height) = lengths_to_instance(spec)
+    blocks, (_, _, width, height) = lengths_to_instance(spec) if instance is None else instance
     words = []
     for idx, ((l1, l2), (w, h), (x, y)) in enumerate(zip(spec.lengths, blocks, locations)):
         if x % w or y % h:

@@ -84,6 +84,13 @@ class ProblemSpec(_Value):
 
     Either way each given pair is checked, and pairs of other integral
     types (bools) are stored as exact ints.
+
+    spec.with_arities(arities) is the same multiset over other arities,
+    equal to ProblemSpec(arities, spec.lengths) but built without checking
+    or counting the pairs again: the checks do not read the arities.  It
+    copies the histogram, so the two specs share no mutable state.  The
+    selftest sweep's enumerator validates each length multiset once this
+    way, for the first arity pair, and re-targets it to the others.
     """
 
     __slots__ = ("arities", "_lengths", "groups", "_m", "_l1max", "_l2max")
@@ -102,6 +109,19 @@ class ProblemSpec(_Value):
         _set(spec, "_lengths", None)
         _set(spec, "groups", groups)
         spec.__post_init__()
+        return spec
+
+    def with_arities(self, arities: Arities) -> ProblemSpec:
+        spec = ProblemSpec.__new__(ProblemSpec)
+        _set(spec, "arities", arities)
+        _set(spec, "_lengths", self._lengths)
+        # a copy of the histogram; Counter(self.groups) costs four times as much, in a Mapping test
+        groups = Counter.__new__(Counter)
+        dict.update(groups, self.groups)
+        _set(spec, "groups", groups)
+        _set(spec, "_m", self._m)
+        _set(spec, "_l1max", self._l1max)
+        _set(spec, "_l2max", self._l2max)
         return spec
 
     def __post_init__(self) -> None:

@@ -14,7 +14,9 @@ their (x, y) do.  Its containers must lie in [0, max_dim]^2, so no mask is
 wider than max_dim^2 bits.  A size's mask and the offsets of its spots, an
 array of machine words, are kept in a bounded cache, which the selftest
 sweep hits on nearly every call: a unit block in a 512 x 512 container has
-262,144 spots, 2 MiB as words and about 40 MiB as (x, y) tuples.
+262,144 spots, 2 MiB as words and about 40 MiB as (x, y) tuples.  Beside
+them, a second bounded cache keeps each size's spot count in the
+containers, which the budget check reads before any spot is listed.
 
 It takes bare tuples, (w, h) sizes and (x, y, w, h) boxes, such as
 codes.lengths_to_instance builds, and does not import the reference packing
@@ -84,6 +86,14 @@ def _layout(size: tuple[int, int], boxes: tuple[Box, ...]) -> tuple[int, array]:
     return block, offsets
 
 
+@functools.lru_cache(maxsize=256)
+def _spot_count(size: tuple[int, int], boxes: tuple[Box, ...]) -> int:
+    """The number of a size's aligned spots in the containers, as many as
+    _layout lists, counted without listing them."""
+    w, h = size
+    return sum(len(_starts(x, cw, w)) * len(_starts(y, ch, h)) for x, y, cw, ch in boxes)
+
+
 def brute_decide(
     blocks: Sequence[tuple[int, int]],
     boxes: Sequence[Box],
@@ -101,34 +111,32 @@ def brute_decide(
     taken so far are one int, and a candidate, its size's mask shifted to
     the spot, is tested against it with one bitwise and; masks and spots
     come from _layout's cache.  More aligned candidates, over all distinct
-    sizes, than max_nodes is over budget too; they are counted before any
-    is listed.
+    sizes, than max_nodes is over budget too; they are counted, by
+    _spot_count's cache beside _layout's, before any is listed.
     """
     if len(blocks) > limits.max_m:
         raise ValueError(f"{len(blocks)} blocks exceed the oracle limit {limits.max_m}")
     boxes = tuple(boxes)
     # sides, and each box's corner plus 1 and far corner, in [1, max_dim]: boxes lie in [0, max_dim]^2
     bounds = [*itertools.chain.from_iterable(blocks)]
+    room = 0
     for x, y, cw, ch in boxes:
         bounds += (cw, ch, x + 1, y + 1, x + cw, y + ch)
+        room += cw * ch
     if bounds and not 1 <= min(bounds) <= max(bounds) <= limits.max_dim:
         raise ValueError(f"sides must lie in [1, {limits.max_dim}] and containers in [0, {limits.max_dim}]^2")
+
+    if sum(itertools.starmap(operator.mul, blocks)) > room:
+        return "no"
+    if sum(map(_spot_count, set(blocks), itertools.repeat(boxes))) > limits.max_nodes:
+        return "budget_exceeded"
 
     # the total order on sizes, longest side, then width, then height: the
     # oracle's own sort, (w, h) descending and then stably by the longest side
     order = sorted(blocks, reverse=True)
     order.sort(key=max, reverse=True)
-    if sum(itertools.starmap(operator.mul, order)) > sum(cw * ch for _, _, cw, ch in boxes):
-        return "no"
-
-    # the aligned spots of every size, counted without listing them
-    sizes = set(order)
-    spots = (len(_starts(x, cw, w)) * len(_starts(y, ch, h)) for w, h in sizes for x, y, cw, ch in boxes)
-    if sum(spots) > limits.max_nodes:
-        return "budget_exceeded"
-    layouts = {s: _layout(s, boxes) for s in sizes}
     # per block: its mask, its spots, and whether it repeats the block before it
-    plan = [(*layouts[s], k > 0 and order[k - 1] == s) for k, s in enumerate(order)]
+    plan = [(*_layout(s, boxes), s == before) for s, before in zip(order, [None, *order])]
     nodes = 0
 
     def search(k: int, taken: int, last: int) -> bool:
@@ -157,12 +165,20 @@ def brute_decide(
 def enumerate_instances(
     q_choices: Sequence[tuple[int, int]], max_m: int, max_len: int
 ) -> Iterator[ProblemSpec]:
-    """Every length multiset up to the bounds, once per multiset, in a fixed order.
+    """Every length multiset up to the bounds over every arity pair, in a
+    fixed order: multiset by multiset, each over the pairs in their order.
 
-    max_m = 0 lists no length pairs: the empty multiset needs none."""
+    Each multiset is checked once, by ProblemSpec for the first pair, and
+    re-targeted to the others (ProblemSpec.with_arities); the stream holds
+    no more than one multiset.  max_m = 0 lists no length pairs: the empty
+    multiset needs none."""
+    if not q_choices:
+        return
+    first, *others = [Arities(q1, q2) for q1, q2 in q_choices]
     domain = [(l1, l2) for l1 in range(max_len + 1) for l2 in range(max_len + 1)] if max_m >= 1 else []
-    for q1, q2 in q_choices:
-        ar = Arities(q1, q2)
-        for m in range(max_m + 1):
-            for combo in itertools.combinations_with_replacement(domain, m):
-                yield ProblemSpec(ar, combo)
+    for m in range(max_m + 1):
+        for combo in itertools.combinations_with_replacement(domain, m):
+            spec = ProblemSpec(first, combo)
+            yield spec
+            for ar in others:
+                yield spec.with_arities(ar)

@@ -447,13 +447,14 @@ class TestSelftest:
         assert capsys.readouterr() == ("selftest: 26 instances, all procedures agree\n", "")
 
     def test_default_sweep_checks_every_batch(self, capsys):
-        # 2,860 specs: eleven full batches and a partial one of 44
+        # 8,008 specs: 31 full batches and a partial one of 72
         assert cli.main(["selftest"]) == 0
-        assert capsys.readouterr() == ("selftest: 2860 instances, all procedures agree\n", "")
+        assert capsys.readouterr() == ("selftest: 8008 instances, all procedures agree\n", "")
 
     def test_default_sweep_makes_every_call(self, capsys, monkeypatch):
-        # each procedure on each of the 2,860 specs (two banks, two canonical
-        # instances for a spec that packs), and a codebook for each of the 1,186 that pack
+        # each procedure on each of the 8,008 specs (two banks, and one canonical
+        # instance, which the oracle and the codebook share), and a codebook for
+        # each of the 2,361 that pack
         from prefixpack import codes, oracle
 
         calls = Counter()
@@ -473,13 +474,30 @@ class TestSelftest:
             counted(codes, name)
         counted(oracle, "brute_decide")
         assert cli.main(["selftest"]) == 0
-        assert capsys.readouterr().out == "selftest: 2860 instances, all procedures agree\n"
+        assert capsys.readouterr().out == "selftest: 8008 instances, all procedures agree\n"
         assert calls == {
-            "decide": 2860, "construct": 2860, "brute_decide": 2860, "ContainerBank": 5720,
-            "lengths_to_instance": 4046, "solution_to_codebook": 1186, "verify_codebook": 1186,
+            "decide": 8008, "construct": 8008, "brute_decide": 8008, "ContainerBank": 16016,
+            "lengths_to_instance": 8008, "solution_to_codebook": 2361, "verify_codebook": 2361,
         }
 
-    @pytest.mark.parametrize("flipped", [(300, 400), (2850,)], ids=["one-batch-past-the-first", "last-partial-batch"])
+    def test_codebook_reads_its_own_instance(self, capsys, monkeypatch):
+        # the sweep hands each codebook the canonical instance it built for the oracle
+        from prefixpack import codes
+
+        real, seen = codes.solution_to_codebook, []
+
+        def recorded(spec, locations, instance=None):
+            seen.append(instance == codes.lengths_to_instance(spec))
+            return real(spec, locations, instance)
+
+        monkeypatch.setattr(codes, "solution_to_codebook", recorded)
+        argv = ["selftest", "--max-m", "3", "--max-len", "2", "--arities", "2,2", "--arities", "3,2"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "selftest: 440 instances, all procedures agree\n"
+        assert len(seen) > 100 and all(seen)
+
+    # the default sweep's last batch holds specs 7,937 to 8,008
+    @pytest.mark.parametrize("flipped", [(300, 400), (8000,)], ids=["one-batch-past-the-first", "last-partial-batch"])
     def test_fault_reported_at_its_spec(self, capsys, monkeypatch, flipped):
         from prefixpack import oracle, selftest
 
@@ -487,7 +505,9 @@ class TestSelftest:
         calls = itertools.count(1)
         monkeypatch.setattr(packer, "decide", lambda spec, **kw: real(spec, **kw) ^ (next(calls) in flipped))
         assert cli.main(["selftest"]) == 3
-        spec = list(oracle.enumerate_instances(cli.DEFAULT_SELFTEST_ARITIES, 4, 2))[flipped[0] - 1]
+        default = cli.build_parser().parse_args(["selftest"])
+        specs = oracle.enumerate_instances(cli.DEFAULT_SELFTEST_ARITIES, default.max_m, default.max_len)
+        spec = list(specs)[flipped[0] - 1]
         verdict = real(spec)
         assert capsys.readouterr().out == (
             f"selftest: DISAGREEMENT on {selftest._where(spec)}: fast={not verdict} construct={verdict} brute={verdict}\n"

@@ -1,5 +1,6 @@
 import copy
 import enum
+import itertools
 import pickle
 import re
 from collections import Counter
@@ -326,6 +327,42 @@ def test_spec_checks_and_conversions(build, pairs, outcome):
 
 
 pairs = st.tuples(st.integers(0, 6) | st.booleans(), st.integers(0, 6) | st.booleans())
+
+
+# the selftest sweep's pairs and their mirrors with 4: every pair with q1, q2 in {2, 3}, and (2, 4), (4, 2)
+RETARGET_PAIRS = [Arities(2, 2), Arities(2, 3), Arities(3, 2), Arities(3, 3), Arities(2, 4), Arities(4, 2)]
+RETARGET_DOMAIN = [(l1, l2) for l1 in range(3) for l2 in range(3)]
+
+
+class TestSpecWithArities:
+    """A re-targeted spec is the spec its lengths would make, checked afresh."""
+
+    def test_equals_a_freshly_checked_spec_on_the_box(self):
+        # every multiset of m <= 5 pairs of lengths <= 2, from each pair to each of the six
+        for m in range(6):
+            for combo in itertools.combinations_with_replacement(RETARGET_DOMAIN, m):
+                first = ProblemSpec(RETARGET_PAIRS[0], combo)
+                for arities in RETARGET_PAIRS:
+                    spec, fresh = first.with_arities(arities), ProblemSpec(arities, combo)
+                    assert spec == fresh and hash(spec) == hash(fresh)
+                    assert spec.arities == arities and spec.lengths == fresh.lengths == combo
+                    assert spec.groups == fresh.groups
+                    assert (spec.m, spec.l1max, spec.l2max) == (fresh.m, fresh.l1max, fresh.l2max)
+
+    def test_from_a_histogram(self):
+        # a spec built from its histogram has no lengths until they are read
+        spec = ProblemSpec.from_groups(Arities(2, 2), {(2, 0): 2, (0, 1): 1})
+        twin = spec.with_arities(Arities(3, 2))
+        assert twin.lengths == spec.lengths == ((2, 0), (2, 0), (0, 1))
+        assert twin == ProblemSpec(Arities(3, 2), spec.lengths)
+
+    def test_shares_no_histogram(self):
+        spec = ProblemSpec(Arities(2, 2), [(1, 0), (0, 1), (1, 0)])
+        twin = spec.with_arities(Arities(2, 3))
+        twin.groups[(2, 2)] += 1
+        assert spec.groups == Counter({(1, 0): 2, (0, 1): 1}) and type(twin.groups) is Counter
+        spec.groups[(1, 0)] += 1
+        assert twin.groups == Counter({(1, 0): 2, (0, 1): 1, (2, 2): 1})
 
 
 class TestSpecDerived:

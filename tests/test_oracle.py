@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from prefixpack import oracle
 from prefixpack.geometry import overlap
-from prefixpack.model import Arities
+from prefixpack.model import Arities, ProblemSpec
 from prefixpack.oracle import (
     BudgetExceeded,
     OracleLimits,
@@ -99,6 +100,24 @@ class TestBruteDecide:
         assert brute_decide([(1, 1)] * 2, [(0, 0, 1, 1), (1, 0, 1, 1)]) == "yes"  # touching
         assert brute_decide([(2, 1)], [(0, 0, 1, 1), (1, 0, 1, 1)]) == "no"  # no block spans two
 
+    def test_spot_counts_cached_per_size_and_containers(self):
+        # each size meets each box after other boxes: a cached count is still
+        # its own box's count, the number of spots the layout lists
+        oracle._spot_count.cache_clear()
+        boxes_seen = [((0, 0, 4, 4),), ((0, 0, 2, 2),), ((1, 0, 4, 1),), ((0, 0, 2, 2), (2, 0, 3, 4))]
+        for boxes in boxes_seen:
+            for w, h in [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1)]:
+                fresh = sum(
+                    len([x0 for x0 in range(x, x + cw - w + 1) if x0 % w == 0])
+                    * len([y0 for y0 in range(y, y + ch - h + 1) if y0 % h == 0])
+                    for x, y, cw, ch in boxes
+                )
+                assert oracle._spot_count((w, h), boxes) == fresh == len(oracle._layout((w, h), boxes)[1])
+        # a unit block has 4 spots in a 2 x 2 box, 16 in a 4 x 4 one, whichever came first
+        limits = OracleLimits(max_m=1, max_dim=4, max_nodes=4)
+        assert brute_decide([(1, 1)], [(0, 0, 2, 2)], limits) == "yes"
+        assert brute_decide([(1, 1)], [(0, 0, 4, 4)], limits) == "budget_exceeded"
+
     def test_spots_kept_in_arrays(self):
         # a unit block in 512 x 512 has 262,144 spots: 2 MiB as machine words, about 40 MiB as tuples
         oracle._layout.cache_clear()
@@ -164,6 +183,15 @@ class TestEnumerateInstances:
     def test_every_instance_is_decidable_input(self):
         for spec in enumerate_instances([(2, 2), (3, 2)], 2, 1):
             decide(spec)  # must not raise
+
+    def test_multiset_major_over_the_pairs(self):
+        # each multiset once per pair, in the pairs' order, equal to a freshly checked spec
+        pairs = [(2, 3), (2, 2), (3, 2)]
+        domain = [(l1, l2) for l1 in range(3) for l2 in range(3)]
+        combos = [c for m in range(4) for c in itertools.combinations_with_replacement(domain, m)]
+        want = [ProblemSpec(Arities(*q), combo) for combo in combos for q in pairs]
+        assert list(enumerate_instances(pairs, 3, 2)) == want
+        assert list(enumerate_instances([], 3, 2)) == []
 
     def test_deterministic_stream(self):
         a = [s.lengths for s in enumerate_instances([(2, 2), (2, 3)], 2, 2)]

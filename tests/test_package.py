@@ -134,3 +134,17 @@ def test_lazily_loaded_commands_run_from_a_fresh_process(tmp_path, argv, lengths
             "sys.exit(exit_code)\n")
     done = run_fresh(tmp_path, code, *argv, lengths=lengths)
     assert (done.returncode, done.stdout, done.stderr) == (0, out, " ".join(loaded) + "\n")
+
+
+def test_module_run_loads_cli_once(tmp_path):
+    # python -m runs cli.py as __main__; the selftest sweep imports nothing from
+    # cli, so the file is not loaded a second time as prefixpack.cli
+    code = ("import runpy, sys\n"
+            "sys.argv[1:] = ['selftest', '--max-m', '1', '--max-len', '1', '--arities', '2,2']\n"
+            "try:\n"
+            "    runpy.run_module('prefixpack.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n"
+            "    print(done.code, 'prefixpack.cli' in sys.modules, 'prefixpack.selftest' in sys.modules)\n")
+    done = run_fresh(tmp_path, code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "selftest: 5 instances, all procedures agree\n0 False True\n"

@@ -1,11 +1,12 @@
 """Relations between verdicts that hold at any size, checked at decide's scale
 and on every multiset in the oracle's box.
 
-The exhaustive oracle stops at m <= 4 and lengths <= 2.  These checks need
-no oracle: each rests on a plain prefix-code argument, so they apply to
-codes of up to 10**4 codewords with lengths up to a few hundred.  Inside
-the box they are checked on every multiset, for more arity pairs than the
-oracle's sweep covers.
+The exhaustive oracle's default sweep stops at m <= 5 and lengths <= 2.
+These checks need no oracle: each rests on a plain prefix-code argument, so
+they apply to codes of up to 10**4 codewords with lengths up to a few
+hundred.  Inside the benchmark's sweep box, m <= 4 and lengths <= 2, they
+are checked on every multiset, for more arity pairs than the oracle's sweep
+covers.
 
 - removal: a code minus one codeword is still a code;
 - adding: a length multiset with no code has none with one codeword more;
@@ -133,7 +134,7 @@ def test_two_codewords_clash_iff_both_channels_are_prefixes(q, a, b):
     assert verdict(Arities(*q), Counter([a, b])) is not clash
 
 
-# The box of the oracle's sweep, for every pair of arities 2 and 3 and the
+# The benchmark's sweep box, for every pair of arities 2 and 3 and the
 # pairs with 4; the set is closed under swapping, so swaps look verdicts up.
 BOX_ARITIES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)]
 

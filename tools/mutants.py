@@ -153,7 +153,11 @@ MUTANTS = [
      "while batch := list(itertools.islice(specs, SELFTEST_BATCH)):",
      "while len(batch := list(itertools.islice(specs, SELFTEST_BATCH))) == SELFTEST_BATCH:"),
     ("selftest-walk-reads-next-verdict", SELFTEST,  # the check walk zipped against a stage list shifted by one
-     "zip(batch, verdicts, placements, brutes)", "zip(batch, verdicts[1:] + verdicts[:1], placements, brutes)"),
+     "zip(batch, verdicts, placements, instances, brutes)",
+     "zip(batch, verdicts[1:] + verdicts[:1], placements, instances, brutes)"),
+    ("selftest-codebook-reads-next-instance", SELFTEST,  # the codebook reads its neighbour's canonical instance
+     "zip(batch, verdicts, placements, instances, brutes)",
+     "zip(batch, verdicts, placements, instances[1:] + instances[:1], brutes)"),
     ("input-error-not-a-value-error", CLI,  # main catches ValueError, and InputError only as one
      "class InputError(ValueError):", "class InputError(Exception):"),
     ("encode-one-chunk-admits-negative", CODES,  # table[-1] would read the last digit string
@@ -179,6 +183,9 @@ MUTANTS = [
     ("spec-checks-counted-keys", MODEL,  # Counter merges (1.0, 0) into an earlier (1, 0)
      "            pairs = lengths = tuple(map(tuple, lengths))\n",
      "            lengths = tuple(map(tuple, lengths))\n            pairs = Counter(lengths)\n"),
+    ("spec-retarget-keeps-first-arities", MODEL,  # every re-targeted spec stays over the first pair
+     '_set(spec, "arities", arities)\n        _set(spec, "_lengths", self._lengths)',
+     '_set(spec, "arities", self.arities)\n        _set(spec, "_lengths", self._lengths)'),
     ("spec-plain-check-admits-bools", MODEL,
      "{*map(type, both := l1s + l2s)} == {int}", "{*map(type, both := l1s + l2s)} <= {int, bool}"),
     ("spec-plain-check-admits-negatives", MODEL,
@@ -188,13 +195,16 @@ MUTANTS = [
     ("oracle-block-mask-one-row-short", ORACLE,
      "column = (1 << h) - 1", "column = (1 << h - 1) - 1"),
     ("oracle-box-area-height-squared", ORACLE,
-     "sum(cw * ch for _, _, cw, ch in boxes)", "sum(ch * ch for _, _, cw, ch in boxes)"),
+     "room += cw * ch", "room += ch * ch"),
     ("oracle-extent-check-reads-sides-only", ORACLE,  # a box may run past max_dim
      "bounds += (cw, ch, x + 1, y + 1, x + cw, y + ch)", "bounds += (cw, ch, x + 1, y + 1, cw, ch)"),
     ("oracle-budget-counts-one-axis", ORACLE,
      "len(_starts(x, cw, w)) * len(_starts(y, ch, h))", "len(_starts(x, cw, w))"),
     ("oracle-cache-key-without-containers", ORACLE,  # every call reuses the first call's containers
      "_layout(s, boxes)", '_layout(s, _layout.__dict__.setdefault("boxes", boxes))'),
+    ("oracle-spot-count-key-without-containers", ORACLE,  # every budget check reads the first call's containers
+     "itertools.repeat(boxes))) > limits.max_nodes",
+     'itertools.repeat(_spot_count.__dict__.setdefault("boxes", boxes)))) > limits.max_nodes'),
     ("ledger-charges-unplaced-blocks", AUDITED_BANK,
      "self._free -= (need - self._left) *", "self._free -= need *"),
     ("audit-skips-consume", AUDITED_BANK,  # consume calls go unaudited: no charge, no check
