@@ -230,8 +230,11 @@ def count_json_rows(text: str) -> tuple[tuple[int, ...], Counter[tuple[int, ...]
     if len(rows) != len(values) or not _rows_hold_ints(rows, len(qs)):
         return None
     groups: Counter[tuple[int, ...]] = Counter()
-    for key, n in zip(map(tuple, rows), values):  # texts that decode equal, such as -0 and 0, merge
-        groups[key] += n
+    dict.update(groups, zip(map(tuple, rows), values))  # one C-level merge while every row is new
+    if len(groups) < len(values):  # texts that decode equal, such as -0 and 0, merge their counts
+        groups.clear()
+        for key, n in zip(map(tuple, rows), values):
+            groups[key] += n
     return qs, groups
 
 

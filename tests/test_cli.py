@@ -346,6 +346,16 @@ class TestRender:
         ET.fromstring(svg_path.read_text(encoding="utf-8"))
 
 
+def cpus(monkeypatch, n):
+    """Let the selftest sweep see n CPUs, so that it shares its batches among up to n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSelftest:
     def test_tiny_bounds_pass(self, capsys):
         code = cli.main(
@@ -454,9 +464,10 @@ class TestSelftest:
     def test_default_sweep_makes_every_call(self, capsys, monkeypatch):
         # each procedure on each of the 8,008 specs (two banks, and one canonical
         # instance, which the oracle and the codebook share), and a codebook for
-        # each of the 2,361 that pack
+        # each of the 2,361 that pack; one worker, since a forked one counts its own calls
         from prefixpack import codes, oracle
 
+        cpus(monkeypatch, 1)
         calls = Counter()
 
         def counted(owner, name):
@@ -481,9 +492,11 @@ class TestSelftest:
         }
 
     def test_codebook_reads_its_own_instance(self, capsys, monkeypatch):
-        # the sweep hands each codebook the canonical instance it built for the oracle
+        # the sweep hands each codebook the canonical instance it built for the oracle;
+        # one worker, since a forked one records its own calls
         from prefixpack import codes
 
+        cpus(monkeypatch, 1)
         real, seen = codes.solution_to_codebook, []
 
         def recorded(spec, locations, instance=None):
@@ -501,6 +514,7 @@ class TestSelftest:
     def test_fault_reported_at_its_spec(self, capsys, monkeypatch, flipped):
         from prefixpack import oracle, selftest
 
+        cpus(monkeypatch, 1)  # the fault is keyed by call number, which each worker counts on its own
         real = packer.decide
         calls = itertools.count(1)
         monkeypatch.setattr(packer, "decide", lambda spec, **kw: real(spec, **kw) ^ (next(calls) in flipped))
@@ -521,6 +535,151 @@ class TestSelftest:
         code = cli.main(["selftest", "--max-m", "2", "--max-len", "1", "--arities", "2,2"])
         assert code == 3
         assert capsys.readouterr().out == "selftest: oracle budget exceeded on q=(2,2) lengths=[(0, 1)]\n"
+
+
+BENCHMARK_BOX = ["--max-m", "4", "--max-len", "2"]  # with the default four arity pairs: 2,860 specs
+
+
+class TestSharedSweep:
+    """With two CPUs the sweep shares its batches between itself and one forked
+    worker, which checks the odd batches; what it prints, returns or raises is
+    the one-worker sweep's."""
+
+    @staticmethod
+    def wheres():
+        """The name a failure gives each spec of the default sweep, in enumeration order."""
+        from prefixpack import oracle, selftest
+
+        default = cli.build_parser().parse_args(["selftest"])
+        specs = oracle.enumerate_instances(cli.DEFAULT_SELFTEST_ARITIES, default.max_m, default.max_len)
+        return list(map(selftest._where, specs))
+
+    @staticmethod
+    def sweep(capsys, monkeypatch, n, argv=()):
+        """(exit code, stdout, stderr) of a sweep with n CPUs, and the forks it made; no worker outlives it."""
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        cpus(monkeypatch, n)
+        monkeypatch.setattr(os, "fork", counted)
+        try:
+            code = cli.main(["selftest", *argv])
+        finally:
+            assert_no_child_left()
+        return (code, *capsys.readouterr()), len(forks)
+
+    @pytest.mark.parametrize("argv", [[], BENCHMARK_BOX], ids=["default-box", "benchmark-box"])
+    def test_same_output_as_one_worker(self, capsys, monkeypatch, argv):
+        shared, forks = self.sweep(capsys, monkeypatch, 2, argv)
+        alone, none = self.sweep(capsys, monkeypatch, 1, argv)
+        assert (forks, none) == (1, 0)
+        assert shared == alone
+        assert shared[0] == 0 and shared[2] == ""
+
+    # batch b holds specs 256 b to 256 b + 255; the worker checks the odd batches
+    @pytest.mark.parametrize(
+        "flipped",
+        [(300,), (600,), (300, 600), (100, 300), (600, 8000)],
+        ids=["worker", "parent", "worker-first", "parent-first", "parent-then-worker-last-batch"],
+    )
+    def test_fault_reported_at_its_earliest_spec(self, capsys, monkeypatch, flipped):
+        from prefixpack import selftest
+
+        wheres = self.wheres()
+        faulty = {wheres[i] for i in flipped}
+        real = packer.decide
+        monkeypatch.setattr(packer, "decide", lambda spec, **kw: real(spec, **kw) ^ (selftest._where(spec) in faulty))
+        shared, forks = self.sweep(capsys, monkeypatch, 2)
+        alone, _ = self.sweep(capsys, monkeypatch, 1)
+        assert forks == 1 and shared == alone
+        code, out, err = shared
+        assert code == 3 and err == ""
+        assert out.startswith(f"selftest: DISAGREEMENT on {wheres[min(flipped)]}: ")
+
+    def test_exception_in_a_workers_batch_is_raised(self, capsys, monkeypatch):
+        from prefixpack import selftest
+
+        doomed = self.wheres()[300]
+
+        def decide(spec, real=packer.decide, **kw):
+            if selftest._where(spec) == doomed:
+                raise ZeroDivisionError(f"no verdict on {doomed}")
+            return real(spec, **kw)
+
+        monkeypatch.setattr(packer, "decide", decide)
+        raised = []
+        for n in (2, 1):
+            with pytest.raises(ZeroDivisionError) as info:
+                self.sweep(capsys, monkeypatch, n)
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(ZeroDivisionError, f"no verdict on {doomed}")] * 2
+        assert capsys.readouterr() == ("", "")
+
+    def test_earlier_failure_in_a_worker_beats_a_later_exception(self, capsys, monkeypatch):
+        # the parent raises on spec 600 (batch 2); the worker's disagreement on spec 300 comes first
+        from prefixpack import selftest
+
+        wheres = self.wheres()
+        real = packer.decide
+
+        def decide(spec, **kw):
+            where = selftest._where(spec)
+            if where == wheres[600]:
+                raise ZeroDivisionError(where)
+            return real(spec, **kw) ^ (where == wheres[300])
+
+        monkeypatch.setattr(packer, "decide", decide)
+        (code, out, err), forks = self.sweep(capsys, monkeypatch, 2)
+        assert (code, forks, err) == (3, 1, "")
+        assert out.startswith(f"selftest: DISAGREEMENT on {wheres[300]}: ")
+
+    def test_interrupt_leaves_no_worker(self, capsys, monkeypatch):
+        # the parent is interrupted at its first spec, while the worker is busy with its batches
+        real, parent = packer.decide, os.getpid()
+
+        def decide(spec, **kw):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(spec, **kw)
+
+        monkeypatch.setattr(packer, "decide", decide)
+        with pytest.raises(KeyboardInterrupt):
+            self.sweep(capsys, monkeypatch, 2)
+        assert capsys.readouterr() == ("", "")
+
+    def test_one_batch_never_forks(self, capsys, monkeypatch):
+        def refused():
+            raise AssertionError("the sweep forked")
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", refused)
+        assert cli.main(["selftest", "--max-m", "3", "--max-len", "1", "--arities", "2,2"]) == 0
+        assert capsys.readouterr() == ("selftest: 35 instances, all procedures agree\n", "")
+
+    def test_no_fork_beside_another_thread(self, capsys, monkeypatch):
+        # a forked copy of a process with threads can block on a lock one of them held
+        import threading
+
+        def refused():
+            raise AssertionError("the sweep forked")
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", refused)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(60,))
+        other.start()
+        try:
+            assert cli.main(["selftest", *BENCHMARK_BOX]) == 0
+        finally:
+            done.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert capsys.readouterr() == ("selftest: 2860 instances, all procedures agree\n", "")
 
 
 class TestTracedRun:

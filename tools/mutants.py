@@ -131,6 +131,8 @@ MUTANTS = [
      """text.find('"', end) >= 0 or """, ""),
     ("counter-admits-any-brackets", CLI,
      """    if set(map(str.count, texts, itertools.repeat("["))) != {1}:  # one "[" per text\n        return None\n""", ""),
+    ("counter-merge-trusts-distinct-texts", CLI,  # -0 and 0 are distinct texts of one row
+     "if len(groups) < len(values):", "if False:"),
     ("counter-merge-keeps-last-count", CLI,  # rows that decode equal, such as -0 and 0, must add up
      "groups[key] += n", "groups[key] = n"),
     ("text-keeps-comments", CLI,
@@ -150,8 +152,17 @@ MUTANTS = [
     ("selftest-ignores-construct-verdict", SELFTEST,
      "if fast != expect or built != expect:", "if fast != expect:"),
     ("selftest-drops-partial-batch", SELFTEST,
-     "while batch := list(itertools.islice(specs, SELFTEST_BATCH)):",
-     "while len(batch := list(itertools.islice(specs, SELFTEST_BATCH))) == SELFTEST_BATCH:"),
+     "return iter(lambda: list(itertools.islice(specs, SELFTEST_BATCH)), [])",
+     "return iter(lambda: (b if len(b := list(itertools.islice(specs, SELFTEST_BATCH))) == SELFTEST_BATCH else []), [])"),
+    ("selftest-worker-skips-last-partial-batch", SELFTEST,  # only the parent checks a short batch
+     "itertools.islice(batches, first, None, step))",
+     "(b for b in itertools.islice(batches, first, None, step) if first == 0 or len(b) == SELFTEST_BATCH))"),
+    ("selftest-reports-highest-failing-batch", SELFTEST,
+     "first = min(failing)", "first = max(failing)"),
+    ("selftest-drops-a-workers-count", SELFTEST,
+     "            checked += count\n", ""),
+    ("selftest-leaves-workers-unreaped", SELFTEST,
+     "            os.waitpid(pid, 0)\n", ""),
     ("selftest-walk-reads-next-verdict", SELFTEST,  # the check walk zipped against a stage list shifted by one
      "zip(batch, verdicts, placements, instances, brutes)",
      "zip(batch, verdicts[1:] + verdicts[:1], placements, instances, brutes)"),
